@@ -7,8 +7,31 @@ so the flags model here is bit-accurate for CF/ZF/SF/OF.
 
 from __future__ import annotations
 
+from typing import Callable, Dict
+
 from ..common.bitops import u32
 from .isa import FLAG_CF, FLAG_OF, FLAG_SF, FLAG_ZF, REG_NAMES, X86Cond
+
+
+#: Condition code -> predicate over a :class:`HostCpu`'s flags, shared by
+#: the interpreter and the compiled JCC/SETCC closures (which look the
+#: predicate up once, at compile time).
+COND_TESTS: Dict[X86Cond, Callable[["HostCpu"], bool]] = {
+    X86Cond.E: lambda cpu: cpu.zf == 1,
+    X86Cond.NE: lambda cpu: cpu.zf == 0,
+    X86Cond.B: lambda cpu: cpu.cf == 1,
+    X86Cond.AE: lambda cpu: cpu.cf == 0,
+    X86Cond.BE: lambda cpu: cpu.cf == 1 or cpu.zf == 1,
+    X86Cond.A: lambda cpu: cpu.cf == 0 and cpu.zf == 0,
+    X86Cond.S: lambda cpu: cpu.sf == 1,
+    X86Cond.NS: lambda cpu: cpu.sf == 0,
+    X86Cond.O: lambda cpu: cpu.of == 1,
+    X86Cond.NO: lambda cpu: cpu.of == 0,
+    X86Cond.L: lambda cpu: cpu.sf != cpu.of,
+    X86Cond.GE: lambda cpu: cpu.sf == cpu.of,
+    X86Cond.LE: lambda cpu: cpu.zf == 1 or cpu.sf != cpu.of,
+    X86Cond.G: lambda cpu: cpu.zf == 0 and cpu.sf == cpu.of,
+}
 
 
 class HostCpu:
@@ -36,22 +59,6 @@ class HostCpu:
         self.zf = (value >> FLAG_ZF) & 1
         self.sf = (value >> FLAG_SF) & 1
         self.of = (value >> FLAG_OF) & 1
-
-    # -- condition evaluation -----------------------------------------------------
-
-    def test(self, cond: X86Cond) -> bool:
-        table = {
-            X86Cond.E: self.zf == 1, X86Cond.NE: self.zf == 0,
-            X86Cond.B: self.cf == 1, X86Cond.AE: self.cf == 0,
-            X86Cond.BE: self.cf == 1 or self.zf == 1,
-            X86Cond.A: self.cf == 0 and self.zf == 0,
-            X86Cond.S: self.sf == 1, X86Cond.NS: self.sf == 0,
-            X86Cond.O: self.of == 1, X86Cond.NO: self.of == 0,
-            X86Cond.L: self.sf != self.of, X86Cond.GE: self.sf == self.of,
-            X86Cond.LE: self.zf == 1 or self.sf != self.of,
-            X86Cond.G: self.zf == 0 and self.sf == self.of,
-        }
-        return table[cond]
 
     # -- flag-producing arithmetic (shared by the interpreter) ---------------------
 

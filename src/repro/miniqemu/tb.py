@@ -37,6 +37,10 @@ class TranslationBlock:
     exec_count: int = 0
     #: engine-specific metadata (static coordination counts, analysis, ...)
     meta: dict = field(default_factory=dict)
+    #: threaded code the host interpreter compiled once the TB got hot
+    #: (repro.host.interp); run-time only, never persisted or compared
+    compiled: Optional[object] = field(default=None, compare=False,
+                                       repr=False)
 
     @property
     def guest_insn_count(self) -> int:

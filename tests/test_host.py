@@ -1,13 +1,24 @@
 """Unit tests for the host x86 model: flags semantics, interpreter, builder."""
 
+import copy
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.host.interp as host_interp
 from repro.common.errors import HostExecutionError
+from repro.core import OptLevel, make_rule_engine
 from repro.host import (CodeBuilder, EAX, EBX, ECX, EDX, ESP, HostCpu,
                         HostInterpreter, HostMemory, Imm, Mem, Reg, X86Cond,
-                        X86Op)
+                        X86Insn, X86Op)
+from repro.host.interp import HOT_THRESHOLD
+from repro.host.isa import Xmm
+from repro.miniqemu.tb import TbExitException
+from repro.observability import Profiler
+from repro.robustness import ExecutionWatchdog
+from tests.support import run_workload as run_guest
 
 STACK_TOP = 0x2000
 
@@ -272,3 +283,328 @@ def test_flags_sub_matches_python(a, b):
     result = cpu.flags_sub(a, b)
     assert result == (a - b) & 0xFFFFFFFF
     assert cpu.cf == (1 if b > a else 0)
+
+
+# ---------------------------------------------------------------------------
+# Threaded code vs the interpreter (differential).
+#
+# A TB entered HOT_THRESHOLD times runs as compiled threaded code; one
+# entered fewer times is interpreted.  Both must leave identical
+# registers, flags, xmm, memory, counters and errors on every exit path.
+# ---------------------------------------------------------------------------
+
+MEM_SIZE = 0x4000
+CONTROL_OPS = (X86Op.JMP, X86Op.JCC, X86Op.CALL_HELPER, X86Op.GOTO_TB,
+               X86Op.EXIT_TB)
+SSE_OPS = (X86Op.MOVSS, X86Op.ADDSS, X86Op.SUBSS, X86Op.MULSS)
+BODY_OPS = [op for op in X86Op if op not in CONTROL_OPS]
+TAGS = ("code", "sync", "mmu")
+
+
+class HotTb(FakeTb):
+    """A TB-like object entered *exec_count* times."""
+
+    mmu_idx = 0
+
+    def __init__(self, code, exec_count, pc=0):
+        super().__init__(code)
+        self.exec_count = exec_count
+        self.pc = pc
+        self.compiled = None
+
+
+_regs = st.integers(0, 7)
+# Small values make memory operands built on them map; the others reach
+# carries, overflows and sign bits.
+_words = st.one_of(st.integers(0, MEM_SIZE), st.integers(0, 0xFFFFFFFF),
+                   st.integers(0x7FFFFF00, 0x800000FF),
+                   st.integers(0xFFFFFF00, 0xFFFFFFFF))
+_mems = st.builds(Mem, base=st.one_of(st.none(), _regs),
+                  disp=st.integers(-8, MEM_SIZE), index=st.one_of(
+                      st.none(), _regs), scale=st.sampled_from((1, 2, 4)),
+                  size=st.sampled_from((1, 2, 4)))
+#: Operand strategies by kind; SSE ops take the Xmm and Mem kinds.
+OPERAND_KINDS = {
+    "reg": st.builds(Reg, _regs),
+    "imm": st.builds(Imm, st.one_of(st.integers(-2 ** 31, 2 ** 32 - 1),
+                                    st.integers(0, 40))),
+    "mem": _mems,
+    "xmm": st.builds(Xmm, _regs),
+}
+_gpr_operands = st.one_of(*(OPERAND_KINDS[kind]
+                            for kind in ("reg", "imm", "mem")))
+_sse_operands = st.one_of(OPERAND_KINDS["xmm"], OPERAND_KINDS["mem"])
+_tags = st.sampled_from(TAGS)
+
+
+def operand_kinds(op):
+    return ("xmm", "mem") if op in SSE_OPS else ("reg", "imm", "mem")
+
+
+@st.composite
+def body_insns(draw, op=None, dst=None, src=None):
+    """One non-control instruction; operands not given are drawn."""
+    if op is None:
+        op = draw(st.sampled_from(BODY_OPS))
+    operands = _sse_operands if op in SSE_OPS else _gpr_operands
+    return X86Insn(op, dst if dst is not None else draw(operands),
+                   src if src is not None else draw(operands),
+                   cond=draw(st.sampled_from(list(X86Cond))),
+                   tag=draw(_tags))
+
+
+@st.composite
+def host_states(draw):
+    regs = draw(st.lists(_words, min_size=8, max_size=8))
+    regs[ESP] = draw(st.integers(8, MEM_SIZE - 8))
+    flags = draw(st.lists(st.integers(0, 1), min_size=4, max_size=4))
+    xmm = draw(st.lists(st.integers(0, 0xFFFFFFFF), min_size=8, max_size=8))
+    return regs, flags, xmm, draw(st.integers(0, 2 ** 32))
+
+
+def make_state(state):
+    regs, flags, xmm, seed = state
+    data = bytearray(random.Random(seed).randbytes(MEM_SIZE))
+    memory = HostMemory()
+    memory.map_region(0, data, "flat")
+    cpu = HostCpu()
+    cpu.regs[:] = regs
+    cpu.cf, cpu.zf, cpu.sf, cpu.of = flags
+    cpu.xmm[:] = xmm
+    interp = HostInterpreter(cpu, memory)
+    interp.profiler = Profiler()
+    return interp, data
+
+
+def observe(interp, data, run):
+    """Run *run()* and snapshot everything it can have changed."""
+    try:
+        result = run()
+        chain = result.chain
+        outcome = (result.status, chain and (chain[0].pc, chain[1]))
+    except Exception as error:  # compared between the two paths
+        outcome = (type(error).__name__, str(error))
+    cpu = interp.cpu
+    watchdog = interp.watchdog
+    return {
+        "outcome": outcome,
+        "regs": list(cpu.regs), "xmm": list(cpu.xmm),
+        "flags": (cpu.cf, cpu.zf, cpu.sf, cpu.of), "memory": bytes(data),
+        "total": interp.total, "by_tag": list(interp.by_tag.items()),
+        "profile": {key: list(tags.items())
+                    for key, tags in interp.profiler._tags.items()},
+        "trips": watchdog.trips if watchdog is not None else None,
+    }
+
+
+def run_both_ways(code, state, limit=None):
+    """Observations of the interpreted and the compiled run of *code*."""
+    seen = []
+    for exec_count in (0, HOT_THRESHOLD):
+        interp, data = make_state(state)
+        if limit is not None:
+            interp.watchdog = ExecutionWatchdog(max_host_insns=limit)
+        tb = HotTb(code, exec_count)
+        seen.append(observe(interp, data, lambda: interp.execute(tb)))
+    assert tb.compiled is not None and tb.compiled.entry is not None
+    return seen
+
+
+@pytest.mark.parametrize("op", BODY_OPS, ids=lambda op: op.value)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), state=host_states())
+def test_compiled_op_matches_interpreter(op, data, state):
+    """Every op on every operand kind, alone and between two other ops."""
+    kinds = operand_kinds(op)
+    dsts = {kind: data.draw(OPERAND_KINDS[kind]) for kind in kinds}
+    srcs = {kind: data.draw(OPERAND_KINDS[kind]) for kind in kinds}
+    before = data.draw(body_insns())
+    after = data.draw(body_insns())
+    for dst_kind in kinds:
+        for src_kind in kinds:
+            insn = data.draw(body_insns(op, dsts[dst_kind], srcs[src_kind]))
+            for code in ([insn], [before, insn, after]):
+                code = code + [X86Insn(X86Op.EXIT_TB, imm=1)]
+                interpreted, compiled = run_both_ways(code, state)
+                assert compiled == interpreted, (dst_kind, src_kind)
+
+
+@st.composite
+def programs(draw):
+    """Random straight-line code with jumps anywhere, loops included."""
+    code = draw(st.lists(body_insns(), min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from((X86Op.JCC, X86Op.JMP)))
+        code.insert(draw(st.integers(0, len(code))),
+                    X86Insn(op, cond=draw(st.sampled_from(list(X86Cond))),
+                            tag=draw(_tags)))
+    code.append(X86Insn(X86Op.EXIT_TB, imm=draw(st.integers(0, 3))))
+    for insn in code:
+        if insn.op in (X86Op.JCC, X86Op.JMP):
+            # len(code) falls off the end of the TB.
+            insn.target_index = draw(st.integers(0, len(code)))
+    return code
+
+
+@settings(max_examples=300, deadline=None)
+@given(code=programs(), state=host_states(), limit=st.integers(1, 64))
+def test_compiled_program_matches_interpreter(code, state, limit):
+    """Branches, loops, watchdog trips and faults at any point."""
+    interpreted, compiled = run_both_ways(code, state, limit=limit)
+    assert compiled == interpreted
+
+
+def flat_state():
+    return [0] * ESP + [STACK_TOP] + [0] * 3, [0] * 4, [0] * 8, 1
+
+
+def test_watchdog_trip_inside_compiled_block():
+    builder = CodeBuilder()
+    loop = builder.new_label()
+    builder.bind(loop)
+    builder.add(Reg(EAX), Imm(1))
+    with builder.tagged("sync"):
+        builder.mov(Mem(base=None, disp=0x100), Reg(EAX))
+    builder.jmp(loop)
+    builder.exit_tb(0)
+    code = builder.finish()
+    interpreted, compiled = run_both_ways(code, flat_state(), limit=10)
+    assert compiled == interpreted
+    assert compiled["outcome"][0] == "WatchdogTimeout"
+    assert compiled["total"] == 11 and compiled["trips"] == 1
+    # The trip lands mid-block: 11 = 3 full loops + the add and the mov.
+    assert compiled["by_tag"] == [("code", 7), ("sync", 4)]
+
+
+def test_helper_exit_mid_block_counts_through_the_helper():
+    def raising_helper(runtime):
+        raise TbExitException(3)
+
+    builder = CodeBuilder()
+    builder.movi(Reg(EAX), 1)
+    builder.call_helper(raising_helper)
+    with builder.tagged("sync"):
+        builder.movi(Reg(EBX), 2)
+    builder.exit_tb(0)
+    interpreted, compiled = run_both_ways(builder.finish(), flat_state())
+    assert compiled == interpreted
+    assert compiled["outcome"][0] == "TbExitException"
+    assert compiled["total"] == 2
+    assert compiled["by_tag"] == [("code", 2)]
+
+
+def test_unmapped_fault_mid_block_counts_up_to_the_fault():
+    builder = CodeBuilder()
+    builder.movi(Reg(EAX), 1)
+    builder.mov(Reg(EBX), Mem(base=None, disp=0x999999))
+    with builder.tagged("sync"):
+        builder.movi(Reg(ECX), 2)     # never runs: its tag must not appear
+    builder.exit_tb(0)
+    interpreted, compiled = run_both_ways(builder.finish(), flat_state())
+    assert compiled == interpreted
+    assert compiled["outcome"][0] == "HostExecutionError"
+    assert compiled["total"] == 2
+    assert compiled["by_tag"] == [("code", 2)]
+    assert compiled["regs"][EAX] == 1
+
+
+def chain_tb(pc, exec_count, value):
+    builder = CodeBuilder()
+    builder.add(Reg(EAX), Imm(value))
+    builder.emit(X86Op.GOTO_TB, imm=0)
+    builder.exit_tb(0)
+    return HotTb(builder.finish(), exec_count, pc=pc)
+
+
+def run_chain(exec_counts):
+    interp, data = make_state(flat_state())
+    first, middle, last = (chain_tb(pc, count, value) for pc, count, value in
+                           zip((0x10, 0x20, 0x30), exec_counts, (1, 10, 100)))
+    first.jmp_target[0] = middle
+    middle.jmp_target[0] = last
+    entered = []
+    interp.on_tb_enter = entered.append
+    seen = observe(interp, data, lambda: interp.execute(first))
+    return seen, entered, (first, middle, last)
+
+
+def test_hot_cold_hot_chain_matches_interpreter():
+    threshold = HOT_THRESHOLD
+    seen, entered, tbs = run_chain((threshold, 0, threshold))
+    reference, reference_entered, _ = run_chain((0, 0, 0))
+    assert seen == reference
+    assert [tb.pc for tb in entered] == [tb.pc for tb in reference_entered]
+    assert [tb.pc for tb in entered] == [0x20, 0x30]
+    assert seen["regs"][EAX] == 111
+    assert seen["profile"].keys() == {(0x10, 0), (0x20, 0), (0x30, 0)}
+    first, middle, last = tbs
+    assert first.compiled is not None and last.compiled is not None
+    assert middle.compiled is None      # cold: interpreted, never compiled
+
+
+def test_unlinked_chain_target_is_not_entered():
+    interp, _ = make_state(flat_state())
+    first = chain_tb(0x10, HOT_THRESHOLD, 1)
+    second = chain_tb(0x20, 0, 10)
+    first.jmp_target[0] = second
+    entered = []
+    interp.on_tb_enter = entered.append
+    interp.execute(first)               # compiles first, chains to second
+    assert entered == [second] and first.compiled is not None
+    first.jmp_target[0] = None          # what CodeCache.invalidate does
+    exit_info = interp.execute(first)
+    assert entered == [second]
+    assert exit_info.chain == (first, 0)
+    assert interp.cpu.regs[EAX] == 12
+
+
+def test_program_of_another_interpreter_runs_interpreted():
+    """The self-check sandbox runs copies of live TBs on its own host."""
+    builder = CodeBuilder()
+    builder.add(Reg(EAX), Imm(5))
+    builder.exit_tb(0)
+    tb = HotTb(builder.finish(), HOT_THRESHOLD)
+    owner, _ = make_state(flat_state())
+    owner.execute(tb)
+    program = tb.compiled
+    sandbox, _ = make_state(flat_state())
+    shadow = copy.copy(tb)
+    sandbox.execute(shadow)
+    assert shadow.compiled is program and program.owner is owner
+    assert sandbox.cpu.regs[EAX] == 5 and sandbox.total == 2
+
+
+def test_selfcheck_on_hot_tbs_and_counters_match_interpreted_run(
+        monkeypatch):
+    body = """
+main:
+    mov r4, #0
+    mov r5, #0
+loop:
+    add r4, r4, r5
+    eor r4, r4, r5, lsl #2
+    add r5, r5, #1
+    cmp r5, #300
+    blt loop
+    mov r0, r4
+    bl updec
+    mov r0, #0
+    bl uexit
+"""
+    kwargs = {"engine": "rules", "selfcheck_interval": 1,
+              "rule_engine_factory": make_rule_engine(OptLevel.FULL)}
+    code, text, machine = run_guest(body, **kwargs)
+    stats = machine.stats()
+    assert code == 0
+    assert stats["robust.selfcheck_checks"] > HOT_THRESHOLD
+    assert stats["robust.selfcheck_failures"] == 0
+    compiled = [tb.compiled for tb in machine.engine.cache.all_tbs()
+                if tb.compiled is not None]
+    assert compiled
+    assert all(program.owner is machine.host for program in compiled)
+    # Never compiling must change nothing a run reports.
+    monkeypatch.setattr(host_interp, "HOT_THRESHOLD", 10 ** 9)
+    code, reference_text, reference = run_guest(body, **kwargs)
+    assert reference_text == text
+    assert reference.stats() == stats
+    assert list(reference.stats()) == list(stats)

@@ -15,7 +15,6 @@ The load-bearing guarantees under test:
 
 import json
 import re
-import time
 
 import pytest
 
@@ -64,21 +63,33 @@ def test_null_tracer_is_inert():
     assert NULL_TRACER.stats() == {}
 
 
-def test_tracing_wall_clock_overhead_within_budget():
-    """Tracing on must cost < 5% wall time (plus a timer-noise epsilon)."""
-    def best_of(tracer_factory, rounds=5):
-        best = float("inf")
-        for _ in range(rounds):
-            tracer = tracer_factory()
-            start = time.perf_counter()
-            run_workload(WORKLOAD, "rules-full", tracer=tracer)
-            best = min(best, time.perf_counter() - start)
-        return best
+#: Trace events per TB entry allowed on WORKLOAD (about 1.1 today: one
+#: ``tb.enter`` per entry plus rare translate/helper/sync events).  The
+#: tracer's cost is a fixed amount per event, so this bounds its
+#: overhead without timing anything; a per-instruction probe would
+#: push the ratio into the tens.
+MAX_EVENTS_PER_TB_ENTRY = 2.0
 
-    best_of(lambda: None, rounds=1)         # warm caches/imports
-    off = best_of(lambda: None)
-    on = best_of(Tracer)
-    assert on <= off * 1.05 + 0.05, (on, off)
+
+def test_tracing_overhead_within_budget(monkeypatch):
+    """Tracing costs a bounded number of events and changes no counter;
+    with tracing off, no probe reaches the disabled tracer's emit."""
+    tracer = Tracer()
+    traced = run_workload(WORKLOAD, "rules-full", tracer=tracer)
+    entries = tracer.counts_by_name()["tb.enter"]
+    assert entries > 0
+    assert tracer.emitted / entries <= MAX_EVENTS_PER_TB_ENTRY, \
+        (tracer.emitted, entries)
+
+    def unguarded_emit(self, name, **args):
+        raise AssertionError(f"probe {name} emitted without checking "
+                             "tracer.enabled")
+
+    monkeypatch.setattr(type(NULL_TRACER), "emit", unguarded_emit)
+    plain = run_workload(WORKLOAD, "rules-full")
+    assert traced.output == plain.output
+    assert _stats_without_trace(traced.stats) == \
+        _stats_without_trace(plain.stats)
 
 
 # ---------------------------------------------------------------------------
