@@ -15,7 +15,9 @@ Commands:
   baseline, attributing any regression to the Sec III coordination-cost
   category that moved.  ``--quick`` keeps the SPEC-sweep experiments
   only; ``--inject seed=1,extra-sync=0.5`` turns the fault injector
-  into a regression simulator the gate must catch.
+  into a regression simulator the gate must catch.  Both modes check
+  the paper's claims against the experiments that ran and exit 1 when
+  any is violated.
 - ``cache info|clear|verify DIR`` — inspect, delete or deep-verify the
   persistent translation cache at ``DIR`` (``--cache-dir``).  ``verify``
   exits 1 when any store is tampered or corrupt; such stores are also
@@ -418,10 +420,26 @@ def cmd_bench(args) -> int:
     return _bench_suite(args)
 
 
+def _report_claims(results, out=None) -> int:
+    """Print paper-claim verdicts; 1 if any claim is violated."""
+    from .observability.bench import CLAIM_VIOLATED, render_claims
+
+    print(render_claims(results), file=out)
+    violated = [claim for claim, verdict in results
+                if verdict == CLAIM_VIOLATED]
+    for claim in violated:
+        print(f"paper claim VIOLATED: {claim.experiment}: {claim.text}",
+              file=sys.stderr)
+    return 1 if violated else 0
+
+
 def _bench_experiment(args) -> int:
-    """Legacy mode: print one paper figure (or ``all``)."""
+    """Print one paper figure (or ``all``) and check its claims."""
+    from .observability import check_claims
+
     names = sorted(ALL_EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
+    figures = {}
     for name in names:
         experiment = ALL_EXPERIMENTS.get(name)
         if experiment is None:
@@ -429,9 +447,13 @@ def _bench_experiment(args) -> int:
                   f"(one of: {', '.join(sorted(ALL_EXPERIMENTS))})",
                   file=sys.stderr)
             return 2
-        print(experiment().text)
+        result = experiment()
+        figures[name] = {"rows": result.rows, "summary": result.summary}
+        print(result.text)
         print()
-    return 0
+    return _report_claims([(claim, verdict) for claim, verdict
+                           in check_claims({"figures": figures})
+                           if claim.experiment in figures])
 
 
 def _bench_suite(args) -> int:
@@ -440,10 +462,11 @@ def _bench_suite(args) -> int:
     import json
 
     from .common.errors import ReproError
-    from .observability import (IncomparableSnapshots, compare_snapshots,
-                                load_snapshot, next_snapshot_path,
-                                render_snapshot, run_suite,
-                                validate_snapshot, write_snapshot)
+    from .observability import (IncomparableSnapshots, check_claims,
+                                compare_snapshots, load_snapshot,
+                                next_snapshot_path, render_snapshot,
+                                run_suite, validate_snapshot,
+                                write_snapshot)
     from .observability.regress import GATE_LEVELS
 
     if args.fail_on not in GATE_LEVELS:
@@ -469,7 +492,6 @@ def _bench_suite(args) -> int:
     try:
         snapshot = run_suite(
             mode=mode, sweep_workloads=sweep, inject=args.inject,
-            wallclock_samples=args.samples,
             results_dir=RESULTS_DIR if args.export_results else None,
             cache_dir=args.cache_dir,
             progress=progress)
@@ -487,12 +509,19 @@ def _bench_suite(args) -> int:
     write_snapshot(out, snapshot)
     print(f"snapshot written to {out}", file=sys.stderr)
 
+    # Claim verdicts go to stderr under --format json, so stdout stays
+    # one JSON document.
+    def claims_code() -> int:
+        return _report_claims(
+            check_claims(snapshot),
+            out=sys.stderr if args.format == "json" else None)
+
     if args.compare is None:
         if args.format == "json":
             print(json.dumps(snapshot, indent=1, sort_keys=True))
         else:
             print(render_snapshot(snapshot))
-        return 0
+        return claims_code()
 
     try:
         baseline = load_snapshot(args.compare)
@@ -501,8 +530,7 @@ def _bench_suite(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        report = compare_snapshots(baseline, snapshot,
-                                   gate_wallclock=args.gate_wallclock)
+        report = compare_snapshots(baseline, snapshot)
     except IncomparableSnapshots as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -515,7 +543,7 @@ def _bench_suite(args) -> int:
         failing = report.gating_verdicts(args.fail_on)
         print(f"perf gate FAILED: {len(failing)} metric(s) at or above "
               f"--fail-on {args.fail_on}", file=sys.stderr)
-    return code
+    return max(code, claims_code())
 
 
 def cmd_learn(args) -> int:
@@ -647,8 +675,8 @@ def main(argv=None) -> int:
              "print one paper figure")
     bench_parser.add_argument(
         "experiment", nargs="?", default=None,
-        help="legacy mode: print this experiment (or 'all') and exit; "
-             "omit to run the suite")
+        help="print this experiment (or 'all') and check its paper "
+             "claims; omit to run the suite")
     bench_parser.add_argument("--quick", action="store_true",
                               help="SPEC-sweep experiments only (skips "
                                    "ablation/fig19/footnote3)")
@@ -676,12 +704,6 @@ def main(argv=None) -> int:
     bench_parser.add_argument("--export-results", action="store_true",
                               help="also write benchmarks/results/"
                                    "<name>.{txt,json} companions")
-    bench_parser.add_argument("--samples", type=int, default=None,
-                              help="wall-clock translation samples "
-                                   "(default per mode)")
-    bench_parser.add_argument("--gate-wallclock", action="store_true",
-                              help="let wall-clock metrics fail the gate "
-                                   "(off by default: CI jitter)")
     bench_parser.add_argument("--cache-dir", metavar="DIR", default=None,
                               help="persistent translation cache threaded "
                                    "through the whole sweep (warm-start "

@@ -19,31 +19,34 @@ The subsystem has four pieces, all zero-cost when disabled:
   ``Machine.stats()`` merge (``engine.`` / ``robust.`` / ``io.`` /
   ``trace.``) that makes silent key collisions impossible.
 
-Continuous benchmarking (``repro bench``) builds on all four:
+Continuous benchmarking of the modelled cost (``repro bench``) builds
+on all four; the real wall-clock is ``perfbench/run.py``'s job:
 
 - :mod:`~repro.observability.bench` — the suite orchestrator that runs
-  the paper experiments through the shared sweep cache and folds them
-  into one trajectory snapshot.
+  the paper experiments through the shared sweep cache, folds them
+  into one trajectory snapshot, and checks the paper's claims
+  (``repro.harness.experiments.CLAIMS``) against its figures.
 - :mod:`~repro.observability.baseline` — the canonical snapshot format
   (``BENCH_<n>.json``), its schema validator, and the schema of the
   ``benchmarks/results/<name>.json`` payloads.
 - :mod:`~repro.observability.regress` — the snapshot comparator:
-  exact gating for deterministic cost-model metrics, bootstrap CIs for
-  wall-clock samples, and Sec III category attribution of regressions.
+  exact gating for the deterministic cost-model metrics and Sec III
+  category attribution of regressions.
 """
 
 from .baseline import (iter_metrics, load_snapshot, next_snapshot_path,
                        validate_result_payload, validate_snapshot,
                        write_snapshot)
 from .bench import (FULL_EXPERIMENTS, QUICK_EXPERIMENTS, TIER_ENGINES,
-                    render_snapshot, run_suite)
+                    check_claims, render_claims, render_snapshot,
+                    run_suite)
 from .export import (chrome_trace, validate_chrome_trace,
                      write_chrome_trace, write_profile_json)
 from .profile import (COORDINATION_CATEGORIES, Profiler, build_profile,
                       coordination_breakdown, render_profile)
 from .regress import (ComparisonReport, GATE_LEVELS,
                       IncomparableSnapshots, MetricVerdict,
-                      bootstrap_ratio_ci, compare_snapshots)
+                      compare_snapshots)
 from .stats import STAT_NAMESPACES, merge_stats, namespace_group
 from .trace import (FLIGHT_RECORDER_EVENTS, NULL_TRACER, NullTracer,
                     TraceEvent, Tracer)
@@ -53,11 +56,11 @@ __all__ = [
     "FULL_EXPERIMENTS", "GATE_LEVELS", "IncomparableSnapshots",
     "MetricVerdict", "NULL_TRACER", "NullTracer", "Profiler",
     "QUICK_EXPERIMENTS", "STAT_NAMESPACES", "TIER_ENGINES", "TraceEvent",
-    "Tracer", "bootstrap_ratio_ci", "build_profile", "chrome_trace",
+    "Tracer", "build_profile", "check_claims", "chrome_trace",
     "compare_snapshots", "coordination_breakdown", "iter_metrics",
     "load_snapshot", "merge_stats", "namespace_group",
-    "next_snapshot_path", "render_profile", "render_snapshot",
-    "run_suite", "validate_chrome_trace", "validate_result_payload",
-    "validate_snapshot", "write_chrome_trace", "write_profile_json",
-    "write_snapshot",
+    "next_snapshot_path", "render_claims", "render_profile",
+    "render_snapshot", "run_suite", "validate_chrome_trace",
+    "validate_result_payload", "validate_snapshot", "write_chrome_trace",
+    "write_profile_json", "write_snapshot",
 ]

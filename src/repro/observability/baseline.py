@@ -3,21 +3,22 @@
 A *snapshot* is one point on the reproduction's benchmark trajectory:
 the per-figure metric rows and summaries, per-engine-tier host-cost
 totals, the profiler's coordination breakdown folded to the paper's
-Sec III categories, dynamic rule coverage, wall-clock translation
-samples, and an environment/configuration fingerprint.  Snapshots are
-written to the repo root as ``BENCH_0.json``, ``BENCH_1.json``, ... and
-compared by :mod:`repro.observability.regress`; the committed
-``BENCH_0.json`` is the regression-gate baseline CI compares against.
+Sec III categories, dynamic rule coverage, and an
+environment/configuration fingerprint.  Snapshots are written to the
+repo root as ``BENCH_0.json``, ``BENCH_1.json``, ... and compared by
+:mod:`repro.observability.regress`; the committed ``BENCH_0.json`` is
+the regression-gate baseline CI compares against.
 
-Everything in a snapshot except the ``wallclock`` section is produced
-by the deterministic cost model, so two snapshots of the same tree must
-match *exactly*; the comparator gates them with equality, and only the
-wall-clock samples get tolerance bands and bootstrap CIs.
+Everything in a snapshot is produced by the deterministic cost model,
+so two snapshots of the same tree must match *exactly*; the comparator
+gates them with equality.  (Older snapshots, ``BENCH_0.json`` among
+them, also carry a ``wallclock`` section of translation samples; it is
+ignored.  Real wall-clock is measured by ``perfbench/run.py``.)
 
-This module also owns the schema of the per-benchmark result payloads
-``benchmarks/results/<name>.json`` (written by ``benchmarks/conftest``
-and by the ``repro bench`` orchestrator), so a benchmark can no longer
-silently persist an empty or non-numeric document.
+This module also owns the schema of the per-experiment result payloads
+``benchmarks/results/<name>.json`` (written by ``repro bench
+--export-results``), so an experiment can never silently persist an
+empty or non-numeric document.
 """
 
 from __future__ import annotations
@@ -133,8 +134,7 @@ def validate_result_payload(payload: Any) -> List[str]:
             problems.append(f"summary.{key}: not a finite number "
                             f"({value!r})")
     if not summary and not rows:
-        problems.append("both 'rows' and 'summary' are empty — pass an "
-                        "ExperimentResult or an explicit summary=")
+        problems.append("both 'rows' and 'summary' are empty")
     return problems
 
 
@@ -288,16 +288,6 @@ def validate_snapshot(snapshot: Any) -> List[str]:
                 if not _is_finite_number(value):
                     problems.append(f"{section}.{engine}.{key}: not a "
                                     f"finite number ({value!r})")
-    wallclock = snapshot.get("wallclock", {})
-    if not isinstance(wallclock, dict):
-        problems.append("'wallclock' must be an object")
-        wallclock = {}
-    for name, entry in wallclock.items():
-        samples = entry.get("samples") if isinstance(entry, dict) else None
-        if not isinstance(samples, list) or not samples or \
-                not all(_is_finite_number(s) and s > 0 for s in samples):
-            problems.append(f"wallclock.{name}: 'samples' must be a "
-                            f"non-empty list of positive numbers")
     if not isinstance(snapshot.get("fingerprint"), dict):
         problems.append("'fingerprint' must be an object")
     return problems
@@ -320,9 +310,7 @@ def iter_metrics(snapshot: Dict[str, Any]) -> Iterator[
     Metric ids are dotted paths (``figures.fig8.summary.saving_pct``,
     ``tiers.rules-full.host_cost``, ``coordination.rules-full.sync``),
     stable across snapshots so the comparator can align them.  Figure
-    *rows* and the wall-clock samples are deliberately not enumerated:
-    rows are informational detail, and wall-clock data needs the
-    statistical treatment in :mod:`.regress`.
+    *rows* are informational detail and deliberately not enumerated.
     """
     for figure, payload in sorted(snapshot.get("figures", {}).items()):
         summary = payload.get("summary", {}) \

@@ -1,13 +1,16 @@
 """Continuous-benchmarking orchestrator behind ``repro bench``.
 
-One call to :func:`run_suite` replaces the thirteen one-off
-``benchmarks/bench_*.py`` invocations: it drives the paper experiments
-through the shared sweep cache (:mod:`repro.harness.runner`), folds the
-sweep into per-engine-tier totals, Sec III coordination breakdowns,
-sync-site counters and rule-coverage fractions, samples the
-translator's wall-clock throughput, and returns one schema-validated
+One call to :func:`run_suite` drives the paper experiments through the
+shared sweep cache (:mod:`repro.harness.runner`), folds the sweep into
+per-engine-tier totals, Sec III coordination breakdowns, sync-site
+counters and rule-coverage fractions, and returns one schema-validated
 snapshot dict (see :mod:`.baseline`) ready to be written as
-``BENCH_<n>.json`` and gated by :mod:`.regress`.
+``BENCH_<n>.json`` and gated by :mod:`.regress`.  :func:`check_claims`
+checks the paper's shape claims (``repro.harness.experiments.CLAIMS``)
+against the snapshot's figures.
+
+This is the modelled-cost half of benchmarking.  The real wall-clock
+of the Python system is measured per layer by ``perfbench/run.py``.
 
 The suite accepts an ``--inject`` fault plan, threaded through every
 cached run: the injector's ``extra-sync`` site turns the harness into a
@@ -20,7 +23,6 @@ category).
 from __future__ import annotations
 
 import os
-import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .baseline import SCHEMA, SCHEMA_VERSION, fingerprint
@@ -47,86 +49,6 @@ FULL_EXPERIMENTS = QUICK_EXPERIMENTS + ("ablation", "fig19", "footnote3")
 #: benchmarks/results file stem when it differs from the experiment id.
 RESULT_NAMES = {"fig8": "fig08"}
 
-#: Wall-clock samples per mode.
-WALLCLOCK_SAMPLES = {"full": 30, "quick": 10, "custom": 5}
-
-#: The fixed block the translator-throughput sampler times (mirrors
-#: ``benchmarks/bench_translation.py``).
-_WALLCLOCK_BLOCK = """
-    add r0, r1, r2
-    subs r3, r0, #17
-    and r4, r3, r0, lsl #2
-    ldr r5, [r4, #8]
-    str r5, [r4, #12]
-    cmp r5, r0
-    bne target
-target:
-    bx lr
-"""
-_WALLCLOCK_BASE = 0x40000
-
-
-def _wallclock_machine():
-    from ..core import OptLevel
-    from ..core.engine import RuleEngine
-    from ..guest.asm import assemble
-    from ..miniqemu.machine import Machine
-
-    machine = Machine(engine="tcg")
-    machine.memory.load_program(assemble(_WALLCLOCK_BLOCK,
-                                         base=_WALLCLOCK_BASE))
-    return machine, RuleEngine(machine, level=OptLevel.FULL)
-
-
-def _sample_translation_wallclock(samples: int) -> Dict[str, Any]:
-    """Time rule-based translation of a fixed block *samples* times."""
-    machine, engine = _wallclock_machine()
-    times: List[float] = []
-    for _ in range(samples):
-        start = time.perf_counter()
-        tb = engine.translate(_WALLCLOCK_BASE, 0)
-        times.append(max(time.perf_counter() - start, 1e-9))
-    return {"samples": times, "unit": "seconds",
-            "block_guest_insns": tb.guest_insn_count}
-
-
-def _sample_warmstart_wallclock(samples: int) -> Dict[str, Any]:
-    """Time reviving the same block from a persistent store.
-
-    The warm-start counterpart of :func:`_sample_translation_wallclock`:
-    the block is translated once, persisted, and then fetched
-    (guest-byte validation + host-code deserialization) *samples*
-    times through a freshly attached loader.  The index read and the
-    store-wide integrity validation are kept outside the timed region —
-    they are per-run costs, not per-TB ones."""
-    import shutil
-    import tempfile
-
-    from ..cache import CacheLoader
-    from ..common.errors import ReproError
-
-    machine, engine = _wallclock_machine()
-    root = tempfile.mkdtemp(prefix="repro-warmclock-")
-    try:
-        seed = CacheLoader(machine, engine, root)
-        tb = engine.translate(_WALLCLOCK_BASE, 0)
-        engine.cache.insert(tb)
-        seed.save()
-        times: List[float] = []
-        for _ in range(samples):
-            loader = CacheLoader(machine, engine, root)
-            loader.load_index()
-            start = time.perf_counter()
-            loaded = loader.fetch(_WALLCLOCK_BASE, 0)
-            times.append(max(time.perf_counter() - start, 1e-9))
-            if loaded is None:
-                raise ReproError("warm-start sampler failed to revive "
-                                 "its own persisted block")
-        return {"samples": times, "unit": "seconds",
-                "block_guest_insns": tb.guest_insn_count}
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-
 
 def _sum_stat(runs: List[Any], key: str) -> float:
     return float(sum(run.stats.get(key, 0.0) for run in runs))
@@ -137,7 +59,6 @@ def run_suite(mode: str = "full",
               sweep_workloads: Optional[Tuple[str, ...]] = None,
               engines: Tuple[str, ...] = TIER_ENGINES,
               inject: Optional[str] = None,
-              wallclock_samples: Optional[int] = None,
               name: str = "bench",
               results_dir: Optional[str] = None,
               cache_dir: Optional[str] = None,
@@ -248,14 +169,6 @@ def run_suite(mode: str = "full",
                 "stale {tb_stale:.0f}, evicted {tb_evicted:.0f}"
                 .format(**summary))
 
-        say("wall-clock translation sampling")
-        samples = wallclock_samples if wallclock_samples is not None \
-            else WALLCLOCK_SAMPLES.get(mode, 5)
-        wallclock = {"translate_block":
-                     _sample_translation_wallclock(samples),
-                     "translate_block_warm":
-                     _sample_warmstart_wallclock(samples)}
-
         return {
             "schema": SCHEMA,
             "schema_version": SCHEMA_VERSION,
@@ -266,7 +179,6 @@ def run_suite(mode: str = "full",
             "coordination": coordination,
             "sync": sync,
             "coverage": coverage,
-            "wallclock": wallclock,
             "fingerprint": fingerprint(
                 mode, tuple(sweep_workloads), tuple(engines),
                 tuple(experiments),
@@ -278,8 +190,8 @@ def run_suite(mode: str = "full",
 
 
 def _export_result(results_dir: str, name: str, result: Any) -> None:
-    """Write one experiment's ``<name>.txt`` / ``<name>.json`` pair in
-    the same validated format ``benchmarks/conftest.save_result`` uses."""
+    """Write one experiment's rendered ``<name>.txt`` table and its
+    validated ``<name>.json`` metric payload."""
     import json
 
     from .baseline import validate_result_payload
@@ -363,13 +275,53 @@ def render_snapshot(snapshot: Dict[str, Any]) -> str:
         sections.append(format_table(
             ["Figure metric", "Value"], rows,
             title="per-figure summary scalars"))
-
-    wallclock = snapshot.get("wallclock", {})
-    for name, entry in wallclock.items():
-        samples = entry.get("samples", [])
-        if samples:
-            mean = sum(samples) / len(samples)
-            sections.append(f"wall-clock {name}: mean "
-                            f"{1e6 * mean:.1f}us over {len(samples)} "
-                            f"samples")
     return "\n\n".join(sections)
+
+
+# ---------------------------------------------------------------------------
+# The paper's shape claims.
+# ---------------------------------------------------------------------------
+
+CLAIM_HELD, CLAIM_VIOLATED, CLAIM_SKIPPED = "held", "violated", "skipped"
+
+
+def check_claims(snapshot: Dict[str, Any]) -> List[Tuple[Any, str]]:
+    """Evaluate every paper claim against *snapshot*'s figures.
+
+    Returns ``(claim, verdict)`` pairs in ``CLAIMS`` order.  A claim is
+    ``held`` or ``violated`` when its experiment is in the snapshot, and
+    ``skipped`` when that experiment did not run (``--quick`` and custom
+    sweeps skip some or all of them).  Verdicts are derived, never
+    stored: the snapshot's ``figures`` are the whole input.
+    """
+    from ..harness.experiments import CLAIMS
+
+    figures = snapshot.get("figures", {})
+    results = []
+    for claim in CLAIMS:
+        payload = figures.get(claim.experiment)
+        if payload is None:
+            verdict = CLAIM_SKIPPED
+        elif claim.holds(payload["summary"], payload["rows"]):
+            verdict = CLAIM_HELD
+        else:
+            verdict = CLAIM_VIOLATED
+        results.append((claim, verdict))
+    return results
+
+
+def render_claims(results: List[Tuple[Any, str]]) -> str:
+    """One row per claim under a held/violated/skipped count line; only
+    the count line when no claim was checked."""
+    from ..harness.report import format_table
+
+    counts = {verdict: sum(1 for _, v in results if v == verdict)
+              for verdict in (CLAIM_HELD, CLAIM_VIOLATED, CLAIM_SKIPPED)}
+    title = ("paper claims: {held} held, {violated} violated, "
+             "{skipped} skipped".format(**counts))
+    if counts[CLAIM_SKIPPED] == len(results):
+        return title
+    return format_table(
+        ["Experiment", "Claim", "Verdict"],
+        [[claim.experiment, claim.text, verdict]
+         for claim, verdict in results], title=title)

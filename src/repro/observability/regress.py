@@ -1,11 +1,9 @@
 """Snapshot comparator: the ``repro bench --compare`` regression gate.
 
-Deterministic cost-model metrics are gated *exactly* — the simulated
-stack has no noise, so any drift is a real change in emitted code or
-accounting.  Wall-clock translation samples (the only nondeterministic
-section) get a tolerance band plus a bootstrap confidence interval on
-the ratio of means, so a loaded CI runner cannot fail the gate on
-jitter alone.
+Every snapshot metric comes from the deterministic cost model, so each
+is gated *exactly* — the simulated stack has no noise, so any drift is a
+real change in emitted code or accounting.  (Real wall-clock is
+perfbench's job, not the snapshot's.)
 
 Every metric receives a verdict:
 
@@ -32,22 +30,14 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .baseline import NEUTRAL, iter_metrics
 
 #: Relative drift tolerated on "exact" metrics (float-formatting head
 #: room only; the cost model itself is bit-deterministic).
 EXACT_EPSILON = 1e-9
-
-#: Default relative tolerance band for wall-clock means.
-WALLCLOCK_TOLERANCE = 0.25
-
-#: Bootstrap resamples for the wall-clock confidence interval.
-BOOTSTRAP_RESAMPLES = 1000
-BOOTSTRAP_SEED = 0x5EC3
 
 VERDICT_IMPROVED = "improved"
 VERDICT_FLAT = "flat"
@@ -100,7 +90,6 @@ class ComparisonReport:
     category_deltas: Dict[str, float] = field(default_factory=dict)
     #: The category whose cost grew the most (None if nothing grew).
     top_category: Optional[str] = None
-    gate_wallclock: bool = False
 
     def counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -110,11 +99,7 @@ class ComparisonReport:
 
     def gating_verdicts(self, fail_on: str) -> List[MetricVerdict]:
         failing = GATE_LEVELS[fail_on]
-        picked = [v for v in self.verdicts if v.verdict in failing]
-        if not self.gate_wallclock:
-            picked = [v for v in picked
-                      if not v.metric.startswith("wallclock.")]
-        return picked
+        return [v for v in self.verdicts if v.verdict in failing]
 
     def exit_code(self, fail_on: str) -> int:
         return 1 if self.gating_verdicts(fail_on) else 0
@@ -163,8 +148,7 @@ class ComparisonReport:
                 f"cost moved in Sec III category '{self.top_category}' "
                 f"({deltas})")
         elif not interesting:
-            sections.append("no metric moved — snapshots are identical "
-                            "up to wall-clock noise")
+            sections.append("no metric moved — snapshots are identical")
         return "\n\n".join(sections)
 
 
@@ -202,68 +186,6 @@ def _exact_verdict(metric: str, baseline: Any, current: Any,
     return MetricVerdict(
         metric, VERDICT_IMPROVED if better else VERDICT_REGRESSED,
         baseline, current, direction, rel_change=rel)
-
-
-# ---------------------------------------------------------------------------
-# Wall-clock statistics.
-# ---------------------------------------------------------------------------
-
-
-def bootstrap_ratio_ci(baseline: Sequence[float], current: Sequence[float],
-                       resamples: int = BOOTSTRAP_RESAMPLES,
-                       confidence: float = 0.95,
-                       seed: int = BOOTSTRAP_SEED) -> Tuple[float, float]:
-    """Bootstrap CI for ``mean(current) / mean(baseline)``.
-
-    Deterministic (fixed seed) so a compare is reproducible.
-    """
-    rng = random.Random(seed)
-    ratios = []
-    for _ in range(resamples):
-        b = [baseline[rng.randrange(len(baseline))]
-             for _ in range(len(baseline))]
-        c = [current[rng.randrange(len(current))]
-             for _ in range(len(current))]
-        mean_b = sum(b) / len(b)
-        if mean_b <= 0:
-            continue
-        ratios.append((sum(c) / len(c)) / mean_b)
-    if not ratios:
-        return (math.inf, math.inf)
-    ratios.sort()
-    alpha = (1.0 - confidence) / 2.0
-    lo = ratios[int(alpha * (len(ratios) - 1))]
-    hi = ratios[int((1.0 - alpha) * (len(ratios) - 1))]
-    return (lo, hi)
-
-
-def _wallclock_verdict(name: str, base_entry: Any, cur_entry: Any,
-                       tolerance: float) -> MetricVerdict:
-    metric = f"wallclock.{name}.mean"
-    base_samples = (base_entry or {}).get("samples") or []
-    cur_samples = (cur_entry or {}).get("samples") or []
-    if not base_samples or not cur_samples:
-        return MetricVerdict(metric, VERDICT_INVALID,
-                             note="missing wall-clock samples")
-    mean_b = sum(base_samples) / len(base_samples)
-    mean_c = sum(cur_samples) / len(cur_samples)
-    lo, hi = bootstrap_ratio_ci(base_samples, cur_samples)
-    rel = _rel_change(mean_b, mean_c)
-    # Regressed only when the whole confidence interval sits above the
-    # tolerance band (and mirrored for improvements): point noise or a
-    # wide CI stays flat.
-    if lo > 1.0 + tolerance:
-        verdict = VERDICT_REGRESSED
-    elif hi < 1.0 - tolerance:
-        verdict = VERDICT_IMPROVED
-    else:
-        verdict = VERDICT_FLAT
-    return MetricVerdict(
-        metric, verdict, mean_b, mean_c, "down", rel_change=rel,
-        attribution="host-wallclock" if verdict == VERDICT_REGRESSED
-        else None,
-        note=f"95% CI of mean ratio [{lo:.3f}, {hi:.3f}], "
-             f"band ±{tolerance:.0%}")
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +242,13 @@ def check_comparable(base: Dict[str, Any], cur: Dict[str, Any]) -> None:
                 f"— bless a new baseline instead of comparing")
 
 
-def compare_snapshots(base: Dict[str, Any], cur: Dict[str, Any],
-                      wallclock_tolerance: float = WALLCLOCK_TOLERANCE,
-                      gate_wallclock: bool = False) -> ComparisonReport:
+def compare_snapshots(base: Dict[str, Any],
+                      cur: Dict[str, Any]) -> ComparisonReport:
     """Compare *cur* against the *base* baseline snapshot."""
     check_comparable(base, cur)
     report = ComparisonReport(
         baseline_name=str(base.get("name", "?")),
-        current_name=str(cur.get("name", "?")),
-        gate_wallclock=gate_wallclock)
+        current_name=str(cur.get("name", "?")))
     report.category_deltas = _category_deltas(base, cur)
     growing = [(delta, category) for category, delta
                in report.category_deltas.items() if delta > 0]
@@ -375,13 +295,6 @@ def compare_snapshots(base: Dict[str, Any], cur: Dict[str, Any],
                 note="metric absent from baseline — bless a new one "
                      "to start tracking it")
         report.verdicts.append(verdict)
-
-    for name in sorted(set(base.get("wallclock", {})) |
-                       set(cur.get("wallclock", {}))):
-        base_entry = base.get("wallclock", {}).get(name)
-        cur_entry = cur.get("wallclock", {}).get(name)
-        report.verdicts.append(_wallclock_verdict(
-            name, base_entry, cur_entry, wallclock_tolerance))
 
     top = report.top_category
     for verdict in report.verdicts:

@@ -15,11 +15,11 @@ The load-bearing guarantees under test:
 - the comparator handles schema drift: added/removed/skipped metrics,
   zero-valued baselines, and non-finite scalars each get the right
   verdict and gate at the right ``--fail-on`` level;
-- ``benchmarks/conftest.save_result`` refuses to persist metric-free
-  or schema-invalid payloads.
+- the paper's claims hold on the committed baseline, a doctored figure
+  violates exactly the claim it breaks and fails ``repro bench``, and
+  claims of experiments that did not run are skipped.
 """
 
-import importlib.util
 import json
 import math
 import pathlib
@@ -28,34 +28,37 @@ import pytest
 
 from repro.__main__ import main
 from repro.harness import run_workload
-from repro.observability import (IncomparableSnapshots, compare_snapshots,
+from repro.harness.experiments import CLAIMS
+from repro.observability import (QUICK_EXPERIMENTS, IncomparableSnapshots,
+                                 check_claims, compare_snapshots,
                                  iter_metrics, load_snapshot,
                                  next_snapshot_path, run_suite,
                                  validate_result_payload,
                                  validate_snapshot, write_snapshot)
 from repro.observability.baseline import DOWN, NEUTRAL, UP
+from repro.observability.bench import (CLAIM_HELD, CLAIM_SKIPPED,
+                                       CLAIM_VIOLATED)
 from repro.observability.regress import (GATE_LEVELS, VERDICT_ADDED,
                                          VERDICT_CHANGED, VERDICT_FLAT,
                                          VERDICT_IMPROVED, VERDICT_INVALID,
                                          VERDICT_REGRESSED, VERDICT_REMOVED,
-                                         VERDICT_SKIPPED,
-                                         bootstrap_ratio_ci)
+                                         VERDICT_SKIPPED)
 from repro.workloads import ALL_WORKLOADS
 
 SWEEP = ("sjeng",)
 INJECT = "seed=1,extra-sync=0.5"
+BENCH_0 = pathlib.Path(__file__).parent.parent / "BENCH_0.json"
 
 
 @pytest.fixture(scope="module")
 def clean_snapshot():
-    return run_suite(mode="custom", sweep_workloads=SWEEP,
-                     name="clean", wallclock_samples=2)
+    return run_suite(mode="custom", sweep_workloads=SWEEP, name="clean")
 
 
 @pytest.fixture(scope="module")
 def injected_snapshot():
     return run_suite(mode="custom", sweep_workloads=SWEEP,
-                     name="injected", inject=INJECT, wallclock_samples=2)
+                     name="injected", inject=INJECT)
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +102,7 @@ def test_next_snapshot_path_skips_existing(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_clean_rerun_is_bit_identical(clean_snapshot):
-    again = run_suite(mode="custom", sweep_workloads=SWEEP,
-                      name="again", wallclock_samples=2)
+    again = run_suite(mode="custom", sweep_workloads=SWEEP, name="again")
     report = compare_snapshots(clean_snapshot, again)
     non_flat = [v for v in report.verdicts if v.verdict != VERDICT_FLAT]
     assert non_flat == []
@@ -130,9 +132,6 @@ def test_injected_regression_is_caught_and_attributed(
     grew = {category for category, delta
             in report.category_deltas.items() if delta > 0}
     assert grew == {"coordination"}
-    # Attribution is checked on what the gate acts on.  The ungated
-    # ``wallclock.*`` verdicts measure host time and can read
-    # "regressed" under load, so they are not part of this claim.
     regressed = report.gating_verdicts("regressed")
     assert regressed
     assert all(v.verdict == VERDICT_REGRESSED for v in regressed)
@@ -168,7 +167,7 @@ def _tiny_snapshot(host_cost=100.0, coordination=20.0, summary=None,
         "coordination": {"rules-full": {"body": body,
                                         "coordination": coordination,
                                         "total": host_cost}},
-        "sync": {}, "coverage": {}, "wallclock": {},
+        "sync": {}, "coverage": {},
         "fingerprint": {"sweep_workloads": list(sweep),
                         "engines": ["rules-full"],
                         "experiments": list(experiments)},
@@ -272,15 +271,6 @@ def test_gate_levels_are_nested():
         <= set(GATE_LEVELS["changed"])
 
 
-def test_bootstrap_ci_is_deterministic_and_brackets_ratio():
-    base = [1.0, 1.1, 0.9, 1.05, 0.95]
-    cur = [2.0, 2.2, 1.8, 2.1, 1.9]
-    lo, hi = bootstrap_ratio_ci(base, cur)
-    assert (lo, hi) == bootstrap_ratio_ci(base, cur)
-    assert lo <= 2.0 <= hi * 1.2
-    assert lo > 1.5  # a genuine 2x slowdown is clearly outside noise
-
-
 # ---------------------------------------------------------------------------
 # Metric enumeration.
 # ---------------------------------------------------------------------------
@@ -293,11 +283,10 @@ def test_iter_metrics_directions(clean_snapshot):
     assert metrics["coordination.rules-full.coordination"] == DOWN
     assert metrics["sync.rules-full.sync_elisions_dyn"] == UP
     assert metrics["coverage.rules-full.covered_fraction"] == UP
-    assert not any(m.startswith("wallclock.") for m in metrics)
 
 
 # ---------------------------------------------------------------------------
-# Result-payload schema + benchmarks/conftest.save_result.
+# Result-payload schema.
 # ---------------------------------------------------------------------------
 
 def test_validate_result_payload_rejects_empty_and_nonfinite():
@@ -316,58 +305,18 @@ def test_validate_result_payload_rejects_empty_and_nonfinite():
         {"name": "x", "rows": [], "summary": {"a": 1.0}}) == []
 
 
-@pytest.fixture
-def save_result(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location(
-        "bench_conftest",
-        pathlib.Path(__file__).parent.parent / "benchmarks" /
-        "conftest.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    monkeypatch.setattr(module, "RESULTS_DIR", tmp_path)
-    return module.save_result
-
-
-def test_save_result_rejects_bare_string(save_result):
-    with pytest.raises(TypeError, match="summary"):
-        save_result("smoke", "just some rendered text")
-
-
-def test_save_result_rejects_nonfinite_summary(save_result):
-    with pytest.raises(ValueError, match="schema"):
-        save_result("smoke", "text", summary={"metric": math.nan})
-
-
-def test_save_result_accepts_string_with_summary(save_result, tmp_path):
-    save_result("smoke", "rendered text", summary={"metric": 3.0})
-    payload = json.loads((tmp_path / "smoke.json").read_text())
-    assert payload["summary"] == {"metric": 3.0}
-    assert (tmp_path / "smoke.txt").read_text() == "rendered text\n"
-
-
-def test_save_result_accepts_experiment_result(save_result, tmp_path):
-    from repro.harness import ExperimentResult
-
-    result = ExperimentResult("smoke", rows=[{"w": "sjeng", "v": 1.5}],
-                              summary={"geomean": 1.5}, text="tbl")
-    save_result("smoke", result, config={"engine": "tcg"})
-    payload = json.loads((tmp_path / "smoke.json").read_text())
-    assert payload["rows"] == [{"w": "sjeng", "v": 1.5}]
-    assert payload["config"] == {"engine": "tcg"}
-
-
 # ---------------------------------------------------------------------------
 # The CLI verb (suite mode + the gate's exit codes).
 # ---------------------------------------------------------------------------
 
 def test_cli_bench_gate_catches_injected_regression(tmp_path, capsys):
     base = str(tmp_path / "base.json")
-    code = main(["bench", "--workload", "sjeng", "--samples", "2",
+    code = main(["bench", "--workload", "sjeng",
                  "--out", base])
     assert code == 0
     assert validate_snapshot(load_snapshot(base)) == []
 
-    code = main(["bench", "--workload", "sjeng", "--samples", "2",
+    code = main(["bench", "--workload", "sjeng",
                  "--inject", INJECT, "--out", str(tmp_path / "cur.json"),
                  "--compare", base, "--format", "json"])
     assert code == 1
@@ -379,9 +328,8 @@ def test_cli_bench_gate_catches_injected_regression(tmp_path, capsys):
 
 def test_cli_bench_clean_compare_exits_zero(tmp_path):
     base = str(tmp_path / "base.json")
-    assert main(["bench", "--workload", "sjeng", "--samples", "2",
-                 "--out", base]) == 0
-    assert main(["bench", "--workload", "sjeng", "--samples", "2",
+    assert main(["bench", "--workload", "sjeng", "--out", base]) == 0
+    assert main(["bench", "--workload", "sjeng",
                  "--out", str(tmp_path / "cur.json"),
                  "--compare", base]) == 0
 
@@ -389,9 +337,61 @@ def test_cli_bench_clean_compare_exits_zero(tmp_path):
 def test_cli_bench_usage_errors(tmp_path):
     assert main(["bench", "--workload", "nope",
                  "--out", str(tmp_path / "s.json")]) == 2
-    assert main(["bench", "--workload", "sjeng", "--samples", "2",
+    assert main(["bench", "--workload", "sjeng",
                  "--out", str(tmp_path / "s.json"),
                  "--fail-on", "bogus"]) == 2
-    assert main(["bench", "--workload", "sjeng", "--samples", "2",
+    assert main(["bench", "--workload", "sjeng",
                  "--out", str(tmp_path / "s2.json"),
                  "--compare", str(tmp_path / "missing.json")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# The paper's claims (checked from snapshot figures alone, no runs).
+# ---------------------------------------------------------------------------
+
+def _verdicts(snapshot):
+    return {(claim.experiment, claim.text): verdict
+            for claim, verdict in check_claims(snapshot)}
+
+
+def test_every_claim_holds_on_the_committed_baseline():
+    verdicts = _verdicts(load_snapshot(str(BENCH_0)))
+    assert len(verdicts) == len(CLAIMS) == 42
+    assert set(verdicts.values()) == {CLAIM_HELD}
+
+
+def _doctored_baseline():
+    snapshot = load_snapshot(str(BENCH_0))
+    snapshot["figures"]["fig16"]["summary"]["Base"] = 1.10
+    return snapshot
+
+
+def test_doctored_figure_violates_exactly_its_claim():
+    verdicts = _verdicts(_doctored_baseline())
+    violated = [key for key, verdict in verdicts.items()
+                if verdict == CLAIM_VIOLATED]
+    assert violated == [("fig16", "Base < 1.05")]
+
+
+def test_cli_bench_exits_one_on_a_violated_claim(tmp_path, monkeypatch,
+                                                 capsys):
+    import repro.observability
+
+    monkeypatch.setattr(repro.observability, "run_suite",
+                        lambda **_kwargs: _doctored_baseline())
+    assert main(["bench", "--out", str(tmp_path / "s.json")]) == 1
+    # A violated claim fails the command whatever --fail-on says.
+    assert main(["bench", "--out", str(tmp_path / "s2.json"),
+                 "--compare", str(BENCH_0), "--fail-on", "never"]) == 1
+    assert "paper claim VIOLATED: fig16: Base < 1.05" in \
+        capsys.readouterr().err
+
+
+def test_quick_snapshot_skips_full_only_claims():
+    baseline = load_snapshot(str(BENCH_0))
+    quick = {"figures": {name: baseline["figures"][name]
+                         for name in QUICK_EXPERIMENTS}}
+    for (experiment, text), verdict in _verdicts(quick).items():
+        expected = CLAIM_SKIPPED if experiment in (
+            "fig19", "footnote3", "ablation") else CLAIM_HELD
+        assert verdict == expected, (experiment, text)

@@ -11,7 +11,7 @@ from repro.core import OptConfig, OptLevel
 from repro.core.engine import RuleEngine
 from repro.guest.asm import assemble
 from repro.host.isa import X86Op
-from repro.miniqemu.machine import Machine
+from repro.miniqemu.machine import Machine, TcgEngine
 
 BASE_ADDR = 0x40000
 
@@ -208,3 +208,23 @@ def test_every_instruction_is_tagged():
     known = {"rule", "sync", "mmu", "irqcheck", "chain", "helper",
              "fallback", "code"}
     assert {insn.tag for insn in tb.code} <= known
+
+
+MIXED_BLOCK = """
+    add r0, r1, r2
+    subs r3, r0, #17
+    and r4, r3, r0, lsl #2
+    ldr r5, [r4, #8]
+    str r5, [r4, #12]
+    cmp r5, r0
+    bne target
+target:
+    bx lr
+"""
+
+
+def test_tcg_and_rule_translators_end_the_block_at_the_branch():
+    machine = Machine(engine="tcg")
+    machine.memory.load_program(assemble(MIXED_BLOCK, base=BASE_ADDR))
+    assert TcgEngine(machine).translate(BASE_ADDR, 0).guest_insn_count == 7
+    assert translate(MIXED_BLOCK).guest_insn_count == 7
