@@ -29,10 +29,10 @@ Commands:
 - ``faultsmoke [--seeds N]`` — the robustness smoke matrix: run a
   seeded fault-injection scenario grid and check every run still
   produces the correct guest output and exit code.
-- ``check [--all]`` — the translation soundness checker: symbolically
-  classify every learned rule (proved / tested-only / refuted) and run
-  the dataflow verifier over the TB population of representative
-  workloads.  ``--format json|table`` selects the output, ``--out``
+- ``check [--all]`` — the translation soundness checker: report the
+  classification ``learn()`` gave every learned rule (proved /
+  tested-only / refuted) and run the dataflow verifier over the TB
+  population of representative workloads.  ``--format json|table`` selects the output, ``--out``
   writes the findings JSON, and the exit code is 0 (clean), 1
   (findings above ``--fail-on``), or 2 (usage error).
 - ``profile WORKLOAD [--engine E] [--top N]`` — run with tracing and

@@ -1,19 +1,19 @@
 """Static soundness verification of the rule-based translator.
 
-Three verifiers over one findings vocabulary (:mod:`.findings`):
+Two verifiers over one findings vocabulary (:mod:`.findings`):
 
 - :mod:`.dataflow` — abstract interpretation over emitted host code,
   proving every QEMU handoff site sees a coordinated ``env`` and every
   elided sync is justified (paper Sec III-C);
 - :mod:`.reorder` — dependence-graph replay of Sec III-D scheduling
-  decisions;
-- :mod:`.rulecheck` — bounded symbolic (BDD bit-blasting,
-  :mod:`.bitblast`) classification of learned rules as
-  ``proved`` / ``tested-only`` / ``refuted``.
+  decisions.
 
 :mod:`.checker` orchestrates them behind ``repro check`` and the
-``--check`` (verify-before-enter) engine mode; :mod:`.justify` defines
-the audit-event / justification-record schema the translator emits.
+``--check`` (verify-before-enter) engine mode, and reports the
+``proved`` / ``tested-only`` / ``refuted`` verdict the learning
+pipeline reached for every learned rule
+(:func:`repro.learning.verify.verify`); :mod:`.justify` defines the
+audit-event / justification-record schema the translator emits.
 
 This ``__init__`` stays import-light on purpose: ``repro.core`` emits
 justification records through :mod:`.justify`, so eagerly importing the
@@ -25,14 +25,12 @@ from .findings import Finding, Report, Severity, severity_from_name
 
 __all__ = [
     "Finding", "Report", "Severity", "severity_from_name",
-    "check_tb", "run_check", "classify_candidate", "check_reorder",
+    "check_tb", "run_check", "check_reorder",
 ]
 
 _LAZY = {
     "check_tb": ("repro.analysis.dataflow", "check_tb"),
     "run_check": ("repro.analysis.checker", "run_check"),
-    "classify_candidate": ("repro.analysis.rulecheck",
-                           "classify_candidate"),
     "check_reorder": ("repro.analysis.reorder", "check_reorder"),
 }
 

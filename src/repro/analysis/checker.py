@@ -2,12 +2,12 @@
 
 The checker has two halves, both reporting into one :class:`Report`:
 
-**Rules phase** (:func:`check_rulebook`): run the learning pipeline,
-re-verify every rulebook entry with the bounded symbolic classifier
-(:mod:`.rulecheck`), and report every entry that is not ``proved``.  A
-``refuted`` entry is an ERROR and — when a quarantine is supplied — is
-auto-quarantined through the PR 1 degradation ladder, exactly as a
-crashing rule would be at runtime.
+**Rules phase** (:func:`check_rulebook`): run the learning pipeline and
+report the verdict ``learn()`` reached for every rulebook candidate
+(:func:`repro.learning.verify.verify`) — every entry that is not
+``proved`` becomes a finding.  A ``refuted`` candidate is an ERROR and —
+when a quarantine is supplied — is auto-quarantined through the
+degradation ladder, exactly as a crashing rule would be at runtime.
 
 **TB phase** (:func:`check_workloads`): boot a machine per (workload,
 engine) pair, run the workload so the code cache fills with the real TB
@@ -23,13 +23,11 @@ imprecision is either waived inside the dataflow checker or reported at
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from collections import Counter
+from typing import Iterable, List
 
 from .dataflow import check_tb
 from .findings import Finding, Report, Severity
-from .rulecheck import (CLASS_PROVED, CLASS_REFUTED, CLASS_TESTED,
-                        classify_candidates, quarantine_refuted,
-                        rule_findings)
 
 #: Default TB-phase matrix: one CPU-bound workload at the two extreme
 #: optimization levels (base = parsed sync only, full = everything on).
@@ -44,42 +42,78 @@ ALL_CHECK_ENGINES = ("rules-base", "rules-reduction", "rules-elimination",
                      "rules-full")
 
 
-def check_rulebook(report: Report, budget: int = 250_000,
-                   quarantine=None, extra_candidates=()) -> None:
-    """Classify every learned rule; report non-proved entries.
+def check_rulebook(report: Report, quarantine=None,
+                   extra_candidates=()) -> None:
+    """Report learn()'s verdicts on the rulebook's candidates.
 
-    *extra_candidates* lets tests smuggle in deliberately-broken
-    fixtures (see :func:`.rulecheck.refutable_fixture`); they are
-    classified and quarantined like real candidates but do not join the
-    rulebook counts.
+    ``learn()`` never admits a refuted candidate, so a shipped rulebook
+    can only yield ``tested-only`` findings.  *extra_candidates* lets
+    tests smuggle deliberately-broken fixtures past that gate: they are
+    verified here, then reported and quarantined like rulebook entries,
+    but do not join the rulebook counts.
     """
     from ..learning import learn
+    from ..learning.verify import (CLASS_PROVED, CLASS_REFUTED,
+                                   CLASS_TESTED, verify)
 
     result = learn()
     candidates = list(result.verified_candidates) + list(extra_candidates)
-    by_candidate = classify_candidates(candidates, budget=budget)
-    report.extend(rule_findings(result.rules, by_candidate))
-    counts = {CLASS_PROVED: 0, CLASS_TESTED: 0, CLASS_REFUTED: 0}
-    for verdict in by_candidate.values():
-        counts[verdict.classification] += 1
+    verdicts = {c.site: result.verdicts[c.site]
+                for c in result.verified_candidates}
+    verdicts.update((c.site, verify(c)) for c in extra_candidates)
+    counts = Counter(v.classification for v in verdicts.values())
     report.meta["rules"] = len(result.rules)
     report.meta["candidates_proved"] = counts[CLASS_PROVED]
     report.meta["candidates_tested_only"] = counts[CLASS_TESTED]
     report.meta["candidates_refuted"] = counts[CLASS_REFUTED]
-    if quarantine is not None:
-        keys = quarantine_refuted(candidates, by_candidate, quarantine)
-        if keys:
-            report.meta["rules_quarantined"] = ",".join(keys)
-    for candidate in extra_candidates:
-        from .rulecheck import candidate_id
-        verdict = by_candidate[candidate_id(candidate)]
+
+    for index, rule in enumerate(result.rules):
+        for function, line in rule.origins:
+            verdict = verdicts[f"{function}:{line}"]
+            if verdict.classification == CLASS_TESTED:
+                report.findings.append(Finding(
+                    severity=Severity.INFO, code="rule-tested-only",
+                    message=("rule not closed symbolically "
+                             f"({verdict.reason})"),
+                    rule=f"rule{index}({rule.guest_pattern[0]})"))
+                break
+    for candidate in candidates:
+        verdict = verdicts[candidate.site]
         if verdict.refuted:
-            witness = {k: f"0x{v:x}" if isinstance(v, int) else v
-                       for k, v in (verdict.witness or {}).items()}
             report.findings.append(Finding(
                 severity=Severity.ERROR, code="rule-refuted",
-                message=f"fixture rule refuted: {verdict.reason}",
-                rule=candidate_id(candidate), witness=witness or None))
+                message=f"candidate refuted: {verdict.reason}",
+                rule=candidate.site,
+                witness={k: f"0x{v:x}" if isinstance(v, int) else v
+                         for k, v in (verdict.witness or {}).items()}
+                or None))
+    if quarantine is not None:
+        keys = quarantine_refuted(candidates, verdicts, quarantine)
+        if keys:
+            report.meta["rules_quarantined"] = ",".join(keys)
+
+
+def quarantine_refuted(candidates, verdicts, quarantine) -> List[str]:
+    """Quarantine every rule key a refuted candidate covers.
+
+    *verdicts* maps ``function:line`` to the candidate's
+    :class:`~repro.learning.verify.RuleVerdict`; *quarantine* is a
+    :class:`repro.core.rulebook.QuarantineFilter` (or anything with its
+    ``quarantine(key, reason)`` signature).  Returns the quarantined
+    keys.
+    """
+    keys: List[str] = []
+    for candidate in candidates:
+        verdict = verdicts.get(candidate.site)
+        if verdict is None or not verdict.refuted:
+            continue
+        for insn in candidate.guest:
+            key = insn.op.name
+            if key not in keys:
+                quarantine.quarantine(
+                    key, f"refuted by symbolic verifier: {verdict.reason}")
+                keys.append(key)
+    return keys
 
 
 def check_machine_tbs(machine, report: Report,
@@ -137,12 +171,12 @@ def check_workloads(report: Report,
 def run_check(workloads: Iterable[str] = DEFAULT_WORKLOADS,
               engines: Iterable[str] = DEFAULT_ENGINES,
               rules: bool = True, include_waivers: bool = False,
-              budget: int = 250_000, inject=None,
+              inject=None,
               profile: bool = False, quarantine=None) -> Report:
     """The full ``repro check`` pipeline; returns the aggregate report."""
     report = Report()
     if rules:
-        check_rulebook(report, budget=budget, quarantine=quarantine)
+        check_rulebook(report, quarantine=quarantine)
     check_workloads(report, workloads=workloads, engines=engines,
                     include_waivers=include_waivers, inject=inject,
                     profile=profile)

@@ -32,7 +32,7 @@ class OptConfig:
     """Feature switches derived from an :class:`OptLevel`.
 
     The switches can also be toggled individually for ablation studies
-    (see ``benchmarks/bench_ablation.py``).
+    (see ``python -m repro bench ablation``).
     """
 
     packed_sync: bool = False          # Sec III-B

@@ -5,11 +5,11 @@ from .extract import CandidateRule, extract_all, extract_function
 from .learn import LearnResult, learn
 from .rules import LearnedRulebook, Rule, build_rulebook, insn_shape, \
     merge_rules, parameterize
-from .verify import Verdict, verify
+from .verify import RuleVerdict, verify
 
 __all__ = [
     "CandidateRule", "LearnResult", "LearnedRulebook", "Rule",
-    "TRAINING_SOURCE", "Verdict", "build_rulebook", "extract_all",
+    "RuleVerdict", "TRAINING_SOURCE", "build_rulebook", "extract_all",
     "extract_function", "insn_shape", "learn", "merge_rules",
     "parameterize", "verify",
 ]

@@ -33,8 +33,13 @@ class CandidateRule:
     #: variable name -> host home register number
     host_vars: Dict[str, int] = field(default_factory=dict)
 
+    @property
+    def site(self) -> str:
+        """``function:line``, the key of this candidate's verdict."""
+        return f"{self.function}:{self.line}"
+
     def __repr__(self):
-        return (f"<candidate {self.function}:{self.line} "
+        return (f"<candidate {self.site} "
                 f"{len(self.guest)}g/{len(self.host)}h>")
 
 

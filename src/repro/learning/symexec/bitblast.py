@@ -1,32 +1,33 @@
 """Bounded symbolic equivalence via BDD bit-blasting.
 
-Strengthens the learning pipeline's rule verification from sampled
-concrete testing (``symexec.expr.probably_equal``) to a *decision
-procedure* over the same 32-bit semantics: each compared expression pair
-is compiled to 32 reduced ordered BDDs (one per result bit) over the
-rules' symbolic variables, and the pair is equivalent iff the XOR of the
-two vectors reduces to the constant-false BDD.  A non-false difference
-yields a concrete *witness* assignment refuting the rule.
+The decision rung of the rule verifier's ladder
+(:func:`repro.learning.verify.classify_equiv`): each compared expression
+pair is compiled to 32 reduced ordered BDDs (one per result bit) over
+the rules' symbolic variables, and the pair is equivalent iff the XOR of
+the two vectors reduces to the constant-false BDD.  A non-false
+difference yields a concrete *witness* assignment refuting the rule.
 
-The procedure is bounded: a node budget caps BDD growth (symbolic
+The procedure is bounded: :data:`NODE_BUDGET` caps BDD growth (symbolic
 multiplication and deeply nested shifts can blow up), and exceeding it
-raises :class:`BudgetExceeded` so the caller falls back to the sampled
-verdict (classification ``tested-only`` instead of ``proved``).
+raises :class:`BudgetExceeded` so the caller falls back to the seeded
+sampler (classification ``tested-only`` unless a sample refutes).
 
 Semantics mirror :func:`repro.learning.symexec.expr.evaluate` exactly,
 including the 5-bit shift-amount mask and the deterministic hash model
 of uninterpreted memory loads — the BDD layer decides equivalence *of
-that model*, which is precisely what the randomized tester samples.
+that model*, which is precisely what the sampler evaluates.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..learning.symexec.expr import App, Const, MASK, Sym
+from .expr import App, Const, MASK, Sym, symbols
 
 WIDTH = 32
 MAX_LOAD_CLASSES = 64
+#: BDD nodes one comparison may build before it gives up.
+NODE_BUDGET = 250_000
 
 
 class BudgetExceeded(Exception):
@@ -47,17 +48,12 @@ class BDD:
     FALSE = 0
     TRUE = 1
 
-    def __init__(self, budget: int = 250_000):
-        self.budget = budget
+    def __init__(self) -> None:
         # id -> (var, lo, hi); the two terminals have var = +inf sentinel.
         self._table: List[Tuple[int, int, int]] = [
             (1 << 30, 0, 0), (1 << 30, 1, 1)]
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._ite_memo: Dict[Tuple[int, int, int], int] = {}
-
-    @property
-    def node_count(self) -> int:
-        return len(self._table)
 
     def _mk(self, var: int, lo: int, hi: int) -> int:
         if lo == hi:
@@ -65,9 +61,9 @@ class BDD:
         key = (var, lo, hi)
         node = self._unique.get(key)
         if node is None:
-            if len(self._table) >= self.budget:
+            if len(self._table) >= NODE_BUDGET:
                 raise BudgetExceeded(
-                    f"BDD budget of {self.budget} nodes exceeded")
+                    f"BDD budget of {NODE_BUDGET} nodes exceeded")
             node = len(self._table)
             self._table.append(key)
             self._unique[key] = node
@@ -143,11 +139,11 @@ BitVec = List[int]
 class BitBlaster:
     """Compiles symbolic expressions to BDD bitvectors."""
 
-    def __init__(self, symbols: Iterable[str], budget: int = 250_000):
-        self.bdd = BDD(budget=budget)
+    def __init__(self, names: Iterable[str]):
+        self.bdd = BDD()
         # Interleave the bits of all symbols (LSBs near the root): the
         # standard variable order for ripple-carry equivalence proofs.
-        self.symbols = sorted(set(symbols))
+        self.symbols = sorted(set(names))
         self._sym_index = {name: i for i, name in enumerate(self.symbols)}
         self._cache: Dict[int, BitVec] = {}
         # Equivalence classes of memory loads: (addr_vec, size_vec) ->
@@ -362,23 +358,15 @@ class BitBlaster:
         self._loads.append((addr, size, vec))
         return vec
 
-    @property
-    def has_loads(self) -> bool:
-        return bool(self._loads)
 
-
-def check_equivalent(a, b, budget: int = 250_000
-                     ) -> Tuple[bool, Optional[Dict[str, int]]]:
+def check_equivalent(a, b) -> Tuple[bool, Optional[Dict[str, int]]]:
     """Decide ``a == b`` over all 32-bit assignments.
 
     Returns ``(True, None)`` when provably equal, or ``(False, witness)``
     with a concrete refuting assignment.  Raises :class:`BudgetExceeded`
     or :class:`Unsupported` when the bound is hit.
     """
-    names: set = set()
-    _collect_symbols(a, names)
-    _collect_symbols(b, names)
-    blaster = BitBlaster(names, budget=budget)
+    blaster = BitBlaster(symbols(a, b))
     va = blaster.compile(a)
     vb = blaster.compile(b)
     diff = blaster.bdd.FALSE
@@ -388,11 +376,3 @@ def check_equivalent(a, b, budget: int = 250_000
         return True, None
     assignment = blaster.bdd.satisfying(diff)
     return False, blaster.witness_values(assignment)
-
-
-def _collect_symbols(expr, out: set) -> None:
-    if isinstance(expr, Sym):
-        out.add(expr.name)
-    elif isinstance(expr, App):
-        for arg in expr.args:
-            _collect_symbols(arg, out)

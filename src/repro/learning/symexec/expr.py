@@ -1,26 +1,23 @@
 """Symbolic expression engine for translation-rule verification.
 
-Expressions are 32-bit values over symbolic variables.  Two layers of
-equivalence checking:
-
-1. **Normalization** (:func:`normalize`): constant folding, a linear
-   normal form over + / - / << / *constant (so ``x << 2`` and ``x * 4``
-   canonicalize identically), and flattening/sorting of commutative
-   bitwise operators.  Structurally equal normal forms are *proved*
-   equivalent.
-2. **Randomized differential evaluation** (:func:`probably_equal`):
-   evaluation over random 32-bit vectors.  This is the fallback verdict
-   for forms the normalizer cannot align; with 64 vectors over our
-   operator set a false accept is vanishingly unlikely.  (The paper uses
-   an offline symbolic-execution/SMT tool; DESIGN.md records this
-   substitution.)
+Expressions are 32-bit values over symbolic variables, with concrete
+semantics given by :func:`evaluate`.  :func:`normalize` is the first
+rung of the verifier's decision ladder
+(:func:`repro.learning.verify.classify_equiv`): constant folding, a
+linear normal form over + / - / << / *constant (so ``x << 2`` and
+``x * 4`` canonicalize identically), and flattening/sorting of
+commutative bitwise operators.  Structurally equal normal forms are
+*proved* equivalent (:func:`proved_equal`).  Pairs the normalizer cannot
+align go on to BDD bit-blasting (:mod:`.bitblast`), which decides the
+same semantics for all inputs, and past its node budget to a seeded
+sampler over :func:`evaluate`.  (The paper uses an offline
+symbolic-execution/SMT tool; DESIGN.md records this substitution.)
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Set, Tuple
 
 MASK = 0xFFFFFFFF
 
@@ -252,38 +249,16 @@ def normalize(expr, as_term: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def _symbols(expr, out):
-    if isinstance(expr, Sym):
-        out.add(expr.name)
-    elif isinstance(expr, App):
-        for arg in expr.args:
-            _symbols(arg, out)
+def symbols(*exprs) -> Set[str]:
+    """Names of the symbolic variables in *exprs*."""
+    names: Set[str] = set()
+    for expr in exprs:
+        if isinstance(expr, Sym):
+            names.add(expr.name)
+        elif isinstance(expr, App):
+            names |= symbols(*expr.args)
+    return names
 
 
 def proved_equal(a, b) -> bool:
     return repr(normalize(a)) == repr(normalize(b))
-
-
-def probably_equal(a, b, trials: int = 64, seed: int = 0x5EED) -> bool:
-    names = set()
-    _symbols(a, names)
-    _symbols(b, names)
-    rng = random.Random(seed)
-    corner = [0, 1, MASK, 0x80000000, 0x7FFFFFFF]
-    for trial in range(trials):
-        if trial < len(corner):
-            env = {name: corner[trial] for name in names}
-        else:
-            env = {name: rng.getrandbits(32) for name in names}
-        if evaluate(a, env) != evaluate(b, env):
-            return False
-    return True
-
-
-def equivalent(a, b) -> Tuple[bool, bool]:
-    """Returns (equivalent, proved)."""
-    if proved_equal(a, b):
-        return True, True
-    if probably_equal(a, b):
-        return True, False
-    return False, False

@@ -7,15 +7,20 @@ from repro.guest.cpu import GuestCpu
 from repro.guest.interp import Interpreter
 from repro.host.cpu import HostCpu
 from repro.host.interp import HostInterpreter
-from repro.host.isa import EAX, REG_NAMES
+from repro.host.isa import EAX, EBX, ESI, REG_NAMES
 from repro.host.memory import HostMemory
 from repro.learning import (LearnedRulebook, TRAINING_SOURCE, extract_all,
                             learn, verify)
-from repro.learning.symexec.expr import (App, Const, Sym, const, equivalent,
-                                         evaluate, normalize, proved_equal)
+from repro.learning.symexec.arm_exec import ArmSymExec
+from repro.learning.symexec.expr import (App, Const, Sym, const, evaluate,
+                                         normalize, proved_equal)
+from repro.learning.symexec.x86_exec import X86SymExec
+from repro.learning.verify import (CLASS_PROVED, CLASS_REFUTED,
+                                   CLASS_TESTED, classify_equiv)
 from repro.learning.toycc.codegen_arm import compile_arm
 from repro.learning.toycc.codegen_x86 import compile_x86
 from repro.learning.toycc.parser import ParseError, parse
+from tests.support import ALTERNATING_WITNESS, alternating_mask_fixture
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +188,30 @@ def test_normalize_xor_cancels():
 
 def test_equivalent_rejects_different():
     x, y = Sym("x"), Sym("y")
-    ok, _ = equivalent(App("add", (x, y)), App("xor", (x, y)))
-    assert not ok
+    classification, _ = classify_equiv(App("add", (x, y)),
+                                       App("xor", (x, y)))
+    assert classification == CLASS_REFUTED
 
 
-def test_probably_equal_catches_subtle_difference():
+def test_classify_equiv_catches_subtle_difference():
     x = Sym("x")
-    ok, _ = equivalent(App("shr", (x, const(1))), App("sar", (x, const(1))))
-    assert not ok
+    classification, _ = classify_equiv(App("shr", (x, const(1))),
+                                       App("sar", (x, const(1))))
+    assert classification == CLASS_REFUTED
+
+
+def test_classify_equiv_samples_past_the_bdd_budget():
+    # Symbolic x symbolic multiplication exhausts the BDD node budget,
+    # so the seeded sampler decides: no differing vector -> tested-only,
+    # a differing one -> refuted with that vector as the witness.
+    x, y = Sym("x"), Sym("y")
+    product = App("mulv", (x, y))
+    assert classify_equiv(product, App("mulv", (x, App("and", (y, y))))) \
+        == (CLASS_TESTED, None)
+    wrong = App("mulv", (x, App("or", (y, const(0x100)))))
+    classification, witness = classify_equiv(product, wrong)
+    assert classification == CLASS_REFUTED
+    assert evaluate(product, witness) != evaluate(wrong, witness)
 
 
 def test_evaluate_matches_semantics():
@@ -215,8 +236,9 @@ def test_verification_accepts_good_fragments():
     functions = parse("func f(a, b) { var x; x = a + b * 2; return x; }")
     candidates = extract_all(functions)
     verdicts = [verify(candidate) for candidate in candidates]
-    assert all(verdict.ok for verdict in verdicts)
-    assert all(verdict.proved for verdict in verdicts)
+    assert all(verdict.admitted for verdict in verdicts)
+    assert all(verdict.classification == CLASS_PROVED
+               for verdict in verdicts)
 
 
 def test_verification_rejects_mispaired_fragments():
@@ -227,7 +249,23 @@ def test_verification_rejects_mispaired_fragments():
     # Swap host fragments: a+b guest against a-b host must be rejected.
     frankenstein = good[0]
     frankenstein.host = bad[0].host
-    assert not verify(frankenstein).ok
+    assert not verify(frankenstein).admitted
+
+
+def test_verification_refutes_rarely_wrong_fragment():
+    # Wrong on 1 input in 4096, so sampling alone passes it; the BDD
+    # rung finds the input and verify() keeps it out of the rulebook.
+    candidate = alternating_mask_fixture()
+    verdict = verify(candidate)
+    assert verdict.refuted and not verdict.admitted
+    assert verdict.reason == "variable y differs"
+    assert verdict.witness["x"] & 0xFFF == ALTERNATING_WITNESS
+    x, y = Sym("x"), Sym("y")
+    guest = ArmSymExec({"r4": x, "r5": y}).execute(candidate.guest)
+    host = X86SymExec({REG_NAMES[EBX]: x, REG_NAMES[ESI]: y}) \
+        .execute(candidate.host)
+    assert evaluate(guest.regs["r5"], verdict.witness) == 1
+    assert evaluate(host.regs[REG_NAMES[ESI]], verdict.witness) == 0
 
 
 def test_learn_end_to_end():
@@ -235,6 +273,7 @@ def test_learn_end_to_end():
     assert result.candidates >= 70
     assert result.verified >= 0.9 * result.candidates
     assert result.proved == result.verified  # normalizer closes everything
+    assert len(result.verdicts) == result.candidates  # one per candidate
     assert len(result.rules) >= 30
     assert len(result.rules) < result.verified  # parameterization compresses
     assert isinstance(result.rulebook, LearnedRulebook)

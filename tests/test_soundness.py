@@ -32,6 +32,7 @@ from repro.guest.asm import assemble
 from repro.guest.decoder import decode
 from repro.miniqemu.machine import Machine
 from repro.robustness.faultinject import FaultInjector, parse_inject_spec
+from tests.support import refutable_fixture
 
 BASE_ADDR = 0x40000
 
@@ -236,17 +237,17 @@ def test_missing_reorder_record_is_flagged():
 
 
 def test_refuted_fixture_rule_is_quarantined():
-    from repro.analysis.rulecheck import (classify_candidate,
-                                          refutable_fixture)
+    from repro.analysis.checker import quarantine_refuted
     from repro.core.rulebook import MatureRulebook, QuarantineFilter
-    from repro.learning.symexec.expr import evaluate
+    from repro.learning.verify import verify
 
     candidate = refutable_fixture()
-    verdict = classify_candidate(candidate)
+    verdict = verify(candidate)
     assert verdict.refuted
     assert verdict.witness is not None  # concrete, validated witness
+    a, b = verdict.witness["a"], verdict.witness["b"]
+    assert (a + b) & 0xFFFFFFFF != (a - b) & 0xFFFFFFFF
     quarantine = QuarantineFilter(MatureRulebook())
-    from repro.analysis.rulecheck import quarantine_refuted
     keys = quarantine_refuted([candidate], {
         "__fixture_wrong_add:1": verdict}, quarantine)
     assert "ADD" in keys
@@ -255,7 +256,6 @@ def test_refuted_fixture_rule_is_quarantined():
 
 def test_rulebook_phase_is_clean_and_quarantines_fixture():
     from repro.analysis.checker import check_rulebook
-    from repro.analysis.rulecheck import refutable_fixture
     from repro.core.rulebook import MatureRulebook, QuarantineFilter
 
     quarantine = QuarantineFilter(MatureRulebook())
