@@ -33,16 +33,11 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..common.errors import DecodingError, MemoryFault
 from ..guest.decoder import decode
-from ..guest.isa import ArmInsn
-from ..miniqemu.helpers import (make_exception_return_helper, make_ld_helper,
-                                make_st_helper, make_svc_helper,
-                                make_sysreg_helper, make_undef_helper,
-                                make_vfp_helper)
 from ..miniqemu.tb import TranslationBlock
 from .fingerprint import (context_fingerprint, entry_checksum,
                           guest_image_digest)
 from .store import (ORIGINAL_INSNS_KEY, PROVENANCE_KEY, CacheStore,
-                    UnpersistableTB, decode_insn, serialize_tb)
+                    UnpersistableTB, decode_code, serialize_tb)
 
 #: Fault-injection sites consulted once per persisted-entry fetch (see
 #: repro.robustness.faultinject): ``cache-corrupt`` hands the real
@@ -66,15 +61,6 @@ def _plain_copy(obj: Any) -> Any:
     return obj
 
 
-_INSN_HELPER_FACTORIES = {
-    "sysreg": make_sysreg_helper,
-    "vfp": make_vfp_helper,
-    "svc": make_svc_helper,
-    "eret": make_exception_return_helper,
-    "undef": make_undef_helper,
-}
-
-
 class CacheLoader:
     """Per-run warm-start state for one machine + store directory."""
 
@@ -88,6 +74,8 @@ class CacheLoader:
             root, context_fingerprint(engine.rulebook, engine.config,
                                       image=image))
         self._entries: Dict[Tuple[int, int], Dict[str, Any]] = {}
+        #: host-insn token -> parsed fields (see ``store.decode_code``)
+        self._memo: Dict[str, Tuple[Any, ...]] = {}
         #: store-level problems found at attach (reported, not fatal)
         self.problems: List[str] = []
         # Warm-start accounting (the ``cache.`` stats group).
@@ -176,9 +164,7 @@ class CacheLoader:
             return None
         by_addr = {insn.addr: insn for insn in decoded}
         try:
-            code = [decode_insn(blob,
-                                lambda spec: self._helper(spec, by_addr))
-                    for blob in entry["code"]]
+            code = decode_code(entry["code"], by_addr, self._memo)
             order = entry.get("insn_order")
             guest_insns = decoded if order is None \
                 else [by_addr[addr] for addr in order]
@@ -197,21 +183,6 @@ class CacheLoader:
         tb.jmp_pc = list(entry.get("jmp_pc") or (None, None))
         tb.meta = meta
         return tb
-
-    @staticmethod
-    def _helper(spec: List[Any], by_addr: Dict[int, ArmInsn]):
-        """Persist spec (see repro.miniqemu.helpers) -> live callable."""
-        kind = spec[0]
-        if kind == "ld":
-            return make_ld_helper(int(spec[1]), bool(spec[2]),
-                                  int(spec[3]), int(spec[4]))
-        if kind == "st":
-            return make_st_helper(int(spec[1]), int(spec[2]), int(spec[3]))
-        factory = _INSN_HELPER_FACTORIES.get(kind)
-        insn = by_addr.get(int(spec[1])) if len(spec) > 1 else None
-        if factory is None or insn is None:
-            raise ValueError(f"unresolvable helper spec {spec!r}")
-        return factory(insn)
 
     # -- eviction ----------------------------------------------------------
 

@@ -16,11 +16,14 @@ next run's load-time validation evicts entry by entry.
 
 Serialization notes:
 
-- Host instructions are dicts of their non-default fields; ``helper``
-  callables serialize as the ``persist`` spec stamped by the factories
-  in :mod:`repro.miniqemu.helpers` — a TB whose code calls a helper
-  without a spec (e.g. one injected by the fault injector) is simply
-  not persistable.
+- Each host instruction is one string token of ten ``SEP``-separated
+  fields (see :func:`encode_insn`; an empty field is the default).
+  ``helper`` callables serialize as the ``persist`` spec stamped by the
+  factories in :mod:`repro.miniqemu.helpers` — a TB whose code calls a
+  helper without a spec (e.g. one injected by the fault injector), or
+  whose label or tag contains ``SEP``, is simply not persistable.
+- ``entries.json`` is compact JSON, so ``json.dumps`` runs on the C
+  encoder; the loader parses each distinct token once per run.
 - ``meta`` is persisted as-is (it is JSON-friendly by design: the PR 2
   sync-site counters and the PR 3 audit/justification records are plain
   dicts), except ``original_insns`` — the pre-scheduling instruction
@@ -38,6 +41,10 @@ import tempfile
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..host.isa import Imm, Mem, Reg, X86Cond, X86Insn, X86Op, Xmm
+from ..miniqemu.helpers import (make_exception_return_helper, make_ld_helper,
+                                make_st_helper, make_svc_helper,
+                                make_sysreg_helper, make_undef_helper,
+                                make_vfp_helper)
 from .fingerprint import (FORMAT_VERSION, SCHEMA, entry_checksum,
                           fingerprint_key)
 
@@ -51,100 +58,138 @@ class UnpersistableTB(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Host-code serialization.
+# Host-code serialization: one token per instruction.
 # ---------------------------------------------------------------------------
 
+#: Separates the ten fields of a host-instruction token.
+SEP = " "
 
-def _encode_operand(operand: Any) -> Any:
-    if operand is None:
-        return None
+_OPERANDS = {"r": Reg, "i": Imm, "x": Xmm, "n": int}
+
+
+def _encode_operand(operand: Any) -> str:
     if isinstance(operand, Reg):
-        return ["r", operand.number]
-    if isinstance(operand, Imm):
-        return ["i", operand.value]
-    if isinstance(operand, Xmm):
-        return ["x", operand.number]
+        return f"r{operand.number}"
     if isinstance(operand, Mem):
-        return ["m", operand.base, operand.disp, operand.index,
-                operand.scale, operand.size]
+        base, index = operand.base, operand.index
+        return (f"m{'' if base is None else base},{operand.disp},"
+                f"{'' if index is None else index},{operand.scale},"
+                f"{operand.size}")
+    if isinstance(operand, Imm):
+        return f"i{operand.value}"
+    if isinstance(operand, Xmm):
+        return f"x{operand.number}"
     if isinstance(operand, int):
-        return ["n", operand]
+        return f"n{int(operand)}"
     raise UnpersistableTB(f"operand {operand!r}")
 
 
-def _decode_operand(blob: Any) -> Any:
-    if blob is None:
+def _decode_operand(text: str) -> Any:
+    if not text:
         return None
-    kind = blob[0]
-    if kind == "r":
-        return Reg(blob[1])
-    if kind == "i":
-        return Imm(blob[1])
-    if kind == "x":
-        return Xmm(blob[1])
-    if kind == "m":
-        return Mem(base=blob[1], disp=blob[2], index=blob[3],
-                   scale=blob[4], size=blob[5])
-    if kind == "n":
-        return blob[1]
-    raise ValueError(f"bad operand blob {blob!r}")
+    if text[0] == "m":
+        base, disp, index, scale, size = text[1:].split(",")
+        return Mem(int(base) if base else None, int(disp),
+                   int(index) if index else None, int(scale), int(size))
+    return _OPERANDS[text[0]](int(text[1:]))
 
 
-def _encode_insn(insn: X86Insn) -> Dict[str, Any]:
-    blob: Dict[str, Any] = {"op": insn.op.name}
-    if insn.dst is not None:
-        blob["dst"] = _encode_operand(insn.dst)
-    if insn.src is not None:
-        blob["src"] = _encode_operand(insn.src)
-    if insn.cond is not None:
-        blob["cond"] = insn.cond.name
-    if insn.label is not None:
-        blob["label"] = insn.label
+def _encode_text(value: str, what: str) -> str:
+    if not value or SEP in value:
+        raise UnpersistableTB(f"{what} {value!r} is empty or contains "
+                              f"{SEP!r}")
+    return value
+
+
+def encode_insn(insn: X86Insn) -> str:
+    """One host instruction as a token: ``op dst src cond label helper
+    args imm tag target_index``, with an empty field for a default."""
+    spec = ""
     if insn.helper is not None:
-        spec = getattr(insn.helper, "persist", None)
-        if spec is None:
+        persist = getattr(insn.helper, "persist", None)
+        if persist is None:
             raise UnpersistableTB(
                 f"helper {getattr(insn.helper, '__name__', '?')} has no "
                 f"persist spec")
-        blob["helper"] = list(spec)
-    if insn.helper_args:
-        blob["args"] = [_encode_operand(arg) for arg in insn.helper_args]
-    if insn.imm:
-        blob["imm"] = insn.imm
-    if insn.tag != "code":
-        blob["tag"] = insn.tag
-    if insn.target_index != -1:
-        blob["ti"] = insn.target_index
-    return blob
+        spec = ",".join([persist[0], *(str(int(v)) for v in persist[1:])])
+    args = insn.helper_args
+    return SEP.join((
+        insn.op._name_,
+        "" if insn.dst is None else _encode_operand(insn.dst),
+        "" if insn.src is None else _encode_operand(insn.src),
+        "" if insn.cond is None else insn.cond._name_,
+        "" if insn.label is None else _encode_text(insn.label, "label"),
+        spec,
+        ";".join(map(_encode_operand, args)) if args else "",
+        str(insn.imm) if insn.imm else "",
+        "" if insn.tag == "code" else _encode_text(insn.tag, "tag"),
+        "" if insn.target_index == -1 else str(insn.target_index),
+    ))
 
 
-#: Enum members by name, hoisted out of the per-instruction hot path
-#: (the warm-start loader decodes tens of host insns per fetched TB).
+#: Enum members by name, hoisted out of the per-instruction decode.
 _X86_OPS = {op.name: op for op in X86Op}
 _X86_CONDS = {cond.name: cond for cond in X86Cond}
 
 
-def decode_insn(blob: Dict[str, Any], resolve_helper) -> X86Insn:
-    """Rebuild one host instruction; *resolve_helper* maps a persist
-    spec (list) back to a live helper callable."""
-    get = blob.get
-    helper_spec = get("helper")
-    args = get("args")
-    cond = get("cond")
-    return X86Insn(
-        op=_X86_OPS[blob["op"]],
-        dst=_decode_operand(get("dst")),
-        src=_decode_operand(get("src")),
-        cond=_X86_CONDS[cond] if cond is not None else None,
-        label=get("label"),
-        helper=resolve_helper(helper_spec) if helper_spec is not None
-        else None,
-        helper_args=tuple(_decode_operand(arg) for arg in args)
-        if args else (),
-        imm=get("imm", 0),
-        tag=get("tag", "code"),
-        target_index=get("ti", -1),
-    )
+def _parse_token(token: str) -> Tuple[Any, ...]:
+    """A token's decoded fields, the helper still as its persist spec."""
+    fields = token.split(SEP) if isinstance(token, str) else ()
+    if len(fields) != 10:
+        raise ValueError(f"bad host insn token {token!r}")
+    op, dst, src, cond, label, spec, args, imm, tag, target = fields
+    if spec:
+        kind, *numbers = spec.split(",")
+        spec = (kind, *map(int, numbers))
+    return (_X86_OPS[op], _decode_operand(dst), _decode_operand(src),
+            _X86_CONDS[cond] if cond else None, label or None, spec or None,
+            tuple(map(_decode_operand, args.split(";"))) if args else (),
+            int(imm) if imm else 0, tag or "code",
+            int(target) if target else -1)
+
+
+def decode_code(tokens: List[str], by_addr: Dict[int, Any],
+                memo: Dict[str, Tuple[Any, ...]]) -> List[X86Insn]:
+    """Rebuild a TB's host code from its tokens.
+
+    Parsed fields are shared through *memo* (operands are frozen), but
+    every instruction is a fresh ``X86Insn``: the translator and the
+    fault injector mutate them in place.  Helpers are resolved against
+    the TB's decoded guest instructions *by_addr*."""
+    code = []
+    for token in tokens:
+        fields = memo.get(token)
+        if fields is None:
+            fields = memo[token] = _parse_token(token)
+        op, dst, src, cond, label, spec, args, imm, tag, target = fields
+        code.append(X86Insn(
+            op, dst, src, cond, label,
+            None if spec is None else resolve_helper(spec, by_addr),
+            args, imm, tag, target))
+    return code
+
+
+_INSN_HELPER_FACTORIES = {
+    "sysreg": make_sysreg_helper,
+    "vfp": make_vfp_helper,
+    "svc": make_svc_helper,
+    "eret": make_exception_return_helper,
+    "undef": make_undef_helper,
+}
+
+
+def resolve_helper(spec: Tuple[Any, ...], by_addr: Dict[int, Any]):
+    """Persist spec (see repro.miniqemu.helpers) -> live callable."""
+    kind = spec[0]
+    if kind == "ld":
+        return make_ld_helper(spec[1], bool(spec[2]), spec[3], spec[4])
+    if kind == "st":
+        return make_st_helper(spec[1], spec[2], spec[3])
+    factory = _INSN_HELPER_FACTORIES.get(kind)
+    insn = by_addr.get(spec[1]) if len(spec) > 1 else None
+    if factory is None or insn is None:
+        raise ValueError(f"unresolvable helper spec {spec!r}")
+    return factory(insn)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +220,7 @@ def serialize_tb(tb) -> Dict[str, Any]:
         "pc": tb.pc,
         "mmu_idx": tb.mmu_idx,
         "words": words,
-        "code": [_encode_insn(insn) for insn in tb.code],
+        "code": [encode_insn(insn) for insn in tb.code],
         "jmp_pc": list(tb.jmp_pc),
     }
     meta_blob = {key: value for key, value in meta.items()
@@ -241,7 +286,10 @@ class CacheStore:
         payload = {"entries": ordered}
         # The trailing newline is part of the checksummed text: verify
         # hashes the file exactly as read.
-        payload_text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        # Compact separators and no indent keep ``json.dumps`` on the
+        # C encoder (any ``indent`` selects the pure-Python one).
+        payload_text = json.dumps(payload, sort_keys=True,
+                                  separators=(",", ":")) + "\n"
         manifest = {
             "schema": SCHEMA,
             "format_version": FORMAT_VERSION,
@@ -294,10 +342,12 @@ def verify_store(directory: str) -> List[str]:
     """Deep integrity check of one store; returns problem strings.
 
     Checks the manifest schema, the payload checksum, every entry's
-    checksum, and that every entry structurally decodes (guest words
-    through the ARM decoder, host code through the instruction
-    deserializer).  A non-empty result means the store is tampered or
-    corrupt; the engine's load path independently refuses such entries.
+    checksum, and that every entry decodes the way the loader decodes
+    it (guest words through the ARM decoder, host code through
+    :func:`decode_code`, every helper spec resolved against the
+    entry's own guest instructions).  A non-empty result means the
+    store is tampered or corrupt; the engine's load path independently
+    refuses such entries.
     """
     from ..common.errors import DecodingError
     from ..guest.decoder import decode
@@ -323,22 +373,25 @@ def verify_store(directory: str) -> List[str]:
             manifest["entries"] != len(entries):
         problems.append(f"manifest says {manifest['entries']} entries, "
                         f"store has {len(entries)}")
+    memo: Dict[str, Tuple[Any, ...]] = {}
     for entry in entries:
         label = f"entry 0x{entry.get('pc', 0):08x}"
         if entry.get("sha256") != entry_checksum(entry):
             problems.append(f"{label}: checksum mismatch")
             continue
+        by_addr = {}
         for index, word in enumerate(entry.get("words", ())):
             try:
-                decode(word, int(entry["pc"]) + 4 * index)
+                insn = decode(word, int(entry["pc"]) + 4 * index)
             except DecodingError:
                 problems.append(f"{label}: word {index} undecodable")
                 break
-        try:
-            for blob in entry.get("code", ()):
-                decode_insn(blob, resolve_helper=lambda spec: None)
-        except (KeyError, ValueError, TypeError, IndexError) as error:
-            problems.append(f"{label}: bad host code: {error}")
+            by_addr[insn.addr] = insn
+        else:
+            try:
+                decode_code(entry.get("code", ()), by_addr, memo)
+            except (KeyError, ValueError, TypeError, IndexError) as error:
+                problems.append(f"{label}: bad host code: {error}")
     return problems
 
 
