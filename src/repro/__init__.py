@@ -14,13 +14,9 @@ Public API tour:
 - :mod:`repro.workloads` — SPEC CINT2006 analogs + real-world analogs.
 
 See README.md for a quickstart and DESIGN.md for the system inventory.
+Subpackages are imported on use, so importing one does not load the
+others (``import repro.harness.runner`` does not pull in the learning
+pipeline).
 """
 
 __version__ = "1.0.0"
-
-from . import common, core, devices, guest, harness, host, ir, kernel, \
-    learning, miniqemu, softmmu, workloads  # noqa: F401
-
-__all__ = ["common", "core", "devices", "guest", "harness", "host", "ir",
-           "kernel", "learning", "miniqemu", "softmmu", "workloads",
-           "__version__"]

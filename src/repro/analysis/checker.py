@@ -132,7 +132,6 @@ def check_machine_tbs(machine, report: Report,
         checked += 1
         findings = check_tb(tb, engine.config,
                             live_in_of=engine.successor_live_in,
-                            rulebook=engine.rulebook,
                             include_waivers=include_waivers)
         if profiler is not None and findings:
             cost = sum(profiler.tags_for((tb.pc, tb.mmu_idx)).values())

@@ -42,7 +42,7 @@ The walk is anchored by the translator's audit events
 units against the expected emission shapes, so the checker never has to
 guess which host flag-write is a guest flag *production* versus a
 scratch clobber.  Everything the translator *claims* (elisions, chain
-edges, relocations) is re-derived independently; a claim that cannot be
+edges, reorders) is re-derived independently; a claim that cannot be
 reproduced is a finding, never a waiver.
 """
 
@@ -50,18 +50,15 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..core.analysis import F_ALL, analyze_block
-from ..guest.isa import Cond
-from ..host.isa import (EAX, EDX, ENV_REG, Imm, Mem, Reg, X86Cond, X86Insn,
-                        X86Op)
+from ..core.analysis import F_ALL
+from ..host.isa import ENV_REG, Imm, Mem, Reg, X86Cond, X86Insn, X86Op
 from ..miniqemu.env import (ENV_CF, ENV_NF, ENV_PACKED_FLAGS,
-                            ENV_PACKED_VALID, ENV_REGS, ENV_VF, ENV_ZF,
-                            env_reg)
+                            ENV_PACKED_VALID, ENV_REGS, ENV_VF, ENV_ZF)
+from ..miniqemu.tb import EXIT_PC_UPDATED
 from .findings import Finding, Severity
 from .justify import (EV_FALLBACK, EV_PRODUCE, EV_RESTORE, EV_SAVE,
-                      EV_TERMINAL, J_ELIDE_SAVE, J_INTER_TB, J_IRQ_RELOC,
-                      J_REORDER, ORIGINAL_INSNS_KEY, audit_of,
-                      justifications_of)
+                      EV_TERMINAL, J_ELIDE_SAVE, J_INTER_TB, J_REORDER,
+                      audit_of, justifications_of)
 
 # EFLAGS abstract locations.
 JUNK = "junk"
@@ -176,11 +173,10 @@ class TbChecker:
 
     def __init__(self, tb, config,
                  live_in_of: Optional[Callable[[int], int]] = None,
-                 rulebook=None, include_waivers: bool = False):
+                 include_waivers: bool = False):
         self.tb = tb
         self.config = config
         self.live_in_of = live_in_of
-        self.rulebook = rulebook
         self.include_waivers = include_waivers
         self.code: List[X86Insn] = tb.code
         self.findings: List[Finding] = []
@@ -193,10 +189,10 @@ class TbChecker:
             else:
                 self.range_at[event["start"]] = event
         self.justify_at: Dict[int, List[Dict[str, Any]]] = {}
-        self.block_justifications: List[Dict[str, Any]] = []
+        self.reorder_records: List[Dict[str, Any]] = []
         for record in justifications_of(tb.meta or {}):
-            if record["kind"] in (J_REORDER, J_IRQ_RELOC):
-                self.block_justifications.append(record)
+            if record["kind"] == J_REORDER:
+                self.reorder_records.append(record)
             else:
                 self.justify_at.setdefault(record["index"], []).append(record)
 
@@ -229,67 +225,39 @@ class TbChecker:
     # -- block-level justifications ---------------------------------------
 
     def _check_block_justifications(self) -> None:
-        insns = self.tb.guest_insns
-        original = (self.tb.meta or {}).get(ORIGINAL_INSNS_KEY)
-        reorder_records = [r for r in self.block_justifications
-                           if r["kind"] == J_REORDER]
-        if original is not None:
-            from .reorder import check_reorder, reorder_waivers
-            if not reorder_records:
-                self._error("undeclared-reorder",
-                            "block was scheduled but carries no reorder "
-                            "justification")
-            for violation in check_reorder(original, insns):
-                self._error(violation["code"], violation["message"],
-                            witness=violation.get("witness"))
-            if self.include_waivers:
-                for waiver in reorder_waivers(original, insns):
-                    self._report(Severity.INFO, waiver["code"],
-                                 waiver["message"])
-        elif reorder_records:
-            self._error("bad-reorder-justification",
-                        "reorder justification without the original "
-                        "instruction order to validate it against")
+        """Replay the block's reorder record against address order.
 
-        for record in self.block_justifications:
-            if record["kind"] != J_IRQ_RELOC:
-                continue
-            self._check_irq_relocation(record, insns)
-
-    def _check_irq_relocation(self, record: Dict[str, Any], insns) -> None:
-        index = record["insn_index"]
-        if not (0 <= index < len(insns)):
-            self._error("bad-irq-relocation",
-                        f"relocated interrupt check names guest insn "
-                        f"{index}, block has {len(insns)}")
+        A TB's guest instructions are contiguous, so program order is
+        address order; ``guest_insns`` holds the emitted order.
+        """
+        insns = list(self.tb.guest_insns)
+        original = sorted(insns, key=lambda insn: insn.addr)
+        scheduled_addrs = [insn.addr for insn in insns]
+        original_addrs = [insn.addr for insn in original]
+        reordered = scheduled_addrs != original_addrs
+        for record in self.reorder_records:
+            if not reordered or record["original"] != original_addrs or \
+                    record["scheduled"] != scheduled_addrs:
+                self._error("bad-reorder-justification",
+                            "reorder justification does not match the "
+                            "block's emitted instruction order",
+                            witness={"original": record["original"],
+                                     "scheduled": record["scheduled"],
+                                     "emitted": scheduled_addrs})
+        if not reordered:
             return
-        if not self.config.irq_scheduling:
-            self._error("bad-irq-relocation",
-                        "interrupt check relocated with irq scheduling "
-                        "disabled")
-            return
-        target = insns[index]
-        if record["resume_pc"] != target.addr:
-            self._error("bad-irq-relocation",
-                        f"relocation resume pc {record['resume_pc']:#x} "
-                        f"!= guest insn address {target.addr:#x}")
-            return
-        info = analyze_block(list(insns), self.rulebook)
-        if not target.is_memory():
-            self._error("bad-irq-relocation",
-                        "interrupt check relocated to a non-memory "
-                        f"instruction @{target.addr:#x}")
-            return
-        for item in info.insns[:index]:
-            insn = item.insn
-            if insn.cond != Cond.AL or item.is_site or insn.writes_pc():
-                self._error(
-                    "bad-irq-relocation",
-                    f"interrupt check relocated past "
-                    f"{insn.op.name.lower()}@{insn.addr:#x}, which is a "
-                    "site/conditional/pc-writer",
-                    witness={"guest_addr": insn.addr})
-                return
+        from .reorder import check_reorder, reorder_waivers
+        if not self.reorder_records:
+            self._error("undeclared-reorder",
+                        "block is out of address order but carries no "
+                        "reorder justification")
+        for violation in check_reorder(original, insns):
+            self._error(violation["code"], violation["message"],
+                        witness=violation.get("witness"))
+        if self.include_waivers:
+            for waiver in reorder_waivers(original, insns):
+                self._report(Severity.INFO, waiver["code"],
+                             waiver["message"])
 
     def _check_irq_presence(self) -> None:
         if any(insn.tag == "irqcheck" and insn.op is X86Op.CMP
@@ -544,6 +512,13 @@ class TbChecker:
                     (index + 1, state)]
         if op is X86Op.EXIT_TB:
             self._check_handoff(index, state, "exit_tb")
+            if insn.imm == EXIT_PC_UPDATED and not state.waived and \
+                    not self._saved_for_successor(state):
+                self._error(
+                    "stale-packed-exit",
+                    "TB exit to a successor while env.packed is stale: "
+                    "its entry restore reloads the packed word without "
+                    "checking env.packed_valid", index)
             return []
         if op is X86Op.GOTO_TB:
             self._check_chain_edge(index, state)
@@ -621,7 +596,7 @@ class TbChecker:
     def _check_chain_edge(self, index: int, state: _State) -> None:
         records = [r for r in self.justify_at.get(index, ())
                    if r["kind"] == J_INTER_TB]
-        if state.env_current:
+        if self._saved_for_successor(state):
             return  # saved edge; a (redundant) justification is harmless
         if records:
             record = records[0]
@@ -656,6 +631,18 @@ class TbChecker:
                 "inter-TB justification was recorded", index)
         else:
             state.waived = True  # dead-flag edge; covers the backup exit
+
+    def _saved_for_successor(self, state: _State) -> bool:
+        """Does env hold the CCR where a successor TB reads it?
+
+        Under packed sync the successor's entry restore reloads
+        env.packed without checking env.packed_valid (the entry
+        contract, :func:`entry_state`), so current per-bit fields are
+        not enough.
+        """
+        if self.config.packed_sync:
+            return state.packed_ok
+        return state.env_current
 
     def _successor_live_in(self, target_pc: int) -> Optional[int]:
         if self.live_in_of is None:
@@ -698,7 +685,6 @@ class TbChecker:
 
 
 def check_tb(tb, config, live_in_of: Optional[Callable[[int], int]] = None,
-             rulebook=None, include_waivers: bool = False) -> List[Finding]:
+             include_waivers: bool = False) -> List[Finding]:
     """Verify one translated TB; returns the (possibly empty) findings."""
-    return TbChecker(tb, config, live_in_of, rulebook,
-                     include_waivers).run()
+    return TbChecker(tb, config, live_in_of, include_waivers).run()

@@ -99,11 +99,6 @@ class Report:
     def count(self, severity: Severity) -> int:
         return sum(1 for f in self.findings if f.severity is severity)
 
-    def max_severity(self) -> Optional[Severity]:
-        if not self.findings:
-            return None
-        return max(f.severity for f in self.findings)
-
     def above(self, threshold: Severity) -> List[Finding]:
         return [f for f in self.findings if f.severity > threshold]
 

@@ -13,12 +13,17 @@ protocol without pattern-matching heuristically.
 **Justification records** (``tb.meta["justifications"]``) describe *what
 was deliberately NOT emitted* (or was moved): an elided sync-save, an
 inter-TB chain edge whose end-of-block save was skipped, a scheduling
-reorder, a relocated interrupt check.  Each carries the claim that made
-the optimization legal; the checker re-derives the claim independently
-and flags any record it cannot reproduce.
+reorder.  Each carries the claim that made the optimization legal; the
+checker re-derives the claim independently and flags any record it
+cannot reproduce.
 
-Both lists hold plain dicts (JSON-friendly apart from instruction
-references, which stay in-memory only).  Host instruction ranges are
+A TB's guest instructions are contiguous, so program order is address
+order and ``tb.guest_insns`` holds the emitted order.  The ``reorder``
+record is the only copy of the permutation between the two: it is
+persisted with the TB, and the warm-start loader orders the revived
+``guest_insns`` from it.
+
+Both lists hold plain, JSON-friendly dicts.  Host instruction ranges are
 half-open ``[start, end)`` indices into ``tb.code``.
 """
 
@@ -28,7 +33,6 @@ from typing import Any, Dict, List, Optional
 
 AUDIT_KEY = "audit"
 JUSTIFY_KEY = "justifications"
-ORIGINAL_INSNS_KEY = "original_insns"
 
 # Audit event kinds.
 EV_SAVE = "save"            # flag sync-save range
@@ -41,7 +45,6 @@ EV_TERMINAL = "terminal"    # helper call that never returns to the TB
 J_ELIDE_SAVE = "elide-save"   # Sec III-C-2: consecutive-site save elision
 J_INTER_TB = "inter-tb"       # Sec III-C-3: chain-edge save elision
 J_REORDER = "reorder"         # Sec III-D-1: define-before-use scheduling
-J_IRQ_RELOC = "irq-reloc"     # Sec III-D-2: relocated interrupt check
 
 
 def save_event(start: int, end: int, mode: str, reason: str) -> Dict[str, Any]:
@@ -109,18 +112,10 @@ def inter_tb_justification(index: int, target_pc: int,
 def reorder_justification(original: List[Any],
                           scheduled: List[Any]) -> Dict[str, Any]:
     """Claim: *scheduled* is a dependence-preserving permutation of
-    *original* (lists of guest instruction addresses)."""
+    *original* (lists of guest instruction addresses; *original* is
+    address order, *scheduled* the emitted order)."""
     return {"kind": J_REORDER, "original": list(original),
             "scheduled": list(scheduled)}
-
-
-def irq_reloc_justification(insn_index: int,
-                            resume_pc: int) -> Dict[str, Any]:
-    """Claim: the interrupt check was relocated past the first
-    *insn_index* guest instructions; a pending IRQ resumes at
-    *resume_pc*."""
-    return {"kind": J_IRQ_RELOC, "insn_index": insn_index,
-            "resume_pc": resume_pc}
 
 
 def audit_of(meta: Dict[str, Any]) -> List[Dict[str, Any]]:

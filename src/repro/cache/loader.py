@@ -31,13 +31,14 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from ..analysis.justify import J_REORDER, justifications_of
 from ..common.errors import DecodingError, MemoryFault
 from ..guest.decoder import decode
 from ..miniqemu.tb import TranslationBlock
 from .fingerprint import (context_fingerprint, entry_checksum,
                           guest_image_digest)
-from .store import (ORIGINAL_INSNS_KEY, PROVENANCE_KEY, CacheStore,
-                    UnpersistableTB, decode_code, serialize_tb)
+from .store import (PROVENANCE_KEY, CacheStore, UnpersistableTB,
+                    decode_code, serialize_tb)
 
 #: Fault-injection sites consulted once per persisted-entry fetch (see
 #: repro.robustness.faultinject): ``cache-corrupt`` hands the real
@@ -165,18 +166,16 @@ class CacheLoader:
         by_addr = {insn.addr: insn for insn in decoded}
         try:
             code = decode_code(entry["code"], by_addr, self._memo)
-            order = entry.get("insn_order")
-            guest_insns = decoded if order is None \
-                else [by_addr[addr] for addr in order]
+            # Words are in address order; a scheduled block's reorder
+            # record holds its emitted order.
+            reorder = next((record for record in justifications_of(meta)
+                            if record["kind"] == J_REORDER), None)
+            guest_insns = decoded if reorder is None \
+                else [by_addr[addr] for addr in reorder["scheduled"]]
         except (KeyError, ValueError, TypeError, IndexError):
             self.corrupt += 1
             self._discard(pc, mmu_idx, "malformed")
             return None
-        if order is not None:
-            # Scheduling reordered this block: guest_insns carries the
-            # scheduled order, original_insns the address order (the
-            # checker's view of the pre-scheduling program).
-            meta[ORIGINAL_INSNS_KEY] = decoded
         meta[PROVENANCE_KEY] = "cached"
         tb = TranslationBlock(pc=pc, mmu_idx=mmu_idx,
                               guest_insns=guest_insns, code=code)

@@ -24,13 +24,12 @@ Serialization notes:
   whose label or tag contains ``SEP``, is simply not persistable.
 - ``entries.json`` is compact JSON, so ``json.dumps`` runs on the C
   encoder; the loader parses each distinct token once per run.
-- ``meta`` is persisted as-is (it is JSON-friendly by design: the PR 2
-  sync-site counters and the PR 3 audit/justification records are plain
-  dicts), except ``original_insns`` — the pre-scheduling instruction
-  objects.  When scheduling reordered the block, the entry records the
-  scheduled address order (``insn_order``); the loader re-decodes the
-  words and rebuilds both the scheduled ``guest_insns`` list and the
-  address-ordered ``original_insns``.
+- ``meta`` is persisted as-is (it is JSON-friendly by design: the
+  sync-site counters and the audit/justification records are plain
+  dicts), except the run-local ``provenance`` tag.  ``words`` are in
+  address order; when scheduling reordered the block, its ``reorder``
+  justification is the only record of the emitted order, and the
+  loader orders the revived ``guest_insns`` from it.
 """
 
 from __future__ import annotations
@@ -48,8 +47,7 @@ from ..miniqemu.helpers import (make_exception_return_helper, make_ld_helper,
 from .fingerprint import (FORMAT_VERSION, SCHEMA, entry_checksum,
                           fingerprint_key)
 
-#: meta keys handled specially by (de)serialization.
-ORIGINAL_INSNS_KEY = "original_insns"
+#: meta key not persisted: where this run got the TB from.
 PROVENANCE_KEY = "provenance"
 
 
@@ -224,10 +222,7 @@ def serialize_tb(tb) -> Dict[str, Any]:
         "jmp_pc": list(tb.jmp_pc),
     }
     meta_blob = {key: value for key, value in meta.items()
-                 if key not in (ORIGINAL_INSNS_KEY, PROVENANCE_KEY)}
-    scheduled = [insn.addr for insn in tb.guest_insns]
-    if scheduled != [insn.addr for insn in by_addr]:
-        entry["insn_order"] = scheduled
+                 if key != PROVENANCE_KEY}
     try:
         entry["meta"] = json.loads(json.dumps(meta_blob))
     except (TypeError, ValueError) as error:

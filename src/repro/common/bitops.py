@@ -34,13 +34,6 @@ def bits(value: int, hi: int, lo: int) -> int:
     return (value >> lo) & ((1 << (hi - lo + 1)) - 1)
 
 
-def set_bits(value: int, hi: int, lo: int, field: int) -> int:
-    """Return *value* with value[hi:lo] replaced by *field*."""
-    width = hi - lo + 1
-    mask = ((1 << width) - 1) << lo
-    return (value & ~mask & MASK32) | ((field << lo) & mask)
-
-
 def sign_extend(value: int, width: int) -> int:
     """Sign-extend a *width*-bit value to a Python int."""
     sign = 1 << (width - 1)
@@ -59,16 +52,6 @@ def ror32(value: int, amount: int) -> int:
 def align(value: int, alignment: int) -> int:
     """Round *value* down to a multiple of *alignment* (a power of two)."""
     return value & ~(alignment - 1) & MASK32
-
-
-def is_aligned(value: int, alignment: int) -> bool:
-    """True if *value* is a multiple of *alignment* (a power of two)."""
-    return (value & (alignment - 1)) == 0
-
-
-def popcount(value: int) -> int:
-    """Number of set bits in *value*."""
-    return bin(value & MASK32).count("1")
 
 
 def encode_arm_imm(value: int):

@@ -7,8 +7,8 @@ Computes, over the guest instructions of one block:
 - which instructions are coordination sites (memory / system / uncovered),
 - the live-in flag requirement of a block (used by the inter-TB
   optimization to prove define-before-use in a chained successor),
-- the define-before-use and interrupt-driven scheduling reorders
-  (Sec III-D), implemented as a safe reordering of the instruction list.
+- the define-before-use scheduling reorder (Sec III-D-1), implemented
+  as a safe reordering of the instruction list.
 """
 
 from __future__ import annotations

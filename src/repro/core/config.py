@@ -10,8 +10,11 @@ The four cumulative levels match the paper's evaluation:
 - ``ELIMINATION`` (+ Sec III-C): redundant sync-restore elimination,
   consecutive-memory-access coalescing, and inter-TB elimination across
   chained blocks.
-- ``FULL`` (+ Sec III-D): define-before-use and interrupt-driven
-  instruction scheduling.
+- ``FULL`` (+ Sec III-D): define-before-use instruction scheduling.
+  The paper's second scheduling mechanism, relocating the TB-entry
+  interrupt check next to the first memory access, is not implemented:
+  the on-demand restore policy already makes the entry check free, so
+  relocation only adds a save site (DESIGN.md section 5).
 """
 
 from __future__ import annotations
@@ -39,12 +42,6 @@ class OptConfig:
     eliminate_redundant: bool = False  # Sec III-C (a) + (b)
     inter_tb: bool = False             # Sec III-C (c)
     scheduling: bool = False           # Sec III-D-1 (define-before-use)
-    #: Sec III-D-2 (relocate the TB-entry interrupt check next to the
-    #: first memory access).  Off by default: in this implementation the
-    #: on-demand restore policy already makes the entry check free, so
-    #: relocation only adds an extra save site (see EXPERIMENTS.md);
-    #: kept as an ablation switch to demonstrate the mechanism.
-    irq_scheduling: bool = False
 
     @staticmethod
     def from_level(level: OptLevel) -> "OptConfig":

@@ -238,11 +238,5 @@ class FlagsState:
     def need_save(self) -> bool:
         return self.in_eflags and not self.env_current
 
-    def snapshot(self):
-        return (self.in_eflags, self.packed_ok, self.parsed_ok, self.kind)
-
-    def restore_snapshot(self, state) -> None:
-        self.in_eflags, self.packed_ok, self.parsed_ok, self.kind = state
-
     def need_restore(self) -> bool:
         return not self.in_eflags

@@ -144,8 +144,7 @@ class RuleEngine(DbtEngineBase):
 
         while tb.meta.get("tier") == "rules":
             findings = check_tb(tb, self.config,
-                                live_in_of=self.successor_live_in,
-                                rulebook=self.rulebook)
+                                live_in_of=self.successor_live_in)
             self.check_tbs += 1
             self.check_findings += len(findings)
             errors = [f for f in findings if f.severity is Severity.ERROR]

@@ -33,10 +33,9 @@ import copy
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from ..analysis.justify import (AUDIT_KEY, JUSTIFY_KEY, ORIGINAL_INSNS_KEY,
+from ..analysis.justify import (AUDIT_KEY, JUSTIFY_KEY,
                                 elide_save_justification, fallback_event,
-                                inter_tb_justification,
-                                irq_reloc_justification, produce_event,
+                                inter_tb_justification, produce_event,
                                 reorder_justification, terminal_event)
 from ..common.bitops import u32
 from ..guest.isa import (ArmInsn, COMPARE_OPS, Cond, DATA_PROCESSING_OPS,
@@ -48,11 +47,10 @@ from ..miniqemu import mmu_codegen
 from ..miniqemu.env import (ENV_IRQ, ENV_PACKED_VALID, env_reg,
                             env_vfp)
 from ..miniqemu.helpers import (make_exception_return_helper,
-                                make_svc_helper, make_sysreg_helper,
-                                make_vfp_helper)
+                                make_svc_helper, make_sysreg_helper)
 from ..miniqemu.tb import (EXIT_INTERRUPT, EXIT_PC_UPDATED, TranslationBlock)
 from .alu import AluEmitter
-from .analysis import (BlockInfo, InsnInfo, analyze_block, flags_read,
+from .analysis import (InsnInfo, analyze_block, flags_read,
                        flags_written, schedule_define_before_use, F_ALL)
 from .condmap import CarryKind, skip_sequence
 from .config import OptConfig
@@ -121,22 +119,10 @@ class RuleTranslator:
         self._cold_stubs: List[_ColdStub] = []
         self._jmp_pcs: List[Optional[int]] = [None, None]
         self._ended = False
-        self._irq_checked = False
         self._prealloc_scratch: Optional[int] = None
 
-        # Interrupt check: at TB entry, or scheduled down to the first
-        # unconditional memory access (Sec III-D-2).
-        relocate_to = self._irq_relocation_index(info) \
-            if config.irq_scheduling else None
-        if relocate_to is None:
-            self._emit_irq_check(resume_pc=pc)
-        else:
-            self._justifications.append(irq_reloc_justification(
-                relocate_to, resume_pc=info.insns[relocate_to].insn.addr))
-
-        for index, item in enumerate(info.insns):
-            if relocate_to == index:
-                self._emit_irq_check(resume_pc=item.insn.addr)
+        self._emit_irq_check(resume_pc=pc)
+        for item in info.insns:
             self._emit_insn(item)
             if self._ended:
                 break
@@ -169,25 +155,11 @@ class RuleTranslator:
             AUDIT_KEY: self._audit,
             JUSTIFY_KEY: self._justifications,
         }
-        if reordered:
-            tb.meta[ORIGINAL_INSNS_KEY] = original
         return tb
 
     # ------------------------------------------------------------------
     # Interrupt checks.
     # ------------------------------------------------------------------
-
-    def _irq_relocation_index(self, info: BlockInfo) -> Optional[int]:
-        """Index of the memory access to co-locate the check with."""
-        for index, item in enumerate(info.insns):
-            insn = item.insn
-            if insn.cond != Cond.AL:
-                return None
-            if insn.is_memory():
-                return index
-            if item.is_site or insn.writes_pc():
-                return None
-        return None
 
     def _emit_irq_check(self, resume_pc: int) -> None:
         """cmp [env.irq], 0; jne cold_exit  — clobbers EFLAGS."""
@@ -204,7 +176,6 @@ class RuleTranslator:
                     in sorted(self.cache.guest_to_host.items())
                     if guest in self.cache.dirty]
         self._cold_stubs.append(_ColdStub(label, resume_pc, snapshot))
-        self._irq_checked = True
 
     def _emit_cold_stubs(self) -> None:
         builder = self.builder
@@ -770,6 +741,24 @@ class RuleTranslator:
         builder.and_(Reg(EAX), Imm(0xFFFFFFFC))
         self._end_indirect_from(EAX)
 
+    def _successor_needs_save(self, flags: FlagsState) -> bool:
+        """Is env short of the CCR where a successor TB reads it?
+
+        Under packed sync the successor's entry restore reloads
+        env.packed without checking its valid bit, so a packed word left
+        stale by a flag-writing fallback needs re-packing even though
+        the per-bit fields are current.
+        """
+        if self.config.packed_sync and not flags.packed_ok:
+            return True
+        return flags.need_save()
+
+    def _save_for_successor(self, flags: FlagsState) -> None:
+        """Publish the CCR in the mode's default representation."""
+        if not flags.in_eflags:
+            flags.emit_restore()    # the per-bit fields are current
+        flags.emit_save()
+
     def _end_indirect_from(self, host_reg: int) -> None:
         builder = self.builder
         builder.mov(Mem(base=ENV_REG, disp=env_reg(PC)), Reg(host_reg))
@@ -778,8 +767,8 @@ class RuleTranslator:
     def _finish_indirect_exit(self, pc_in_env: bool) -> None:
         count = self.cache.flush_dirty(tag="sync")
         self.stats.reg_flush_insns += count
-        if self.flags.need_save():
-            self.flags.emit_save()
+        if self._successor_needs_save(self.flags):
+            self._save_for_successor(self.flags)
         self.builder.exit_tb(EXIT_PC_UPDATED, tag="chain")
         self._ended = True
 
@@ -791,7 +780,7 @@ class RuleTranslator:
         count = self.cache.flush_dirty(tag="sync")
         self.stats.reg_flush_insns += count
 
-        if flags.need_save():
+        if self._successor_needs_save(flags):
             skip_save = (self.config.inter_tb and
                          self.successor_live_in(target_pc) == 0)
             if skip_save:
@@ -802,7 +791,7 @@ class RuleTranslator:
                     self.tracer.emit("sync.elide", kind="inter-tb",
                                      target_pc=target_pc)
             else:
-                flags.emit_save()
+                self._save_for_successor(flags)
         builder.goto_tb(slot, tag="chain")
         builder.mov(Mem(base=ENV_REG, disp=env_reg(PC)), Imm(u32(target_pc)),
                     tag="chain")

@@ -38,10 +38,6 @@ class BlockDevice:
         offset = sector * SECTOR_SIZE
         self.image[offset:offset + len(data)] = data
 
-    def read_image(self, sector: int, length: int) -> bytes:
-        offset = sector * SECTOR_SIZE
-        return bytes(self.image[offset:offset + length])
-
     def _transfer(self, command: int) -> None:
         offset = self.sector * SECTOR_SIZE
         if command == 1:  # disk -> RAM

@@ -320,21 +320,6 @@ class ArmInsn:
             return True
         return False
 
-    def sets_flags(self) -> bool:
-        """True when this instruction writes any of N/Z/C/V."""
-        if self.op in DATA_PROCESSING_OPS or self.op in (Op.MUL, Op.MLA):
-            return self.set_flags
-        if self.op is Op.MSR and not self.spsr:
-            return bool(self.imm & 0x8)  # mask includes the flags byte
-        return self.op is Op.VMRS and self.rd == PC  # vmrs apsr_nzcv
-
-    def reads_flags(self) -> bool:
-        """True when this instruction reads N/Z/C/V (condition or ADC/SBC)."""
-        if self.cond != Cond.AL:
-            return True
-        return self.op in (Op.ADC, Op.SBC, Op.RSC) or (
-            self.op is Op.MRS and not self.spsr)
-
     # ------------------------------------------------------------------
     # Pretty printing (the assembler parses this same syntax back).
     # ------------------------------------------------------------------

@@ -395,10 +395,6 @@ def _ablation_configs() -> Dict[str, "OptConfig"]:
                                         scheduling=True),
         "full": OptConfig(packed_sync=True, eliminate_redundant=True,
                           inter_tb=True, scheduling=True),
-        "full + irq-relocation": OptConfig(packed_sync=True,
-                                           eliminate_redundant=True,
-                                           inter_tb=True, scheduling=True,
-                                           irq_scheduling=True),
     }
 
 

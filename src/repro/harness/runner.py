@@ -46,10 +46,6 @@ class RunResult:
     stats: Dict[str, float] = field(default_factory=dict)
 
     @property
-    def host_per_guest(self) -> float:
-        return self.host_instructions / max(self.guest_icount, 1)
-
-    @property
     def cost_per_guest(self) -> float:
         return self.host_cost / max(self.guest_icount, 1)
 

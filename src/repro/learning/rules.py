@@ -44,10 +44,6 @@ class Rule:
     origins: List[Tuple[str, int]] = field(default_factory=list)
     opcode_class: bool = False
 
-    @property
-    def guest_length(self) -> int:
-        return len(self.guest_pattern)
-
     def __str__(self) -> str:
         guest = "; ".join(self.guest_pattern)
         host = "; ".join(self.host_pattern)

@@ -197,10 +197,6 @@ class BitBlaster:
             out.append(s)
         return out
 
-    def _neg(self, a: BitVec) -> BitVec:
-        return self._add([self.bdd.not_(bit) for bit in a],
-                         self.const_vec(1))
-
     def _mul_const(self, a: BitVec, value: int) -> BitVec:
         value &= MASK
         acc = self.const_vec(0)

@@ -98,11 +98,6 @@ def emit_store(builder: CodeBuilder, addr_reg: int, value_reg: int,
     builder.bind(done)
 
 
-def _tlb_mem(mmu_idx: int, field_offset: int, index_reg: int) -> Mem:
-    return Mem(base=index_reg,
-               disp=TLB_BASE + mmu_idx * _MMU_STRIDE + field_offset)
-
-
 def _emit_probe(builder: CodeBuilder, addr_reg: int, size: int,
                 access_offset: int, mmu_idx: int, tag: str) -> None:
     builder.mov(Reg(EDX), Reg(addr_reg), tag=tag)

@@ -16,7 +16,7 @@ from ..guest.isa import ArmInsn
 
 # TB exit statuses (the EXIT_TB immediate).
 EXIT_PC_UPDATED = 0   # env.pc holds the next guest pc
-EXIT_INTERRUPT = 1    # the TB-entry (or scheduled) interrupt check fired
+EXIT_INTERRUPT = 1    # the TB-entry interrupt check fired
 EXIT_HALT = 2         # wfi executed
 EXIT_EXCEPTION = 3    # a helper delivered an exception; env.pc is the vector
 
@@ -28,6 +28,9 @@ MAX_TB_INSNS = 32
 class TranslationBlock:
     pc: int
     mmu_idx: int
+    #: the block's guest instructions in emitted order.  They are
+    #: contiguous, so program order is address order; a scheduled block
+    #: records the permutation in its ``reorder`` justification.
     guest_insns: List[ArmInsn] = field(default_factory=list)
     code: List = field(default_factory=list)      # host X86Insn list
     jmp_target: List[Optional["TranslationBlock"]] = \

@@ -20,7 +20,7 @@ catalogue is documented in ``docs/internals.md``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
+from typing import Callable, Dict, NamedTuple, Tuple
 
 #: How many trailing events the flight recorder attaches to a
 #: ``ReproError`` diagnostic context (see ``Machine.diag_context``).
@@ -137,8 +137,3 @@ class Tracer:
             "dropped": float(self.dropped),
             "buffered": float(len(self._ring)),
         }
-
-
-def render_events(events: Iterable[TraceEvent]) -> List[str]:
-    """Human-readable lines for a slice of trace events."""
-    return [str(event) for event in events]

@@ -1,6 +1,8 @@
 """Unit tests for the core package: analysis, condmap, coordination,
 register cache, rulebooks, optimization config."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core import (CarryKind, EmptyRulebook, MatureRulebook, OptConfig,
@@ -281,7 +283,9 @@ def test_opt_config_levels_are_cumulative():
     full = OptConfig.from_level(OptLevel.FULL)
     assert all([full.packed_sync, full.eliminate_redundant, full.inter_tb,
                 full.scheduling])
-    assert not full.irq_scheduling  # ablation-only switch
+    # One switch per implemented Sec III mechanism.
+    assert [field.name for field in fields(OptConfig)] == [
+        "packed_sync", "eliminate_redundant", "inter_tb", "scheduling"]
 
 
 def test_empty_rulebook_covers_nothing():

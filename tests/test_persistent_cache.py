@@ -21,6 +21,8 @@ import struct
 
 import pytest
 
+from repro.analysis.dataflow import check_tb
+from repro.analysis.justify import J_REORDER, justifications_of
 from repro.cache import attach_cache, iter_store_dirs, verify_store
 from repro.core import OptLevel, make_rule_engine
 from repro.guest.asm import assemble
@@ -74,15 +76,39 @@ loop:
 """
 )
 
+#: A loop whose ``cmp; ldr; bne`` head define-before-use scheduling
+#: reorders, so the store persists reordered TBs.
+SCHEDULED_PROGRAM = """
+    ldr r4, =value
+    mov r5, #40
+    mov r6, #0
+    mov r9, #0
+loop:
+    cmp r5, r9
+    ldr r3, [r4]
+    bne cont
+cont:
+    add r6, r6, r3
+    subs r5, r5, #1
+    bne loop
+    ldr r10, =0x10000000
+    str r6, [r10]
+    ldr r10, =0x100F0000
+    mov r1, #0
+    str r1, [r10]
+value:
+    .word 0x11
+"""
 
-def _machine(cache_dir=None, inject=None):
+
+def _machine(cache_dir=None, inject=None, program=PROGRAM):
     kwargs = {}
     if inject is not None:
         kwargs["fault_injector"] = FaultInjector(parse_inject_spec(inject))
     machine = Machine(engine="rules",
                       rule_engine_factory=make_rule_engine(OptLevel.FULL),
                       **kwargs)
-    machine.memory.load_program(assemble(PROGRAM, base=BASE))
+    machine.memory.load_program(assemble(program, base=BASE))
     machine.cpu.regs[15] = BASE
     machine.env.load_from_cpu(machine.cpu)
     loader = attach_cache(machine, str(cache_dir)) if cache_dir else None
@@ -120,15 +146,17 @@ def _deterministic_stats(machine):
 # Cold vs warm: the core differential.
 # ---------------------------------------------------------------------------
 
-def test_cold_then_warm_is_bit_identical(tmp_path):
-    cold, cold_loader = _machine(tmp_path)
+@pytest.mark.parametrize("program", [PROGRAM, SCHEDULED_PROGRAM],
+                         ids=["plain", "scheduled"])
+def test_cold_then_warm_is_bit_identical(tmp_path, program):
+    cold, cold_loader = _machine(tmp_path, program=program)
     code = _run(cold, cold_loader)
     assert code == 0
     assert cold_loader.loaded == 0
     assert cold_loader.saved > 0          # the store was populated
     assert iter_store_dirs(str(tmp_path))
 
-    warm, warm_loader = _machine(tmp_path)
+    warm, warm_loader = _machine(tmp_path, program=program)
     assert len(warm_loader) == cold_loader.saved
     assert _run(warm, warm_loader) == 0
 
@@ -145,6 +173,26 @@ def test_cold_then_warm_is_bit_identical(tmp_path):
     # The cache group tells the two runs apart.
     assert warm.stats()["cache.tb_loaded"] == cold_loader.saved
     assert cold.stats()["cache.tb_loaded"] == 0
+
+    # Revived TBs keep the cold run's emitted order, which for a
+    # scheduled block comes from its persisted reorder record, and
+    # verify clean.
+    cold_order = {(tb.pc, tb.mmu_idx): [insn.addr for insn in tb.guest_insns]
+                  for tb in cold.engine.cache.all_tbs()}
+    revived = [tb for tb in warm.engine.cache.all_tbs()
+               if tb.meta.get("provenance") == "cached"]
+    reordered = 0
+    for tb in revived:
+        order = [insn.addr for insn in tb.guest_insns]
+        assert order == cold_order[(tb.pc, tb.mmu_idx)]
+        records = [r for r in justifications_of(tb.meta)
+                   if r["kind"] == J_REORDER]
+        if order != sorted(order):
+            assert [r["scheduled"] for r in records] == [order]
+            reordered += 1
+        assert check_tb(tb, warm.engine.config,
+                        live_in_of=warm.engine.successor_live_in) == []
+    assert (reordered > 0) == (program is SCHEDULED_PROGRAM)
 
 
 def test_warm_tbs_carry_cached_provenance(tmp_path):

@@ -5,8 +5,9 @@ Three claims are pinned here:
 1. **Clean builds verify**: the dataflow checker reports zero findings
    on everything the translator emits, at every optimization level.
 2. **Injected violations are caught**: every analysis-level fault the
-   injector plants (dropped sync-save, forged elision justification,
-   forged inter-TB claim, illegal reorder, refuted rule) produces an
+   injector plants (dropped sync-save, forged elision justification)
+   and every hand tamper (forged inter-TB claim, illegal or undeclared
+   reorder, stripped TB-end re-pack, refuted rule) produces an
    ERROR finding — and the ``--check`` engine mode degrades the block
    before it can execute.
 3. **Satellite regressions**: the may/definite flag-def split in
@@ -20,10 +21,11 @@ import pytest
 
 from repro.analysis.dataflow import check_tb
 from repro.analysis.findings import Report, Severity
-from repro.analysis.justify import (AUDIT_KEY, EV_SAVE, J_INTER_TB,
-                                    JUSTIFY_KEY, ORIGINAL_INSNS_KEY,
-                                    audit_of, inter_tb_justification,
-                                    justifications_of)
+from repro.analysis.justify import (AUDIT_KEY, EV_FALLBACK, EV_RESTORE,
+                                    EV_SAVE, J_INTER_TB, J_REORDER,
+                                    JUSTIFY_KEY, audit_of,
+                                    inter_tb_justification,
+                                    justifications_of, shift_indices)
 from repro.core import OptConfig, OptLevel, make_rule_engine
 from repro.core.analysis import (F_ALL, F_C, F_N, F_V, F_Z,
                                  flags_written_definite, flags_written_may)
@@ -38,6 +40,7 @@ BASE_ADDR = 0x40000
 
 ALL_LEVELS = (OptLevel.BASE, OptLevel.REDUCTION, OptLevel.ELIMINATION,
               OptLevel.FULL)
+PACKED_LEVELS = ALL_LEVELS[1:]
 
 #: Representative translation sources: flag producers around memory
 #: sites (coordination), conditional runs (restore paths), inter-TB
@@ -105,8 +108,7 @@ def make_engine(source, level=OptLevel.FULL, inject=None, check=False,
 
 def findings_of(engine, tb, **kw):
     return check_tb(tb, engine.config,
-                    live_in_of=engine.successor_live_in,
-                    rulebook=engine.rulebook, **kw)
+                    live_in_of=engine.successor_live_in, **kw)
 
 
 def errors_of(findings):
@@ -123,6 +125,34 @@ def errors_of(findings):
 @pytest.mark.parametrize("name", sorted(CLEAN_SOURCES))
 def test_clean_translation_has_zero_findings(name, level):
     engine = make_engine(CLEAN_SOURCES[name], level)
+    tb = engine.translate(BASE_ADDR, 0)
+    assert findings_of(engine, tb) == []
+
+
+#: N and V are dead after ``addlt``: ``cmp`` redefines every flag before
+#: ``bls`` reads one, so the docs/soundness.md "Stale-dead windows" rule
+#: says the unsaved clobber at ``str`` is benign.  The checker keeps the
+#: ``ands`` producer's ``live_after`` mask until the next producer and
+#: reports lost-ccr/env-stale-handoff, so ``--check`` demotes this sound
+#: TB to TCG.  Point-wise flag liveness in the checker would fix it.
+STALE_DEAD_AFTER_CONDITIONAL = """
+    ands r12, r0, r4
+    addlt r8, r0, #208
+    eor r3, r4, #67
+    str r5, [r11, #376]
+    cmp r10, #1
+    bls target
+target:
+    nop
+"""
+
+
+@pytest.mark.xfail(strict=True, reason="checker false positive: flag "
+                   "liveness is tracked per producer, not per point")
+@pytest.mark.parametrize("level", (OptLevel.ELIMINATION, OptLevel.FULL),
+                         ids=["ELIMINATION", "FULL"])
+def test_stale_dead_window_after_conditional_is_clean(level):
+    engine = make_engine(STALE_DEAD_AFTER_CONDITIONAL, level)
     tb = engine.translate(BASE_ADDR, 0)
     assert findings_of(engine, tb) == []
 
@@ -170,6 +200,20 @@ def test_forged_elision_is_flagged(level):
     assert "bad-elide-justification" in {f.code for f in errors}
 
 
+def _strip_host_range(tb, start, end):
+    """Delete host insns ``[start, end)`` and the audit events inside,
+    keeping every other record pointing at the same instructions."""
+    delta = end - start
+    del tb.code[start:end]
+    for insn in tb.code:
+        if insn.target_index >= end:
+            insn.target_index -= delta
+    kept = [e for e in audit_of(tb.meta) if not start <= e["start"] < end]
+    tb.meta[AUDIT_KEY] = shift_indices(kept, end, -delta)
+    tb.meta[JUSTIFY_KEY] = shift_indices(justifications_of(tb.meta), end,
+                                         -delta)
+
+
 def test_forged_inter_tb_claim_is_flagged():
     """A forged Sec III-C-3 record claiming the live successor is dead."""
     engine = make_engine(CLEAN_SOURCES["inter-tb"], OptLevel.ELIMINATION)
@@ -178,20 +222,11 @@ def test_forged_inter_tb_claim_is_flagged():
     # the elision by hand: delete the save, plant live_in=0.
     tb = engine.translate(BASE_ADDR + 8, 0)
     save = next(e for e in audit_of(tb.meta) if e["kind"] == EV_SAVE)
-    start, end = save["start"], save["end"]
-    delta = end - start
-    del tb.code[start:end]
-    for insn in tb.code:
-        if insn.target_index >= end:
-            insn.target_index -= delta
-    from repro.analysis.justify import shift_indices
-    tb.meta[AUDIT_KEY] = shift_indices(
-        [e for e in audit_of(tb.meta) if e is not save], start + 1, -delta)
-    records = shift_indices(justifications_of(tb.meta), start + 1, -delta)
+    _strip_host_range(tb, save["start"], save["end"])
     goto = next(i for i, insn in enumerate(tb.code)
                 if insn.op.name == "GOTO_TB")
-    records.append(inter_tb_justification(goto, tb.jmp_pc[0], live_in=0))
-    tb.meta[JUSTIFY_KEY] = records
+    tb.meta[JUSTIFY_KEY].append(
+        inter_tb_justification(goto, tb.jmp_pc[0], live_in=0))
     errors = errors_of(findings_of(engine, tb))
     assert "bad-inter-tb-justification" in {f.code for f in errors}
     witness = next(f.witness for f in errors
@@ -199,41 +234,78 @@ def test_forged_inter_tb_claim_is_flagged():
     assert witness["recomputed"] != 0
 
 
-def test_tampered_reorder_is_flagged():
-    engine = make_engine(CLEAN_SOURCES["schedule"], OptLevel.FULL)
-    tb = engine.translate(BASE_ADDR, 0)
-    original = tb.meta.get(ORIGINAL_INSNS_KEY)
-    assert original, "scheduling should have reordered this block"
-    assert findings_of(engine, tb) == []
-    # Claim the block was ALREADY in scheduled order: the dependence
-    # replay must reject the (now wrong) permutation evidence.
-    source = """
-    ldr r3, [r4]
-    cmp r1, r2
-    bne target
-target:
-    nop
+#: ``adds ... rrx`` is not covered by the rulebook: its inline TCG
+#: fallback writes the per-bit flag fields and leaves env.packed stale,
+#: and the successor reads the carry.
+STALE_PACKED_AT_EXIT = """
+    cmp r0, #0
+    adds r0, r0, r0, rrx
+    b next
+next:
+    movcs r0, r1
+    bx lr
 """
-    fake = [decode(int.from_bytes(chunk, "little"), insn.addr)
-            for chunk, insn in zip(
-                _words(assemble(source, base=BASE_ADDR)), original)]
-    tb.meta[ORIGINAL_INSNS_KEY] = fake
-    # The claimed original must disagree with the reorder record.
-    assert errors_of(findings_of(engine, tb))
 
 
-def _words(program):
-    data = program.data
-    return [data[i:i + 4] for i in range(0, len(data), 4)]
+@pytest.mark.parametrize("level", PACKED_LEVELS,
+                         ids=[level.name for level in PACKED_LEVELS])
+def test_stripped_tb_end_repack_is_flagged(level):
+    """The TB-end re-pack after a flag-writing fallback is load-bearing:
+    the successor's entry restore reads env.packed unconditionally."""
+    engine = make_engine(STALE_PACKED_AT_EXIT, level)
+    tb = engine.translate(BASE_ADDR, 0)
+    assert findings_of(engine, tb) == []
+    events = audit_of(tb.meta)
+    fallback = next(i for i, e in enumerate(events)
+                    if e["kind"] == EV_FALLBACK and e["writes"])
+    restore, save = events[fallback + 1:]
+    assert (restore["kind"], restore["mode"]) == (EV_RESTORE, "parsed")
+    assert (save["kind"], save["mode"]) == (EV_SAVE, "packed")
+    _strip_host_range(tb, restore["start"], save["end"])
+    errors = errors_of(findings_of(engine, tb))
+    assert "stale-packed-exit" in {f.code for f in errors}
+
+
+def _scheduled_tb(engine):
+    tb = engine.translate(BASE_ADDR, 0)
+    (record,) = [r for r in justifications_of(tb.meta)
+                 if r["kind"] == J_REORDER]
+    assert record["scheduled"] != record["original"], \
+        "scheduling should have reordered this block"
+    assert [insn.addr for insn in tb.guest_insns] == record["scheduled"]
+    assert findings_of(engine, tb) == []
+    return tb, record
+
+
+def test_tampered_reorder_is_flagged():
+    """An illegal permutation with a matching record: the dependence
+    replay rejects it."""
+    engine = make_engine(CLEAN_SOURCES["schedule"], OptLevel.FULL)
+    tb, record = _scheduled_tb(engine)
+    ldr, cmp, bne = tb.guest_insns
+    # Hoist the branch above the producer it reads: a barrier crossing.
+    tb.guest_insns = [ldr, bne, cmp]
+    record["scheduled"] = [insn.addr for insn in tb.guest_insns]
+    codes = {f.code for f in errors_of(findings_of(engine, tb))}
+    assert codes and all(code.startswith("reorder-") for code in codes)
 
 
 def test_missing_reorder_record_is_flagged():
     engine = make_engine(CLEAN_SOURCES["schedule"], OptLevel.FULL)
-    tb = engine.translate(BASE_ADDR, 0)
+    tb, _ = _scheduled_tb(engine)
     tb.meta[JUSTIFY_KEY] = [r for r in justifications_of(tb.meta)
-                            if r["kind"] != "reorder"]
+                            if r["kind"] != J_REORDER]
     errors = errors_of(findings_of(engine, tb))
     assert "undeclared-reorder" in {f.code for f in errors}
+
+
+def test_mismatched_reorder_record_is_flagged():
+    """A record that disagrees with the emitted order is never trusted."""
+    engine = make_engine(CLEAN_SOURCES["schedule"], OptLevel.FULL)
+    tb, record = _scheduled_tb(engine)
+    record["scheduled"] = record["scheduled"][::-1]
+    errors = errors_of(findings_of(engine, tb))
+    assert "bad-reorder-justification" in {f.code for f in errors}
 
 
 def test_refuted_fixture_rule_is_quarantined():
