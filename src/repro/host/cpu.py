@@ -13,25 +13,20 @@ from ..common.bitops import u32
 from .isa import FLAG_CF, FLAG_OF, FLAG_SF, FLAG_ZF, REG_NAMES, X86Cond
 
 
-#: Condition code -> predicate over a :class:`HostCpu`'s flags, shared by
-#: the interpreter and the compiled JCC/SETCC closures (which look the
-#: predicate up once, at compile time).
-COND_TESTS: Dict[X86Cond, Callable[["HostCpu"], bool]] = {
-    X86Cond.E: lambda cpu: cpu.zf == 1,
-    X86Cond.NE: lambda cpu: cpu.zf == 0,
-    X86Cond.B: lambda cpu: cpu.cf == 1,
-    X86Cond.AE: lambda cpu: cpu.cf == 0,
-    X86Cond.BE: lambda cpu: cpu.cf == 1 or cpu.zf == 1,
-    X86Cond.A: lambda cpu: cpu.cf == 0 and cpu.zf == 0,
-    X86Cond.S: lambda cpu: cpu.sf == 1,
-    X86Cond.NS: lambda cpu: cpu.sf == 0,
-    X86Cond.O: lambda cpu: cpu.of == 1,
-    X86Cond.NO: lambda cpu: cpu.of == 0,
-    X86Cond.L: lambda cpu: cpu.sf != cpu.of,
-    X86Cond.GE: lambda cpu: cpu.sf == cpu.of,
-    X86Cond.LE: lambda cpu: cpu.zf == 1 or cpu.sf != cpu.of,
-    X86Cond.G: lambda cpu: cpu.zf == 0 and cpu.sf == cpu.of,
+#: Condition code -> Python test of a :class:`HostCpu` named ``C`` (its
+#: flags are 0 or 1).  Generated block bodies inline the expression; the
+#: interpreter and the compiled JCC terminators call COND_TESTS.
+COND_EXPRS: Dict[X86Cond, str] = {
+    X86Cond.E: "C.zf", X86Cond.NE: "not C.zf", X86Cond.B: "C.cf",
+    X86Cond.AE: "not C.cf", X86Cond.BE: "C.cf or C.zf",
+    X86Cond.A: "not (C.cf or C.zf)", X86Cond.S: "C.sf",
+    X86Cond.NS: "not C.sf", X86Cond.O: "C.of", X86Cond.NO: "not C.of",
+    X86Cond.L: "C.sf != C.of", X86Cond.GE: "C.sf == C.of",
+    X86Cond.LE: "C.zf or C.sf != C.of",
+    X86Cond.G: "not C.zf and C.sf == C.of",
 }
+COND_TESTS: Dict[X86Cond, Callable[["HostCpu"], bool]] = {
+    cond: eval(f"lambda C: {expr}") for cond, expr in COND_EXPRS.items()}
 
 
 class HostCpu:

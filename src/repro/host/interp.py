@@ -13,34 +13,36 @@ instruction), while an unpatched one exits to the cpu_exec loop.
 Host code runs in one of two forms.  A TB's first entries are
 interpreted one instruction at a time (:meth:`HostInterpreter._interpret`,
 the semantics reference).  From its :data:`HOT_THRESHOLD`-th entry on,
-the TB runs as *threaded code*: compiled once into basic blocks of
-pre-bound closures that add their instruction and tag counts once per
-block instead of once per instruction.  Both forms leave identical
-counters; :meth:`HostInterpreter.execute` states the invariants.
+the TB runs *compiled*: split once into basic blocks, each of which adds
+its instruction and tag counts once and runs its body as one generated
+Python function (:class:`_BodySource`), compiled once per distinct
+source.  Both forms leave identical counters;
+:meth:`HostInterpreter.execute` states the invariants.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..common.bitops import s32, u32
 from ..common.errors import HostExecutionError, WatchdogTimeout
 from ..observability.trace import NULL_TRACER
-from .cpu import COND_TESTS, HostCpu
-from .isa import (ECX, ESP, Imm, Mem, Reg, X86Insn, X86Op, Xmm)
+from .cpu import COND_EXPRS, COND_TESTS, HostCpu
+from .isa import ECX, ESP, Imm, Mem, Reg, X86Insn, X86Op, Xmm
 from ..common.f32 import f32_add, f32_mul, f32_sub
 
 #: Hard cap on host instructions per TB execution (codegen-bug guard).
 _RUNAWAY_LIMIT = 5_000_000
 
-#: Entry on which a TB starts running as threaded code.  Measured on
-#: the generated cold-code programs: of 661 TBs, about 391 run once, 258
-#: twice and 12 more often, and compiling on the first entry made that
-#: workload about 37% slower and 16% larger.  SPEC-style hot loops
-#: enter their TBs hundreds of times and lose nothing by the wait.
+#: Entry on which a TB starts running compiled.  Measured on the
+#: generated cold-code programs: of 661 TBs, about 391 run once, 258
+#: twice and 12 more often; compiling on the first entry made that
+#: workload about 2.4x slower and 37% larger, on the second 1.6x
+#: slower, on the eighth no faster.  SPEC-style hot loops enter their
+#: TBs hundreds of times and lose nothing by the wait.
 HOT_THRESHOLD = 3
 
 _MASK = 0xFFFFFFFF
@@ -71,8 +73,8 @@ class ExitInfo:
 class _Block:
     """One basic block of a compiled TB."""
 
-    __slots__ = ("start", "count", "tags", "insn_tags", "body", "kind",
-                 "insn", "pred", "next", "taken")
+    __slots__ = ("start", "count", "tags", "insn_tags", "body", "lines",
+                 "kind", "insn", "pred", "next", "taken")
 
     def __init__(self, start: int, insns: List[X86Insn]):
         self.start = start                 # index of its first insn in tb.code
@@ -84,7 +86,8 @@ class _Block:
         #: order the interpreter would create by_tag keys in.
         self.tags = tuple(counts.items())
         self.insn_tags = tuple(insn.tag for insn in insns)
-        self.body: tuple = ()
+        self.body = None                   # generated function, if any
+        self.lines: tuple = ()             # its source line -> insn index
         self.insn = insns[-1]              # the terminator, when kind != _NEXT
         self.kind = _NEXT
         self.pred = None                   # JCC condition predicate
@@ -93,7 +96,8 @@ class _Block:
 
 
 class _Program:
-    """A TB's threaded code, tagged with the interpreter it is bound to."""
+    """A TB's compiled blocks, tagged with the interpreter they are bound
+    to."""
 
     __slots__ = ("owner", "entry")
 
@@ -128,6 +132,8 @@ class HostInterpreter:
         #: (pc, mmu_idx) of the TB charges are attributed to, or None
         #: when cost is being charged outside any block.
         self._profile_key = None
+        #: generated block source -> its code object (see _generate)
+        self._codes: dict = {}
 
     def note_side_effect(self, kind: str = "") -> None:
         """Mark the current execute() call as non-replayable."""
@@ -181,8 +187,9 @@ class HostInterpreter:
         to the cpu_exec loop.
 
         A TB entered fewer than :data:`HOT_THRESHOLD` times is
-        interpreted; a hotter one runs as threaded code compiled once and
-        kept on ``tb.compiled``.  Both forms keep these invariants, so
+        interpreted; a hotter one runs compiled: as basic blocks whose
+        bodies are generated functions, built once and kept on
+        ``tb.compiled``.  Both forms keep these invariants, so
         ``total``, ``by_tag``, the profiler's tag map and the watchdog's
         ``trips`` are identical whichever form ran:
 
@@ -195,12 +202,16 @@ class HostInterpreter:
           unmapped address, or a helper's ``InjectedFault`` or
           ``TbExitException``), the counts cover exactly the
           instructions up to and including it: a compiled block takes
-          back the counts of the instructions after it.  Nothing rolls
+          back the counts of the instructions after the one its body's
+          raising source line belongs to.  A body writes every flag
+          before an instruction that can raise and at its end, so flags
+          and registers are the interpreter's too.  Nothing rolls
           counters back further; ``MachineSnapshot`` does not either.
         - ``self.on_tb_enter``, ``self.runtime``, ``self.tracer`` and
           ``tb.jmp_target`` are read when used, never bound into a
           program, so rebinding them takes effect at once.  A program
-          binds only this interpreter's ``cpu`` and ``memory``, and a TB
+          binds only this interpreter's ``cpu`` and ``memory`` (and its
+          bodies' code objects come from this interpreter's memo), and a TB
           whose program another interpreter built (the self-check
           sandbox's copy) runs interpreted.
         - TB-like objects without ``exec_count`` are always interpreted.
@@ -459,10 +470,10 @@ class HostInterpreter:
         cpu.set_nz(result)
         self._write(insn.dst, result)
 
-    # -- threaded code: running it ---------------------------------------------------
+    # -- compiled code: running it ---------------------------------------------------
 
     def _program_entry(self, tb) -> Optional[_Block]:
-        """Entry block of *tb*'s threaded code, compiling it on the entry
+        """Entry block of *tb*'s compiled code, compiling it on the entry
         that makes the TB hot; None while *tb* is to be interpreted."""
         program = getattr(tb, "compiled", None)
         if program is None:
@@ -473,7 +484,7 @@ class HostInterpreter:
 
     def _run_compiled(self, tb, block: _Block, executed: int, pending_chain,
                       limit: int, prof_tags):
-        """Run *tb*'s threaded code from *block*; returns like
+        """Run *tb*'s compiled code from *block*; returns like
         :meth:`_interpret`."""
         cpu = self.cpu
         by_tag = self.by_tag
@@ -491,15 +502,12 @@ class HostInterpreter:
             if prof_tags is not None:
                 for tag, tag_count in block.tags:
                     prof_tags[tag] += tag_count
-            body = block.body
-            if body:
+            if block.body is not None:
                 try:
-                    for fn in body:
-                        fn()
-                except BaseException:
-                    # Closures are distinct objects, so the one still
-                    # bound to ``fn`` locates the raising instruction.
-                    self._uncount(block, body.index(fn) + 1, prof_tags)
+                    block.body()
+                except BaseException as error:
+                    self._uncount(block, _raised_at(block, error) + 1,
+                                  prof_tags)
                     raise
             kind = block.kind
             if kind == _JCC:
@@ -539,12 +547,13 @@ class HostInterpreter:
                 if counter[tag] == 0:
                     del counter[tag]
 
-    # -- threaded code: compiling it -------------------------------------------------
+    # -- generated code: compiling it ------------------------------------------------
 
     def _compile(self, code: List[X86Insn]) -> Optional[_Block]:
-        """Split *code* into basic blocks of closures; returns the entry
-        block, or None when a jump target is invalid (such code stays
-        interpreted, so it fails exactly as the interpreter makes it)."""
+        """Split *code* into basic blocks with generated bodies; returns
+        the entry block, or None when a jump target is invalid (such code
+        stays interpreted, so it fails exactly as the interpreter makes
+        it)."""
         end = len(code)
         leaders = {0}
         for index, insn in enumerate(code):
@@ -568,7 +577,8 @@ class HostInterpreter:
             if last.op in _TERMINATORS:
                 block.kind = _TERMINATORS[last.op]
                 body = body[:-1]
-            block.body = tuple(self._compile_insn(insn) for insn in body)
+            if body:
+                block.body, block.lines = self._generate(body)
             if last.op is X86Op.JMP:
                 block.next = blocks.get(last.target_index)
             elif last.op is X86Op.JCC:
@@ -576,306 +586,333 @@ class HostInterpreter:
                 block.pred = COND_TESTS[last.cond]
         return blocks[starts[0]]
 
-    def _compile_insn(self, insn: X86Insn) -> Callable[[], None]:
-        """A closure running one non-control instruction.
+    def _generate(self, insns: List[X86Insn]):
+        """``(function, lines)`` running *insns*; ``lines[n]`` is the
+        index of the instruction on source line *n*.  The code object is
+        compiled once per distinct source and kept in ``self._codes``."""
+        source = _BodySource(insns)
+        text, lines = source.text()
+        code = self._codes.get(text)
+        if code is None:
+            code = self._codes[text] = compile(text, "<host block>", "exec")
+        namespace = {"R": self.cpu.regs, "C": self.cpu, "STEP": self._step,
+                     "SITE": self._site, **_STRUCT, **source.names}
+        exec(code, namespace)
+        return namespace["body"], lines
 
-        The hot ops on their common operand kinds get their own
-        implementation; everything else calls the interpreter's step.
-        """
-        op, dst, src = insn.op, insn.dst, insn.src
-        fast = None
-        if op is X86Op.MOV:
-            fast = self._compile_mov(dst, src)
-        elif op is X86Op.LEA:
-            fast = self._compile_lea(dst, src)
-        elif op in _ALU_OPS:
-            fast = self._compile_alu(op, dst, src)
-        elif op is X86Op.SHL or op is X86Op.SHR or op is X86Op.SAR:
-            fast = self._compile_shift(op, dst, src)
-        elif op is X86Op.PUSH:
-            fast = self._compile_push(src)
-        elif op is X86Op.POP:
-            fast = self._compile_pop(dst)
-        elif op is X86Op.SETCC:
-            fast = self._compile_setcc(insn.cond, dst)
-        return fast if fast is not None else partial(self._step, insn)
+    def _site(self, addr: int, size: int):
+        """A memory site's new cached region ``(base, end - size, data)``;
+        raises the interpreter's error when *addr* is unmapped."""
+        base, end, data = self.memory._find(addr, size)
+        return base, end - size, data
 
-    # Operand access, resolved at compile time.  Each helper returns None
-    # for an operand kind it does not handle; the caller then falls back
-    # to the interpreter's step, which raises the interpreter's errors.
 
-    def _address_of(self, mem: Mem) -> Callable[[], int]:
-        regs = self.cpu.regs
-        base, index, scale, disp = mem.base, mem.index, mem.scale, mem.disp
-        if index is None:
-            if base is None:
-                addr = u32(disp)
-                return lambda: addr
-            return lambda: (regs[base] + disp) & _MASK
-        if base is None:
-            return lambda: (regs[index] * scale + disp) & _MASK
-        return lambda: (regs[base] + regs[index] * scale + disp) & _MASK
+def _raised_at(block: _Block, error: BaseException) -> int:
+    """Index of the instruction of *block* whose source line raised."""
+    frame = error.__traceback__
+    while frame.tb_frame.f_code is not block.body.__code__:
+        frame = frame.tb_next
+    return block.lines[frame.tb_lineno]
 
-    def _reader(self, operand) -> Optional[Callable[[], int]]:
-        kind = type(operand)
-        if kind is Reg:
-            regs, number = self.cpu.regs, operand.number
-            return lambda: regs[number]
-        if kind is Imm:
-            value = u32(operand.value)
-            return lambda: value
-        if kind is Mem:
-            address, read, size = (self._address_of(operand),
-                                   self.memory.read, operand.size)
-            return lambda: read(address(), size)
+
+#: struct accessors the generated bodies name.
+_STRUCT = {"U2": struct.Struct("<H").unpack_from,
+           "U4": struct.Struct("<I").unpack_from,
+           "P2": struct.Struct("<H").pack_into,
+           "P4": struct.Struct("<I").pack_into}
+
+_ALL_FLAGS = frozenset("czso")   # cf, zf, sf, of: cpu attribute <letter>f
+
+_RM = (Reg, Mem)
+_RIM = (Reg, Imm, Mem)
+_ANY = None                     # an operand the op ignores
+
+#: The ops the generator covers: op -> (dst kinds, src kinds, flags read,
+#: flags written).  Any other op or operand kind runs ``STEP(insn)``.
+_COVERED = {
+    X86Op.MOV: (_RM, _RIM, "", ""), X86Op.MOVZX: (_RM, _RIM, "", ""),
+    X86Op.LEA: ((Reg,), (Mem,), "", ""),
+    X86Op.ADD: (_RM, _RIM, "", "czso"), X86Op.ADC: (_RM, _RIM, "c", "czso"),
+    X86Op.SUB: (_RM, _RIM, "", "czso"), X86Op.SBB: (_RM, _RIM, "c", "czso"),
+    X86Op.CMP: (_RIM, _RIM, "", "czso"), X86Op.TEST: (_RIM, _RIM, "", "zs"),
+    X86Op.AND: (_RM, _RIM, "", "zs"), X86Op.OR: (_RM, _RIM, "", "zs"),
+    X86Op.XOR: (_RM, _RIM, "", "zs"), X86Op.IMUL: (_RM, _RIM, "", "zs"),
+    X86Op.NEG: (_RM, _ANY, "", "czso"), X86Op.NOT: (_RM, _ANY, "", ""),
+    X86Op.INC: (_RM, _ANY, "", "zso"), X86Op.DEC: (_RM, _ANY, "", "zso"),
+    X86Op.SHL: (_RM, (Imm,), "", "czs"), X86Op.SHR: (_RM, (Imm,), "", "czs"),
+    X86Op.SAR: (_RM, (Imm,), "", "czs"),
+    X86Op.PUSH: (_ANY, _RIM, "", ""), X86Op.POP: (_RM, _ANY, "", ""),
+    X86Op.PUSHFD: (_ANY, _ANY, "czso", ""),
+    X86Op.POPFD: (_ANY, _ANY, "", "czso"),
+    X86Op.SETCC: (_RM, _ANY, "", ""), X86Op.CMC: (_ANY, _ANY, "c", "c"),
+    X86Op.STC: (_ANY, _ANY, "", "c"), X86Op.CLC: (_ANY, _ANY, "", "c"),
+    X86Op.NOPSLOT: (_ANY, _ANY, "", ""),
+}
+_SHIFTS = (X86Op.SHL, X86Op.SHR, X86Op.SAR)
+_LOGIC = {X86Op.AND: "&", X86Op.TEST: "&", X86Op.OR: "|", X86Op.XOR: "^"}
+_CARRY = {X86Op.CMC: "C.cf ^ 1", X86Op.STC: "1", X86Op.CLC: "0"}
+
+
+def _flag_use(insn: X86Insn):
+    """``(reads, writes, raises)`` of *insn*, or None when it is stepped."""
+    covered = _COVERED.get(insn.op)
+    if covered is None:
         return None
+    dst_kinds, src_kinds, reads, writes = covered
+    for operand, kinds in ((insn.dst, dst_kinds), (insn.src, src_kinds)):
+        if kinds is not None and type(operand) not in kinds:
+            return None
+    if insn.op is X86Op.SETCC:
+        expr = COND_EXPRS[insn.cond]
+        reads = [flag for flag in "czso" if f"C.{flag}f" in expr]
+    elif insn.op in _SHIFTS and not insn.src.value & 31:
+        writes = ""                  # a zero count changes nothing
+    raises = insn.op in (X86Op.PUSH, X86Op.POP, X86Op.PUSHFD, X86Op.POPFD) \
+        or insn.op is not X86Op.LEA and Mem in (type(insn.dst), type(insn.src))
+    return frozenset(reads), frozenset(writes), raises
 
-    def _writer(self, operand) -> Optional[Callable[[int], None]]:
-        kind = type(operand)
-        if kind is Reg:
-            regs, number = self.cpu.regs, operand.number
 
-            def write_reg(value: int) -> None:
-                regs[number] = value & _MASK
-            return write_reg
-        if kind is Mem:
-            address, write, size = (self._address_of(operand),
-                                    self.memory.write, operand.size)
-            return lambda value: write(address(), value, size)
-        return None
+class _BodySource:
+    """Python source of one basic block's body, and the globals it names.
 
-    def _slot(self, operand):
-        """``(array, index)`` holding a Reg or Imm operand's value, so a
-        closure reads either kind as ``array[index]`` without a call."""
+    Operands, sizes, shift counts and conditions are resolved into the
+    text.  Immediates, displacements and stepped instructions are
+    globals ``K<n>``/``I<n>``, so bodies that differ only in them share
+    one source.  Each memory operand is a *site*: its globals ``B<n>``,
+    ``E<n>``, ``A<n>`` cache ``(base, end - size, data)`` of the region
+    it last hit, refilled through ``SITE`` on a miss.
+
+    A flag write is emitted only when the flag is live after it.  Every
+    flag is live at the block's end (the watchdog may interpret the next
+    block) and before an instruction that can raise (a memory access or
+    a stepped instruction), so a fault leaves the flags the interpreter
+    leaves.
+    """
+
+    def __init__(self, insns: List[X86Insn]):
+        self.names: dict = {}
+        self.body: List[str] = []
+        self.at: List[int] = []       # instruction index of each body line
+        self.sites = 0
+        uses = [_flag_use(insn) for insn in insns]
+        live, live_after = _ALL_FLAGS, []
+        for use in reversed(uses):
+            live_after.append(live)
+            live = _ALL_FLAGS if use is None or use[2] \
+                else (live - use[1]) | use[0]
+        for self.index, (insn, use, live) in enumerate(
+                zip(insns, uses, reversed(live_after))):
+            if use is None:
+                self.line(f"STEP({self.name('I', insn)})")
+            else:
+                getattr(self, "_" + insn.op.name.lower())(insn, use[1] & live)
+
+    def text(self):
+        """``(source, lines)``: *lines* maps a source line number to the
+        index of the instruction it belongs to."""
+        head = ["def body():"]
+        if self.sites:
+            head.append(" global " + ", ".join(
+                f"B{k}, E{k}, A{k}" for k in range(self.sites)))
+        lines = (-1,) * (len(head) + 1) + tuple(self.at)
+        return "\n".join(head + (self.body or [" pass"])) + "\n", lines
+
+    # Building blocks.
+
+    def line(self, text: str) -> None:
+        self.body.append(" " + text)
+        self.at.append(self.index)
+
+    def name(self, prefix: str, value) -> str:
+        name = f"{prefix}{len(self.names)}"
+        self.names[name] = value
+        return name
+
+    def site(self, addr: str, size: int) -> int:
+        """Emit the cache check of a new site at *addr*; its number."""
+        k = self.sites
+        self.sites += 1
+        self.names.update({f"B{k}": 0, f"E{k}": -1, f"A{k}": None})
+        self.line(f"a{k} = {addr}")
+        self.line(f"if not B{k} <= a{k} <= E{k}: "
+                  f"B{k}, E{k}, A{k} = SITE(a{k}, {size})")
+        return k
+
+    def addr(self, mem: Mem) -> str:
+        terms = [] if mem.base is None else [f"R[{mem.base}]"]
+        if mem.index is not None:
+            terms.append(f"R[{mem.index}] * {mem.scale}")
+        if not terms:
+            return self.name("K", u32(mem.disp))
+        return f"({' + '.join(terms)} + {self.name('K', mem.disp)}) & {_MASK}"
+
+    def value(self, operand) -> str:
+        """An expression for a Reg/Imm/Mem operand's value; a memory
+        operand's site is checked here, before anything else runs."""
         if type(operand) is Reg:
-            return self.cpu.regs, operand.number
+            return f"R[{operand.number}]"
         if type(operand) is Imm:
-            return [u32(operand.value)], 0
-        return None
+            return self.name("K", u32(operand.value))
+        return self.load(self.site(self.addr(operand), operand.size),
+                         operand.size)
 
     @staticmethod
-    def _base_disp(operand):
-        """``(base, disp, size)`` of a ``[base + disp]`` memory operand."""
-        if type(operand) is Mem and operand.index is None and \
-                operand.base is not None:
-            return operand.base, operand.disp, operand.size
-        return None
+    def load(k: int, size: int) -> str:
+        if size == 1:
+            return f"A{k}[a{k} - B{k}]"
+        return f"U{size}(A{k}, a{k} - B{k})[0]"
 
-    # Specialised closures for the hot ops.
+    def store(self, operand, expr: str, k: Optional[int] = None) -> None:
+        """Write the u32 *expr* to a Reg/Mem operand; *k* is the site the
+        operand was already read through."""
+        if type(operand) is Reg:
+            self.line(f"R[{operand.number}] = {expr}")
+            return
+        if k is None:
+            k = self.site(self.addr(operand), operand.size)
+        if operand.size == 1:
+            self.line(f"A{k}[a{k} - B{k}] = ({expr}) & 255")
+        else:
+            mask = "" if operand.size == 4 else " & 65535"
+            self.line(f"P{operand.size}(A{k}, a{k} - B{k}, ({expr}){mask})")
 
-    def _compile_mov(self, dst, src):
-        regs = self.cpu.regs
-        source = self._slot(src)
-        if type(dst) is Reg:
-            target = dst.number
-            if source is not None:
-                values, index = source
+    def flags(self, writes, **exprs) -> None:
+        """Set the flags in *writes*; Z and N default to result ``r``'s."""
+        exprs = {"z": "0 if r else 1", "s": "r >> 31", **exprs}
+        for flag in sorted(writes):
+            self.line(f"C.{flag}f = {exprs[flag]}")
 
-                def mov_reg():
-                    regs[target] = values[index]
-                return mov_reg
-            mem = self._base_disp(src)
-            if mem is not None:
-                base, disp, size = mem
-                read = self.memory.read
+    def result(self, insn: X86Insn, writes, expr: str, k, **exprs) -> None:
+        """Set *writes* from result ``r`` = *expr*, then store it unless
+        *insn* only compares."""
+        if writes:
+            self.line(f"r = {expr}")
+            self.flags(writes, **exprs)
+            expr = "r"
+        if insn.op not in (X86Op.CMP, X86Op.TEST):
+            self.store(insn.dst, expr, k)
 
-                def load():
-                    regs[target] = read((regs[base] + disp) & _MASK, size)
-                return load
-        mem = self._base_disp(dst)
-        if mem is not None and source is not None:
-            base, disp, size = mem
-            values, index = source
-            write = self.memory.write
+    def target(self, insn: X86Insn):
+        """``(site or None, value)`` of *insn*'s destination."""
+        k = self.sites if type(insn.dst) is Mem else None
+        return k, self.value(insn.dst)
 
-            def store():
-                write((regs[base] + disp) & _MASK, values[index], size)
-            return store
-        read, write_to = self._reader(src), self._writer(dst)
-        if read is None or write_to is None:
-            return None
-        return lambda: write_to(read())
+    def operands(self, insn: X86Insn):
+        """``(dst site or None, dst value, src value)``."""
+        return (*self.target(insn), self.value(insn.src))
 
-    def _compile_lea(self, dst, src):
-        if type(dst) is not Reg or type(src) is not Mem:
-            return None
-        regs, target = self.cpu.regs, dst.number
-        mem = self._base_disp(src)
-        if mem is not None:
-            base, disp, _ = mem
+    # One emitter per covered op; the op selects the variant.
 
-            def lea():
-                regs[target] = (regs[base] + disp) & _MASK
-            return lea
-        address = self._address_of(src)
+    def _mov(self, insn, writes):
+        self.store(insn.dst, self.value(insn.src))
 
-        def lea_any():
-            regs[target] = address()
-        return lea_any
+    def _movzx(self, insn, writes):
+        self.store(insn.dst, f"R[{insn.src.number}] & 255"
+                   if type(insn.src) is Reg else self.value(insn.src))
 
-    def _compile_alu(self, op, dst, src):
-        cpu = self.cpu
-        regs = cpu.regs
-        source = self._slot(src)
-        if type(dst) is not Reg or source is None:
-            # Memory operands: read, combine with the shared flag
-            # helpers, write back.
-            read_dst, read_src = self._reader(dst), self._reader(src)
-            if read_dst is None or read_src is None:
-                return None
-            combine = _ALU_OPS[op]
-            if op is X86Op.CMP or op is X86Op.TEST:
-                return lambda: combine(cpu, read_dst(), read_src())
-            write_dst = self._writer(dst)
-            if write_dst is None:
-                return None
-            return lambda: write_dst(combine(cpu, read_dst(), read_src()))
-        target = dst.number
-        values, index = source
-        if op is X86Op.ADD:
-            def add():
-                a = regs[target]
-                b = values[index]
-                total = a + b
-                result = total & _MASK
-                regs[target] = result
-                cpu.cf = 1 if total > _MASK else 0
-                cpu.of = (~(a ^ b) & (a ^ result)) >> 31
-                cpu.zf = 1 if result == 0 else 0
-                cpu.sf = result >> 31
-            return add
-        if op is X86Op.SUB or op is X86Op.CMP:
-            write_back = op is X86Op.SUB
+    def _lea(self, insn, writes):
+        self.store(insn.dst, self.addr(insn.src))
 
-            def sub():
-                a = regs[target]
-                b = values[index]
-                result = (a - b) & _MASK
-                if write_back:
-                    regs[target] = result
-                cpu.cf = 1 if b > a else 0
-                cpu.of = ((a ^ b) & (a ^ result)) >> 31
-                cpu.zf = 1 if result == 0 else 0
-                cpu.sf = result >> 31
-            return sub
-        # AND/OR/XOR/TEST set N/Z only (see HostCpu.flags_logic).
-        if op is X86Op.AND or op is X86Op.TEST:
-            write_back = op is X86Op.AND
+    def _add(self, insn, writes):
+        k, a, b = self.operands(insn)
+        carry = " + C.cf" if insn.op is X86Op.ADC else ""
+        total = f"{a} + {b}{carry}"
+        if writes:
+            self.line(f"x = {a}; y = {b}; t = x + y{carry}")
+            total = "t"
+        self.result(insn, writes, f"({total}) & {_MASK}", k, c="t >> 32",
+                    o="(~(x ^ y) & (x ^ r)) >> 31")
 
-            def and_():
-                result = regs[target] & values[index]
-                if write_back:
-                    regs[target] = result
-                cpu.zf = 1 if result == 0 else 0
-                cpu.sf = result >> 31
-            return and_
-        if op is X86Op.OR:
-            def or_():
-                result = regs[target] | values[index]
-                regs[target] = result
-                cpu.zf = 1 if result == 0 else 0
-                cpu.sf = result >> 31
-            return or_
+    def _sub(self, insn, writes):
+        k, a, b = self.operands(insn)
+        borrow = " + C.cf" if insn.op is X86Op.SBB else ""
+        subtrahend = "t" if borrow else "y"
+        if writes:
+            self.line(f"x = {a}; y = {b}; t = y{borrow}" if borrow
+                      else f"x = {a}; y = {b}")
+            a, b, borrow = "x", subtrahend, ""
+        self.result(insn, writes, f"({a} - ({b}{borrow})) & {_MASK}", k,
+                    c=f"1 if {subtrahend} > x else 0",
+                    o="((x ^ y) & (x ^ r)) >> 31")
 
-        def xor():
-            result = regs[target] ^ values[index]
-            regs[target] = result
-            cpu.zf = 1 if result == 0 else 0
-            cpu.sf = result >> 31
-        return xor
+    def _and(self, insn, writes):
+        k, a, b = self.operands(insn)
+        self.result(insn, writes, f"{a} {_LOGIC[insn.op]} {b}", k)
 
-    def _compile_shift(self, op, dst, src):
-        if type(dst) is not Reg or type(src) is not Imm:
-            return None
-        cpu = self.cpu
-        regs, target = cpu.regs, dst.number
-        amount = src.value & 31
-        if amount == 0:
-            return lambda: None              # flags and value unchanged
-        if op is X86Op.SHL:
-            def shl():
-                value = regs[target]
-                cpu.cf = (value >> (32 - amount)) & 1
-                result = (value << amount) & _MASK
-                cpu.zf = 1 if result == 0 else 0
-                cpu.sf = result >> 31
-                regs[target] = result
-            return shl
-        if op is X86Op.SHR:
-            def shr():
-                value = regs[target]
-                cpu.cf = (value >> (amount - 1)) & 1
-                result = value >> amount
-                cpu.zf = 1 if result == 0 else 0
-                cpu.sf = result >> 31
-                regs[target] = result
-            return shr
+    def _imul(self, insn, writes):
+        # u32(s32(a) * s32(b)) == u32(a * b).
+        k, a, b = self.operands(insn)
+        self.result(insn, writes, f"{a} * {b} & {_MASK}", k)
 
-        def sar():
-            signed = s32(regs[target])
-            cpu.cf = (signed >> (amount - 1)) & 1
-            result = (signed >> amount) & _MASK
-            cpu.zf = 1 if result == 0 else 0
-            cpu.sf = result >> 31
-            regs[target] = result
-        return sar
+    def _neg(self, insn, writes):
+        k, value = self.target(insn)
+        self.line(f"x = {value}")
+        self.result(insn, writes, f"-x & {_MASK}", k, c="1 if x else 0",
+                    o="(x & r) >> 31")
 
-    def _compile_push(self, src):
-        regs, write = self.cpu.regs, self.memory.write
-        source = self._slot(src)
-        if source is not None:
-            values, index = source
+    def _not(self, insn, writes):
+        k, value = self.target(insn)
+        self.store(insn.dst, f"{value} ^ {_MASK}", k)
 
-            def push():
-                regs[ESP] = (regs[ESP] - 4) & _MASK
-                write(regs[ESP], values[index])
-            return push
-        read = self._reader(src)
-        if read is None:
-            return None
+    def _inc(self, insn, writes):
+        k, value = self.target(insn)
+        step, overflow = ("+", 0x80000000) if insn.op is X86Op.INC \
+            else ("-", 0x7FFFFFFF)
+        self.result(insn, writes, f"({value} {step} 1) & {_MASK}", k,
+                    o=f"1 if r == {overflow} else 0")
 
-        def push_any():
-            # ESP moves first: a [esp + d] source sees the new value.
-            regs[ESP] = (regs[ESP] - 4) & _MASK
-            write(regs[ESP], read())
-        return push_any
+    def _shl(self, insn, writes):
+        k, value = self.target(insn)   # read even when the count is zero
+        count = insn.src.value & 31
+        if not count:
+            return
+        op = insn.op
+        self.line(f"x = ({value} ^ 2147483648) - 2147483648"
+                  if op is X86Op.SAR else f"x = {value}")
+        expr = f"(x << {count}) & {_MASK}" if op is X86Op.SHL \
+            else f"(x >> {count}) & {_MASK}"
+        carry = f"(x >> {32 - count}) & 1" if op is X86Op.SHL \
+            else f"(x >> {count - 1}) & 1"
+        self.result(insn, writes, expr, k, c=carry)
 
-    def _compile_pop(self, dst):
-        regs, read = self.cpu.regs, self.memory.read
-        write_dst = self._writer(dst)
-        if write_dst is None:
-            return None
+    def _push(self, insn, writes):
+        # ESP moves first: a [esp + d] source sees the new value.
+        esp = f"R[{ESP}]"
+        self.line(f"{esp} = ({esp} - 4) & {_MASK}")
+        value = self.value(insn.src) if insn.op is X86Op.PUSH \
+            else "C.cf | C.zf << 6 | C.sf << 7 | C.of << 11 | 2"
+        k = self.site(esp, 4)
+        self.line(f"P4(A{k}, a{k} - B{k}, {value})")
 
-        def pop():
-            # The destination is written before ESP moves (pop [esp + d]).
-            write_dst(read(regs[ESP], 4))
-            regs[ESP] = (regs[ESP] + 4) & _MASK
-        return pop
+    def _pop(self, insn, writes):
+        # The destination is written before ESP moves (pop [esp + d]).
+        esp = f"R[{ESP}]"
+        value = self.load(self.site(esp, 4), 4)
+        if insn.op is X86Op.POP:
+            self.store(insn.dst, value)
+        else:
+            self.line(f"v = {value}")
+            self.flags(writes, c="v & 1", z="v >> 6 & 1", s="v >> 7 & 1",
+                       o="v >> 11 & 1")
+        self.line(f"{esp} = ({esp} + 4) & {_MASK}")
 
-    def _compile_setcc(self, cond, dst):
-        cpu = self.cpu
-        pred = COND_TESTS[cond]
-        if type(dst) is Reg:
-            regs, target = cpu.regs, dst.number
+    def _setcc(self, insn, writes):
+        bit = f"(1 if {COND_EXPRS[insn.cond]} else 0)"
+        if type(insn.dst) is Reg:
+            reg = f"R[{insn.dst.number}]"
+            self.line(f"{reg} = {reg} & 0xFFFFFF00 | {bit}")
+        else:
+            self.store(insn.dst, bit)
 
-            def setcc():
-                regs[target] = (regs[target] & 0xFFFFFF00) | \
-                    (1 if pred(cpu) else 0)
-            return setcc
-        write_dst = self._writer(dst)
-        if write_dst is None:
-            return None
-        return lambda: write_dst(1 if pred(cpu) else 0)
+    def _carry(self, insn, writes):
+        # NOPSLOT writes no flag, so it emits nothing.
+        self.flags(writes, c=_CARRY.get(insn.op))
 
-
-#: ALU ops with a compiled form, each mapped to its combine step over the
-#: shared flag helpers (used for memory operands).
-_ALU_OPS = {
-    X86Op.ADD: lambda cpu, a, b: cpu.flags_add(a, b),
-    X86Op.SUB: lambda cpu, a, b: cpu.flags_sub(a, b),
-    X86Op.CMP: lambda cpu, a, b: cpu.flags_sub(a, b),
-    X86Op.AND: lambda cpu, a, b: cpu.flags_logic(a & b),
-    X86Op.OR: lambda cpu, a, b: cpu.flags_logic(a | b),
-    X86Op.XOR: lambda cpu, a, b: cpu.flags_logic(a ^ b),
-    X86Op.TEST: lambda cpu, a, b: cpu.flags_logic(a & b),
-}
+    _adc = _add
+    _sbb = _cmp = _sub
+    _or = _xor = _test = _and
+    _dec = _inc
+    _shr = _sar = _shl
+    _pushfd = _push
+    _popfd = _pop
+    _cmc = _stc = _clc = _nopslot = _carry

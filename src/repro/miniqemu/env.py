@@ -16,7 +16,9 @@ word or the per-bit fields hold the live condition codes.
 
 from __future__ import annotations
 
-from ..common.bitops import u32
+import struct
+
+from ..common.bitops import MASK32
 
 # --- host virtual address map of the emulator process ----------------------
 
@@ -55,6 +57,11 @@ def env_vfp(index: int) -> int:
 
 ENV_FLAG_OFFSETS = {"N": ENV_NF, "Z": ENV_ZF, "C": ENV_CF, "V": ENV_VF}
 
+#: One env word, r0..r15 and s0..s31, packed and unpacked in place.
+_WORD = struct.Struct("<I")
+_REGS = struct.Struct("<16I")
+_VFP = struct.Struct("<32I")
+
 
 class Env:
     """Python-side accessor over the env bytearray (aliased into host memory)."""
@@ -65,10 +72,10 @@ class Env:
     # -- raw field access ---------------------------------------------------
 
     def read(self, offset: int) -> int:
-        return int.from_bytes(self.data[offset:offset + 4], "little")
+        return _WORD.unpack_from(self.data, offset)[0]
 
     def write(self, offset: int, value: int) -> None:
-        self.data[offset:offset + 4] = u32(value).to_bytes(4, "little")
+        _WORD.pack_into(self.data, offset, value & MASK32)
 
     # -- named accessors ------------------------------------------------------
 
@@ -90,16 +97,16 @@ class Env:
 
     def load_from_cpu(self, cpu) -> None:
         """Copy the architectural state into env (QEMU-visible form)."""
-        for index in range(16):
-            self.set_reg(index, cpu.regs[index])
+        _REGS.pack_into(self.data, ENV_REGS,
+                        *[value & MASK32 for value in cpu.regs])
         self.write(ENV_NF, (cpu.cpsr >> 31) & 1)
         self.write(ENV_ZF, (cpu.cpsr >> 30) & 1)
         self.write(ENV_CF, (cpu.cpsr >> 29) & 1)
         self.write(ENV_VF, (cpu.cpsr >> 28) & 1)
         self.write(ENV_CPSR_REST, cpu.cpsr & 0x0FFFFFFF)
         self.write(ENV_PACKED_VALID, 0)
-        for index in range(32):
-            self.write(env_vfp(index), cpu.vfp[index])
+        _VFP.pack_into(self.data, ENV_VFP,
+                       *[value & MASK32 for value in cpu.vfp])
         self.write(ENV_FPSCR, cpu.fpscr)
 
     def store_to_cpu(self, cpu) -> None:
@@ -116,9 +123,7 @@ class Env:
         new_cpsr = (self.read(ENV_CPSR_REST) & 0x0FFFFFFF) | nzcv
         if (new_cpsr & 0x1F) != cpu.mode:
             cpu.switch_mode(new_cpsr & 0x1F)
-        for index in range(16):
-            cpu.regs[index] = self.get_reg(index)
+        cpu.regs[:] = _REGS.unpack_from(self.data, ENV_REGS)
         cpu.cpsr = new_cpsr
-        for index in range(32):
-            cpu.vfp[index] = self.read(env_vfp(index))
+        cpu.vfp[:] = _VFP.unpack_from(self.data, ENV_VFP)
         cpu.fpscr = self.read(ENV_FPSCR)

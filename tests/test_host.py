@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import repro.host.interp as host_interp
 from repro.common.errors import HostExecutionError
 from repro.core import OptLevel, make_rule_engine
-from repro.host import (CodeBuilder, EAX, EBX, ECX, EDX, ESP, HostCpu,
+from repro.host import (CodeBuilder, EAX, EBX, ECX, EDX, ESI, ESP, HostCpu,
                         HostInterpreter, HostMemory, Imm, Mem, Reg, X86Cond,
                         X86Insn, X86Op)
 from repro.host.interp import HOT_THRESHOLD
@@ -608,3 +608,92 @@ loop:
     assert reference_text == text
     assert reference.stats() == stats
     assert list(reference.stats()) == list(stats)
+
+
+def shaped_code(disp, value):
+    """One block: load [ebx + disp], add *value*, store it 4 bytes on."""
+    builder = CodeBuilder()
+    builder.mov(Reg(EAX), Mem(base=EBX, disp=disp))
+    builder.add(Reg(EAX), Imm(value))
+    builder.mov(Mem(base=EBX, disp=disp + 4), Reg(EAX))
+    builder.exit_tb(0)
+    return builder.finish()
+
+
+def test_bodies_of_one_shape_share_code_but_not_constants():
+    codes = [shaped_code(0x100, 5), shaped_code(0x208, 0x7FFFFFFF)]
+    for code in codes:
+        interpreted, compiled = run_both_ways(code, flat_state())
+        assert compiled == interpreted
+    # Both TBs hot in one interpreter against both interpreted.
+    seen = []
+    for exec_count in (0, HOT_THRESHOLD):
+        interp, data = make_state(flat_state())
+        tbs = [HotTb(code, exec_count, pc=pc)
+               for pc, code in zip((0x10, 0x20), codes)]
+        seen.append(observe(interp, data, lambda: [
+            interp.execute(tb) for tb in tbs][-1]))
+    assert seen[1] == seen[0]
+    assert all(tb.compiled.entry.body is not None for tb in tbs)
+    assert tbs[0].compiled.entry.body is not tbs[1].compiled.entry.body
+    assert len(interp._codes) == 1      # one code object for both bodies
+
+
+TABLE = 0x80      # low-region address table the region loop walks
+HIGH_BASE = 0x1000
+
+
+def region_loop():
+    """Walk TABLE: for each entry, mov eax, [entry] and store a sum."""
+    builder = CodeBuilder()
+    loop = builder.new_label()
+    builder.bind(loop)
+    builder.mov(Reg(EBX), Mem(base=ESI, disp=0))
+    builder.mov(Reg(EAX), Mem(base=EBX, disp=0))
+    builder.add(Reg(ECX), Reg(EAX))
+    builder.mov(Mem(base=EBX, disp=4), Reg(ECX))
+    builder.add(Reg(ESI), Imm(4))
+    builder.sub(Reg(EDX), Imm(1))
+    builder.jcc(X86Cond.NE, loop)
+    builder.exit_tb(0)
+    return builder.finish()
+
+
+def run_two_regions(exec_count, iterations):
+    """The region loop on a low and a high region with a gap between."""
+    low, high = bytearray(range(256)), bytearray(range(255, -1, -1))
+    addresses = [0x10, HIGH_BASE + 0x20, 0x30, HIGH_BASE + 0x40, 0x800,
+                 HIGH_BASE + 0x50]
+    for slot, address in enumerate(addresses):
+        low[TABLE + 4 * slot:TABLE + 4 * slot + 4] = \
+            address.to_bytes(4, "little")
+    memory = HostMemory()
+    memory.map_region(0, low, "low")
+    memory.map_region(HIGH_BASE, high, "high")
+    finds = []
+    find = memory._find
+    memory._find = lambda addr, size: finds.append(addr) or find(addr,
+                                                                 size)
+    cpu = HostCpu(stack_top=0x100)
+    cpu.regs[ESI], cpu.regs[EDX] = TABLE, iterations
+    interp = HostInterpreter(cpu, memory)
+    interp.profiler = Profiler()
+    tb = HotTb(region_loop(), exec_count)
+    seen = observe(interp, low, lambda: interp.execute(tb))
+    seen["high"] = bytes(high)
+    return seen, finds
+
+
+@pytest.mark.parametrize("iterations", [4, 6])
+def test_memory_site_follows_its_operand_across_regions(iterations):
+    """Four iterations alternate regions; six also reach the unmapped
+    0x800 on the fifth, which must fault as the interpreter faults."""
+    interpreted, _ = run_two_regions(0, iterations)
+    compiled, finds = run_two_regions(HOT_THRESHOLD, iterations)
+    assert compiled == interpreted
+    assert len(finds) >= 4             # the sites refilled on region changes
+    if iterations == 6:
+        assert compiled["outcome"][0] == "HostExecutionError"
+        assert "0x00000800" in compiled["outcome"][1]
+    else:
+        assert compiled["outcome"] == (0, None)
