@@ -29,11 +29,11 @@ from typing import Any, Dict, List
 
 from ..core.analysis import (flags_read, flags_written_may, regs_read,
                              regs_written)
-from ..guest.isa import ArmInsn, Cond, Op
+from ..guest.isa import ArmInsn, Cond
 
 
 def _is_barrier(insn: ArmInsn) -> bool:
-    return (insn.is_system() or insn.op is Op.SVC or insn.writes_pc() or
+    return (insn.is_system() or insn.writes_pc() or
             insn.is_branch() or insn.cond != Cond.AL)
 
 

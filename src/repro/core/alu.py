@@ -30,6 +30,40 @@ from .analysis import flags_written
 from .condmap import CarryKind
 from .regcache import RegCache
 
+# Enum members bound once for the per-instruction code: on Python 3.10
+# and 3.11 each ``Enum.MEMBER`` lookup runs EnumType.__getattr__
+# (docs/internals.md, "Per-instruction Python costs").
+_OP_ADC = Op.ADC
+_OP_ADD = Op.ADD
+_OP_AND = Op.AND
+_OP_BIC = Op.BIC
+_OP_CLZ = Op.CLZ
+_OP_CMN = Op.CMN
+_OP_CMP = Op.CMP
+_OP_EOR = Op.EOR
+_OP_MLA = Op.MLA
+_OP_MOV = Op.MOV
+_OP_MUL = Op.MUL
+_OP_MVN = Op.MVN
+_OP_ORR = Op.ORR
+_OP_RSB = Op.RSB
+_OP_RSC = Op.RSC
+_OP_SBC = Op.SBC
+_OP_SUB = Op.SUB
+_OP_TEQ = Op.TEQ
+_OP_TST = Op.TST
+_SHIFT_ASR = ShiftKind.ASR
+_SHIFT_LSL = ShiftKind.LSL
+_SHIFT_LSR = ShiftKind.LSR
+_SHIFT_RRX = ShiftKind.RRX
+_CARRY_DIRECT = CarryKind.DIRECT
+_CARRY_INVERTED = CarryKind.INVERTED
+_X86_CLC = X86Op.CLC
+_X86_SBB = X86Op.SBB
+_X86_STC = X86Op.STC
+_X86_SUB = X86Op.SUB
+_X86_E = X86Cond.E
+
 _SHIFT_HOST = {ShiftKind.LSL: X86Op.SHL, ShiftKind.LSR: X86Op.SHR,
                ShiftKind.ASR: X86Op.SAR, ShiftKind.ROR: X86Op.ROR}
 
@@ -42,7 +76,7 @@ def _has_real_shift(insn: ArmInsn) -> bool:
     op2 = insn.op2
     if op2 is None or op2.is_imm:
         return False
-    return op2.shift != ShiftKind.LSL or op2.shift_imm != 0 or \
+    return op2.shift != _SHIFT_LSL or op2.shift_imm != 0 or \
         op2.rs is not None
 
 
@@ -63,32 +97,32 @@ class AluEmitter:
         if flags_written(insn):
             return False  # a producer, handled by the flag tracker
         op = insn.op
-        if op in (Op.MUL, Op.MLA):
+        if op in (_OP_MUL, _OP_MLA):
             return True   # imul rewrites N/Z
-        if op is Op.CLZ:
+        if op is _OP_CLZ:
             return True   # bsr writes ZF
         if _has_real_shift(insn):
             return True   # host shifts rewrite C/N/Z
-        if op in (Op.ADC, Op.SBC, Op.RSC):
+        if op in (_OP_ADC, _OP_SBC, _OP_RSC):
             return True   # adc/sbb rewrite all flags
-        if op in (Op.ADD, Op.SUB, Op.MOV):
+        if op in (_OP_ADD, _OP_SUB, _OP_MOV):
             return False  # lea / mov are flag-transparent
-        if op is Op.MVN:
+        if op is _OP_MVN:
             return False  # mov + not, both transparent
-        if op in (Op.AND, Op.ORR, Op.EOR, Op.BIC, Op.RSB):
+        if op in (_OP_AND, _OP_ORR, _OP_EOR, _OP_BIC, _OP_RSB):
             return True   # need a real ALU op (writes N/Z at least)
         return False
 
     @staticmethod
     def required_kind(insn: ArmInsn) -> Optional[CarryKind]:
         """Carry convention the body needs in EFLAGS before executing."""
-        if insn.op in (Op.ADC,):
-            return CarryKind.DIRECT
-        if insn.op in (Op.SBC, Op.RSC):
-            return CarryKind.INVERTED
+        if insn.op in (_OP_ADC,):
+            return _CARRY_DIRECT
+        if insn.op in (_OP_SBC, _OP_RSC):
+            return _CARRY_INVERTED
         if insn.op2 is not None and not insn.op2.is_imm and \
-                insn.op2.shift == ShiftKind.RRX:
-            return CarryKind.DIRECT  # rcr consumes CF as the ARM C
+                insn.op2.shift == _SHIFT_RRX:
+            return _CARRY_DIRECT  # rcr consumes CF as the ARM C
         return None
 
     @staticmethod
@@ -99,12 +133,12 @@ class AluEmitter:
         multiplies): C and V keep their previous convention.
         """
         op = insn.op
-        if op in (Op.CMP, Op.SUB, Op.SBC, Op.RSB, Op.RSC):
-            return CarryKind.INVERTED, False
-        if op in (Op.CMN, Op.ADD, Op.ADC):
-            return CarryKind.DIRECT, False
+        if op in (_OP_CMP, _OP_SUB, _OP_SBC, _OP_RSB, _OP_RSC):
+            return _CARRY_INVERTED, False
+        if op in (_OP_CMN, _OP_ADD, _OP_ADC):
+            return _CARRY_DIRECT, False
         if flags_written(insn) & 4:  # shifter/rotated-imm writes C directly
-            return CarryKind.DIRECT, True
+            return _CARRY_DIRECT, True
         return None, True
 
     # ------------------------------------------------------------------
@@ -133,7 +167,7 @@ class AluEmitter:
         if not _has_real_shift(insn):
             return Reg(reg)
         builder.mov(Reg(EAX), Reg(reg))
-        if op2.shift == ShiftKind.RRX:
+        if op2.shift == _SHIFT_RRX:
             builder.rcr1(Reg(EAX))
             return Reg(EAX)
         if op2.rs is not None:
@@ -144,8 +178,8 @@ class AluEmitter:
             builder.emit(_SHIFT_HOST[op2.shift], Reg(EAX), Reg(ECX))
             return Reg(EAX)
         amount = op2.shift_imm
-        if amount == 32 and op2.shift in (ShiftKind.LSR, ShiftKind.ASR):
-            if op2.shift == ShiftKind.LSR:
+        if amount == 32 and op2.shift in (_SHIFT_LSR, _SHIFT_ASR):
+            if op2.shift == _SHIFT_LSR:
                 builder.movi(Reg(EAX), 0)
             else:
                 builder.sar(Reg(EAX), Imm(31))
@@ -161,9 +195,9 @@ class AluEmitter:
         """Rotated immediates set the ARM shifter carry to imm[31]."""
         if insn.op2 is not None and insn.op2.is_imm and insn.op2.imm > 0xFF:
             if (insn.op2.imm >> 31) & 1:
-                self.builder.emit(X86Op.STC)
+                self.builder.emit(_X86_STC)
             else:
-                self.builder.emit(X86Op.CLC)
+                self.builder.emit(_X86_CLC)
 
     def emit_dp(self, insn: ArmInsn, flags_live: bool) -> None:
         """Emit a data-processing instruction (rd != PC guaranteed)."""
@@ -175,7 +209,7 @@ class AluEmitter:
             self._emit_compare(insn)
             return
 
-        if op in (Op.ADD, Op.SUB) and not insn.set_flags and flags_live \
+        if op in (_OP_ADD, _OP_SUB) and not insn.set_flags and flags_live \
                 and not self.clobbers_eflags(insn):
             self._emit_lea_add_sub(insn)
             return
@@ -183,10 +217,10 @@ class AluEmitter:
         src = self.operand2_value(insn, forbidden=set())
         src_regs = {src.number} if isinstance(src, Reg) else set()
 
-        if op in (Op.MOV, Op.MVN):
+        if op in (_OP_MOV, _OP_MVN):
             rd = cache.write(insn.rd, forbidden=src_regs)
             builder.mov(Reg(rd), src)
-            if op is Op.MVN:
+            if op is _OP_MVN:
                 builder.not_(Reg(rd))
             if insn.set_flags:
                 # mov/not do not set host flags: the learned movs rule
@@ -196,17 +230,17 @@ class AluEmitter:
                 self._emit_imm_carry(insn)
             return
 
-        if op in (Op.RSB, Op.RSC):
+        if op in (_OP_RSB, _OP_RSC):
             rn_reg = self._read_guest(insn.rn, insn, src_regs)
             if not (isinstance(src, Reg) and src.number == EAX):
                 builder.mov(Reg(EAX), src)
-            builder.emit(X86Op.SUB if op is Op.RSB else X86Op.SBB,
+            builder.emit(_X86_SUB if op is _OP_RSB else _X86_SBB,
                          Reg(EAX), Reg(rn_reg))
             rd = cache.write(insn.rd, forbidden={EAX})
             builder.mov(Reg(rd), Reg(EAX))
             return
 
-        if op is Op.BIC:
+        if op is _OP_BIC:
             if isinstance(src, Imm):
                 src = Imm(~src.value & 0xFFFFFFFF)
             else:
@@ -225,7 +259,7 @@ class AluEmitter:
                 cache.guest_to_host.get(insn.rd) == src.number:
             # rd aliases operand2 (e.g. "add r1, r0, r1"): writing rd's
             # host register first would destroy the operand.
-            if op in (Op.ADD, Op.AND, Op.ORR, Op.EOR):
+            if op in (_OP_ADD, _OP_AND, _OP_ORR, _OP_EOR):
                 # Commutative: accumulate rn into rd directly.
                 rd = cache.write(insn.rd)
                 builder.emit(host_op, Reg(rd), Reg(rn_reg))
@@ -238,7 +272,7 @@ class AluEmitter:
             rd = cache.write(insn.rd, forbidden=src_regs | {rn_reg})
             builder.mov(Reg(rd), Reg(rn_reg))
             builder.emit(host_op, Reg(rd), src)
-        if insn.set_flags and op in (Op.AND, Op.ORR, Op.EOR, Op.BIC):
+        if insn.set_flags and op in (_OP_AND, _OP_ORR, _OP_EOR, _OP_BIC):
             self._emit_imm_carry(insn)
 
     def _emit_lea_add_sub(self, insn: ArmInsn) -> None:
@@ -248,12 +282,12 @@ class AluEmitter:
         op2 = insn.op2
         rn_reg = self._read_guest(insn.rn, insn, set())
         if op2.is_imm:
-            disp = op2.imm if insn.op is Op.ADD else -op2.imm
+            disp = op2.imm if insn.op is _OP_ADD else -op2.imm
             rd = cache.write(insn.rd, forbidden={rn_reg})
             builder.lea(Reg(rd), Mem(base=rn_reg, disp=disp & 0xFFFFFFFF))
             return
         rm_reg = self.cache.read(op2.rm, {rn_reg})
-        if insn.op is Op.ADD:
+        if insn.op is _OP_ADD:
             rd = cache.write(insn.rd, forbidden={rn_reg, rm_reg})
             builder.lea(Reg(rd), Mem(base=rn_reg, index=rm_reg))
             return
@@ -268,12 +302,12 @@ class AluEmitter:
         src = self.operand2_value(insn, forbidden=set())
         src_regs = {src.number} if isinstance(src, Reg) else set()
         rn_reg = self._read_guest(insn.rn, insn, src_regs)
-        if insn.op is Op.CMP:
+        if insn.op is _OP_CMP:
             builder.cmp(Reg(rn_reg), src)
-        elif insn.op is Op.TST:
+        elif insn.op is _OP_TST:
             builder.test(Reg(rn_reg), src)
             self._emit_imm_carry(insn)
-        elif insn.op is Op.TEQ:
+        elif insn.op is _OP_TEQ:
             builder.mov(Reg(EDX), Reg(rn_reg))
             builder.xor(Reg(EDX), src)
             self._emit_imm_carry(insn)
@@ -286,10 +320,10 @@ class AluEmitter:
         cache = self.cache
         rm = cache.read(insn.rm)
         rs = cache.read(insn.rs, {rm})
-        if insn.op is Op.MLA or insn.rd != insn.rm:
+        if insn.op is _OP_MLA or insn.rd != insn.rm:
             builder.mov(Reg(EAX), Reg(rm))
             builder.imul(Reg(EAX), Reg(rs))
-            if insn.op is Op.MLA:
+            if insn.op is _OP_MLA:
                 rn = cache.read(insn.rn, {rm, rs})
                 builder.add(Reg(EAX), Reg(rn))
             rd = cache.write(insn.rd, {EAX})
@@ -307,7 +341,7 @@ class AluEmitter:
         done = builder.new_label("clz_done")
         builder.movi(Reg(EAX), 32)
         builder.bsr(Reg(EDX), Reg(rm))
-        builder.jcc(X86Cond.E, done)
+        builder.jcc(_X86_E, done)
         builder.movi(Reg(EAX), 31)
         builder.sub(Reg(EAX), Reg(EDX))
         builder.bind(done)

@@ -19,6 +19,44 @@ from typing import List, Set
 from ..guest.isa import (ArmInsn, COMPARE_OPS, Cond, DATA_PROCESSING_OPS, Op,
                          PC, ShiftKind)
 
+# Enum members bound once for the per-instruction code: on Python 3.10
+# and 3.11 each ``Enum.MEMBER`` lookup runs EnumType.__getattr__
+# (docs/internals.md, "Per-instruction Python costs").
+_OP_ADC = Op.ADC
+_OP_BL = Op.BL
+_OP_BX = Op.BX
+_OP_CLZ = Op.CLZ
+_OP_CMN = Op.CMN
+_OP_CMP = Op.CMP
+_OP_LDM = Op.LDM
+_OP_LDR = Op.LDR
+_OP_LDRB = Op.LDRB
+_OP_LDRH = Op.LDRH
+_OP_LDRSB = Op.LDRSB
+_OP_LDRSH = Op.LDRSH
+_OP_MCR = Op.MCR
+_OP_MLA = Op.MLA
+_OP_MOV = Op.MOV
+_OP_MRC = Op.MRC
+_OP_MRS = Op.MRS
+_OP_MSR = Op.MSR
+_OP_MUL = Op.MUL
+_OP_MVN = Op.MVN
+_OP_RSC = Op.RSC
+_OP_SBC = Op.SBC
+_OP_STM = Op.STM
+_OP_STR = Op.STR
+_OP_STRB = Op.STRB
+_OP_STRH = Op.STRH
+_OP_VMOVRS = Op.VMOVRS
+_OP_VMOVSR = Op.VMOVSR
+_OP_VMRS = Op.VMRS
+_OP_VMSR = Op.VMSR
+_OP_VSTR = Op.VSTR
+_COND_AL = Cond.AL
+_SHIFT_LSL = ShiftKind.LSL
+_SHIFT_RRX = ShiftKind.RRX
+
 # Flag bit masks.
 F_N = 1
 F_Z = 2
@@ -45,12 +83,12 @@ _LOGICAL_DP = frozenset({Op.AND, Op.EOR, Op.TST, Op.TEQ, Op.ORR, Op.MOV,
 def flags_read(insn: ArmInsn) -> int:
     """NZCV bits this instruction reads."""
     mask = _COND_READS[insn.cond]
-    if insn.op in (Op.ADC, Op.SBC, Op.RSC):
+    if insn.op in (_OP_ADC, _OP_SBC, _OP_RSC):
         mask |= F_C
     if insn.op2 is not None and not insn.op2.is_imm and \
-            insn.op2.shift == ShiftKind.RRX:
+            insn.op2.shift == _SHIFT_RRX:
         mask |= F_C
-    if insn.op is Op.MRS and not insn.spsr:
+    if insn.op is _OP_MRS and not insn.spsr:
         mask |= F_ALL
     return mask
 
@@ -58,7 +96,7 @@ def flags_read(insn: ArmInsn) -> int:
 def flags_written(insn: ArmInsn) -> int:
     """NZCV bits this instruction definitely writes (when it executes)."""
     if insn.op in COMPARE_OPS:
-        if insn.op in (Op.CMP, Op.CMN):
+        if insn.op in (_OP_CMP, _OP_CMN):
             return F_ALL
         # TST/TEQ: N,Z always; C only via a shifted operand.
         mask = F_N | F_Z
@@ -72,11 +110,11 @@ def flags_written(insn: ArmInsn) -> int:
                 mask |= F_C
             return mask
         return F_ALL
-    if insn.op in (Op.MUL, Op.MLA) and insn.set_flags:
+    if insn.op in (_OP_MUL, _OP_MLA) and insn.set_flags:
         return F_N | F_Z
-    if insn.op is Op.MSR and not insn.spsr and insn.imm & 0x8:
+    if insn.op is _OP_MSR and not insn.spsr and insn.imm & 0x8:
         return F_ALL
-    if insn.op is Op.VMRS and insn.rd == PC:
+    if insn.op is _OP_VMRS and insn.rd == PC:
         return F_ALL
     return F_NONE
 
@@ -100,7 +138,7 @@ def flags_written_definite(insn: ArmInsn) -> int:
     flags pass through unchanged, so they are may-defs only and can never
     justify eliding a predecessor's sync-save.
     """
-    if insn.cond != Cond.AL:
+    if insn.cond != _COND_AL:
         return F_NONE
     return flags_written(insn)
 
@@ -111,7 +149,7 @@ def _shifter_touches_carry(insn: ArmInsn) -> bool:
         return False
     if op2.is_imm:
         return op2.imm > 0xFF  # rotated immediates set C from bit 31
-    if op2.shift == ShiftKind.LSL and op2.shift_imm == 0 and op2.rs is None:
+    if op2.shift == _SHIFT_LSL and op2.shift_imm == 0 and op2.rs is None:
         return False
     return True
 
@@ -121,35 +159,35 @@ def regs_read(insn: ArmInsn) -> Set[int]:
     regs: Set[int] = set()
     op = insn.op
     if op in DATA_PROCESSING_OPS:
-        if op not in (Op.MOV, Op.MVN):
+        if op not in (_OP_MOV, _OP_MVN):
             regs.add(insn.rn)
         if insn.op2 is not None and not insn.op2.is_imm:
             regs.add(insn.op2.rm)
             if insn.op2.rs is not None:
                 regs.add(insn.op2.rs)
-    elif op in (Op.MUL, Op.MLA):
+    elif op in (_OP_MUL, _OP_MLA):
         regs.update({insn.rm, insn.rs})
-        if op is Op.MLA:
+        if op is _OP_MLA:
             regs.add(insn.rn)
     elif insn.is_memory():
         regs.add(insn.rn)
-        if op in (Op.LDM, Op.STM):
-            if op is Op.STM:
+        if op in (_OP_LDM, _OP_STM):
+            if op is _OP_STM:
                 regs.update(insn.reglist)
         else:
             if insn.mem_offset_reg is not None:
                 regs.add(insn.mem_offset_reg)
-            if insn.is_store() and op is not Op.VSTR:
+            if insn.is_store() and op is not _OP_VSTR:
                 regs.add(insn.rd)
-    elif op is Op.BX:
+    elif op is _OP_BX:
         regs.add(insn.rm)
-    elif op in (Op.MSR, Op.VMSR):
-        regs.add(insn.rm if op is Op.MSR else insn.rd)
-    elif op is Op.MCR:
+    elif op in (_OP_MSR, _OP_VMSR):
+        regs.add(insn.rm if op is _OP_MSR else insn.rd)
+    elif op is _OP_MCR:
         regs.add(insn.rd)
-    elif op is Op.CLZ:
+    elif op is _OP_CLZ:
         regs.add(insn.rm)
-    elif op is Op.VMOVSR:
+    elif op is _OP_VMOVSR:
         regs.add(insn.rd)
     return regs
 
@@ -160,25 +198,25 @@ def regs_written(insn: ArmInsn) -> Set[int]:
     op = insn.op
     if op in DATA_PROCESSING_OPS and op not in COMPARE_OPS:
         regs.add(insn.rd)
-    elif op in (Op.MUL, Op.MLA, Op.CLZ):
+    elif op in (_OP_MUL, _OP_MLA, _OP_CLZ):
         regs.add(insn.rd)
-    elif op in (Op.LDR, Op.LDRB, Op.LDRH, Op.LDRSB, Op.LDRSH):
+    elif op in (_OP_LDR, _OP_LDRB, _OP_LDRH, _OP_LDRSB, _OP_LDRSH):
         regs.add(insn.rd)
         if insn.writeback or not insn.pre_indexed:
             regs.add(insn.rn)
-    elif op in (Op.STR, Op.STRB, Op.STRH):
+    elif op in (_OP_STR, _OP_STRB, _OP_STRH):
         if insn.writeback or not insn.pre_indexed:
             regs.add(insn.rn)
-    elif op is Op.LDM:
+    elif op is _OP_LDM:
         regs.update(insn.reglist)
         if insn.writeback:
             regs.add(insn.rn)
-    elif op is Op.STM:
+    elif op is _OP_STM:
         if insn.writeback:
             regs.add(insn.rn)
-    elif op is Op.BL:
+    elif op is _OP_BL:
         regs.add(14)
-    elif op in (Op.MRS, Op.MRC, Op.VMRS, Op.VMOVRS):
+    elif op in (_OP_MRS, _OP_MRC, _OP_VMRS, _OP_VMOVRS):
         regs.add(insn.rd)
     return regs
 
@@ -221,10 +259,10 @@ def analyze_block(insns: List[ArmInsn], rulebook=None) -> BlockInfo:
         item.covered = rulebook is None or insn.is_branch() or \
             rulebook.covers(insn)
         item.is_site = insn.is_memory() or insn.is_system() or \
-            insn.op is Op.SVC or not item.covered
+            not item.covered
         if insn.is_memory():
             info.n_memory += 1
-        if insn.is_system() or insn.op is Op.SVC:
+        if insn.is_system():
             info.n_system += 1
         if not item.covered and not insn.is_system():
             info.n_uncovered += 1
@@ -234,8 +272,7 @@ def analyze_block(insns: List[ArmInsn], rulebook=None) -> BlockInfo:
     live = F_ALL
     for item in reversed(info.insns):
         item.live_after = live
-        if item.insn.is_system() or item.insn.op is Op.SVC or \
-                not item.covered:
+        if item.insn.is_system() or not item.covered:
             # Helpers may architecturally read the CPSR.
             live = F_ALL
             continue
@@ -249,8 +286,7 @@ def analyze_block(insns: List[ArmInsn], rulebook=None) -> BlockInfo:
     defined = 0
     for item in info.insns:
         needed |= item.reads & ~defined
-        if item.insn.is_system() or item.insn.op is Op.SVC or \
-                not item.covered:
+        if item.insn.is_system() or not item.covered:
             needed |= F_ALL & ~defined
             break
         defined |= flags_written_definite(item.insn)
@@ -274,7 +310,7 @@ def analyze_block(insns: List[ArmInsn], rulebook=None) -> BlockInfo:
 
 def _independent(mem: ArmInsn, producer: ArmInsn) -> bool:
     """May *mem* be moved above *producer*?"""
-    if mem.cond != Cond.AL or producer.cond != Cond.AL:
+    if mem.cond != _COND_AL or producer.cond != _COND_AL:
         return False
     if flags_written(mem) or flags_read(mem):
         return False
@@ -301,7 +337,7 @@ def schedule_define_before_use(insns: List[ArmInsn]) -> List[ArmInsn]:
         changed = False
         for index in range(1, len(result)):
             insn = result[index]
-            if not insn.is_memory() or insn.op in (Op.LDM, Op.STM):
+            if not insn.is_memory() or insn.op in (_OP_LDM, _OP_STM):
                 continue
             prev = result[index - 1]
             if not flags_written(prev) or prev.writes_pc() or \

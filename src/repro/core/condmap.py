@@ -29,6 +29,17 @@ class CarryKind(enum.Enum):
     INVERTED = "inverted"  # CF == NOT ARM C
 
 
+# Enum members bound once for the per-instruction code: on Python 3.10
+# and 3.11 each ``Enum.MEMBER`` lookup runs EnumType.__getattr__
+# (docs/internals.md, "Per-instruction Python costs").
+_COND_HI = Cond.HI
+_COND_LS = Cond.LS
+_CARRY_INVERTED = CarryKind.INVERTED
+_X86_AE = X86Cond.AE
+_X86_E = X86Cond.E
+_X86_NE = X86Cond.NE
+
+
 #: Conditions that do not involve the carry: identical under both kinds.
 _CARRY_FREE = {
     Cond.EQ: X86Cond.E, Cond.NE: X86Cond.NE,
@@ -70,7 +81,7 @@ def map_condition(cond: Cond, kind: CarryKind) -> Optional[X86Cond]:
     """Single host condition equivalent to *cond*, or None if two-branch."""
     if cond in _CARRY_FREE:
         return _CARRY_FREE[cond]
-    table = _INVERTED if kind == CarryKind.INVERTED else _DIRECT
+    table = _INVERTED if kind == _CARRY_INVERTED else _DIRECT
     return table.get(cond)
 
 
@@ -85,8 +96,8 @@ def skip_sequence(cond: Cond, kind: CarryKind) -> List[Tuple[X86Cond, str]]:
     if single is not None:
         return [(negate(single), "skip")]
     # DIRECT HI/LS.
-    if cond == Cond.HI:   # pass iff CF==1 && ZF==0 -> skip if CF==0 or ZF==1
-        return [(X86Cond.AE, "skip"), (X86Cond.E, "skip")]
-    if cond == Cond.LS:   # pass iff CF==0 || ZF==1 -> skip if CF==1 && ZF==0
-        return [(X86Cond.AE, "exec"), (X86Cond.NE, "skip")]
+    if cond == _COND_HI:   # pass iff CF==1 && ZF==0 -> skip if CF==0 or ZF==1
+        return [(_X86_AE, "skip"), (_X86_E, "skip")]
+    if cond == _COND_LS:   # pass iff CF==0 || ZF==1 -> skip if CF==1 && ZF==0
+        return [(_X86_AE, "exec"), (_X86_NE, "skip")]
     raise ValueError(f"unmapped condition {cond}")

@@ -23,6 +23,14 @@ from ..guest.isa import (ArmInsn, Cond, DATA_PROCESSING_OPS, MEMORY_OPS,
                          Op, ShiftKind, VFP_ARITH_OPS)
 from .alu import AluEmitter, _has_real_shift
 
+# Enum members bound once for the per-instruction code: on Python 3.10
+# and 3.11 each ``Enum.MEMBER`` lookup runs EnumType.__getattr__
+# (docs/internals.md, "Per-instruction Python costs").
+_OP_VLDR = Op.VLDR
+_OP_VSTR = Op.VSTR
+_COND_AL = Cond.AL
+_SHIFT_RRX = ShiftKind.RRX
+
 #: User-level ops the rule emitters implement directly (VFP arithmetic
 #: and moves are rule-translatable per the paper's footnote 3; vcmp is
 #: helper territory because it writes the FPSCR).
@@ -57,7 +65,7 @@ def rule_key(insn: ArmInsn) -> str:
     implementation, so the opcode name identifies the rule; a corrupted
     ``EOR`` rule is quarantined without touching the ``ADD`` rule.
     """
-    return insn.op.name
+    return insn.op._name_
 
 
 class QuarantineFilter:
@@ -111,15 +119,15 @@ class StructuralFilter:
         if AluEmitter.required_kind(insn) is not None and \
                 _has_real_shift(insn):
             return False
-        if insn.cond != Cond.AL and insn.op2 is not None and \
+        if insn.cond != _COND_AL and insn.op2 is not None and \
                 insn.op2.rs is not None:
             return False
         # RRX consumes C: same scratch hazard under conditional execution.
-        if insn.cond != Cond.AL and insn.op2 is not None and \
-                not insn.op2.is_imm and insn.op2.shift == ShiftKind.RRX:
+        if insn.cond != _COND_AL and insn.op2 is not None and \
+                not insn.op2.is_imm and insn.op2.shift == _SHIFT_RRX:
             return False
         # Conditional VFP transfers need two pre-allocated scratches;
         # route them through the fallback instead.
-        if insn.cond != Cond.AL and insn.op in (Op.VLDR, Op.VSTR):
+        if insn.cond != _COND_AL and insn.op in (_OP_VLDR, _OP_VSTR):
             return False
         return True

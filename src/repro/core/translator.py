@@ -57,8 +57,43 @@ from .config import OptConfig
 from .coordination import FlagsState, SyncStats
 from .regcache import RegCache
 
+# Enum members bound once for the per-instruction code: on Python 3.10
+# and 3.11 each ``Enum.MEMBER`` lookup runs EnumType.__getattr__
+# (docs/internals.md, "Per-instruction Python costs").
+_OP_ADD = Op.ADD
+_OP_B = Op.B
+_OP_BL = Op.BL
+_OP_BX = Op.BX
+_OP_CLZ = Op.CLZ
+_OP_LDM = Op.LDM
+_OP_LDRSB = Op.LDRSB
+_OP_LDRSH = Op.LDRSH
+_OP_MLA = Op.MLA
+_OP_MOV = Op.MOV
+_OP_MUL = Op.MUL
+_OP_NOP = Op.NOP
+_OP_STM = Op.STM
+_OP_STR = Op.STR
+_OP_STRB = Op.STRB
+_OP_STRH = Op.STRH
+_OP_SUB = Op.SUB
+_OP_SVC = Op.SVC
+_OP_VCMP = Op.VCMP
+_OP_VLDR = Op.VLDR
+_OP_VMOVRS = Op.VMOVRS
+_OP_VMOVSR = Op.VMOVSR
+_OP_VSTR = Op.VSTR
+_COND_AL = Cond.AL
+_SHIFT_LSL = ShiftKind.LSL
+_X86_MOVSS = X86Op.MOVSS
+_X86_NE = X86Cond.NE
+
 RULE_TAG = "rule"
 IRQ_TAG = "irqcheck"
+
+#: Builder method of each shift of a register memory offset.
+_MEM_SHIFTS = {ShiftKind.LSL: "shl", ShiftKind.LSR: "shr",
+               ShiftKind.ASR: "sar", ShiftKind.ROR: "ror"}
 
 
 @dataclass
@@ -149,7 +184,7 @@ class RuleTranslator:
             # Rule keys applied in this TB (for quarantine attribution;
             # branches are always "covered" regardless of the rulebook,
             # so they are not attributed).
-            "rules_used": sorted({item.insn.op.name for item in info.insns
+            "rules_used": sorted({item.insn.op._name_ for item in info.insns
                                   if item.covered and
                                   not item.insn.is_branch()}),
             AUDIT_KEY: self._audit,
@@ -168,7 +203,7 @@ class RuleTranslator:
         label = builder.new_label("irq")
         with builder.tagged(IRQ_TAG):
             builder.cmp(Mem(base=ENV_REG, disp=ENV_IRQ), Imm(0))
-            builder.jcc(X86Cond.NE, label)
+            builder.jcc(_X86_NE, label)
         self.flags.on_clobber()
         if saved:
             self._eager_restore()
@@ -262,7 +297,7 @@ class RuleTranslator:
     def _emit_insn(self, item: InsnInfo) -> None:
         insn = item.insn
 
-        if insn.cond != Cond.AL:
+        if insn.cond != _COND_AL:
             self._emit_conditional(item)
             return
         self._emit_body(item)
@@ -271,7 +306,7 @@ class RuleTranslator:
         insn = item.insn
         op = insn.op
 
-        if insn.is_system() or op is Op.SVC:
+        if insn.is_system():
             # System instructions always go through helpers (they cannot
             # be learned from user-level code) — this is the path with
             # the lazy packed-flags parse of Sec III-B.
@@ -280,16 +315,16 @@ class RuleTranslator:
         if not item.covered:
             self._emit_fallback(insn)
             return
-        if op in (Op.B, Op.BL):
+        if op in (_OP_B, _OP_BL):
             self._emit_direct_branch(insn)
             return
-        if op is Op.BX:
+        if op is _OP_BX:
             self._emit_indirect_branch(insn)
             return
-        if op in VFP_ARITH_OPS or op in (Op.VMOVSR, Op.VMOVRS):
+        if op in VFP_ARITH_OPS or op in (_OP_VMOVSR, _OP_VMOVRS):
             self._emit_vfp(insn)
             return
-        if op is Op.VCMP:
+        if op is _OP_VCMP:
             # Like other helper-emulated instructions (reads/writes FPSCR).
             self._emit_system(insn)
             return
@@ -326,11 +361,11 @@ class RuleTranslator:
                 self._emit_pc_write_dp(insn)
                 return
             self.alu.emit_dp(insn, flags_live=self.flags.in_eflags)
-        elif op in (Op.MUL, Op.MLA):
+        elif op in (_OP_MUL, _OP_MLA):
             self.alu.emit_multiply(insn)
-        elif op is Op.CLZ:
+        elif op is _OP_CLZ:
             self.alu.emit_clz(insn)
-        elif op is Op.NOP:
+        elif op is _OP_NOP:
             self.builder.nop()
         else:
             self._emit_fallback(insn)
@@ -342,7 +377,7 @@ class RuleTranslator:
             self._audit.append(produce_event(
                 body_start, len(self.builder.insns), flags=writes,
                 live_after=item.live_after,
-                carry=kind.name.lower() if kind is not None else None,
+                carry=kind._name_.lower() if kind is not None else None,
                 partial=partial, guest_addr=insn.addr))
 
     # ------------------------------------------------------------------
@@ -354,7 +389,7 @@ class RuleTranslator:
         builder = self.builder
 
         # Conditional direct branch: ends the TB with two successors.
-        if insn.op is Op.B:
+        if insn.op is _OP_B:
             self._emit_conditional_branch(insn)
             return
 
@@ -362,7 +397,7 @@ class RuleTranslator:
 
         body_produces = bool(flags_written(insn))
         body_clobbers = (insn.is_memory() or insn.is_system() or
-                         insn.op is Op.SVC or not item.covered or
+                         not item.covered or
                          self.alu.clobbers_eflags(insn) or body_produces)
         if body_produces:
             # The executed path re-saves at the body end in the default
@@ -373,14 +408,13 @@ class RuleTranslator:
             # Externalize flags before the skip branch so both paths
             # join consistently.
             self._sync_before_clobber()
-        if insn.is_system() or insn.op is Op.SVC or not item.covered or \
+        if insn.is_system() or not item.covered or \
                 insn.writes_pc() or insn.is_memory():
             # Helpers (and TB-ending bodies, whose flushes would sit in
             # the skipped region) need dirty registers flushed pre-branch.
             count = self.cache.flush_dirty(tag="sync")
             self.stats.reg_flush_insns += count
-        if not item.covered and not (insn.is_system() or
-                                      insn.op is Op.SVC):
+        if not item.covered and not insn.is_system():
             # The fallback body may read or partially update the per-bit
             # flag fields; make them current on BOTH paths (state
             # externalization inside the skipped region would be wrong).
@@ -396,7 +430,7 @@ class RuleTranslator:
         execute = builder.new_label("exec")
         used_exec = self._emit_skip_branches(insn.cond, skip, execute)
 
-        if insn.op is Op.BL:
+        if insn.op is _OP_BL:
             # Conditional call: lr write + TB end on the taken path.
             lr = self.cache.write(14)
             builder.movi(Reg(lr), u32(insn.addr + 4))
@@ -499,19 +533,19 @@ class RuleTranslator:
 
     def _emit_vfp(self, insn: ArmInsn) -> None:
         builder = self.builder
-        if insn.op is Op.VMOVSR:
+        if insn.op is _OP_VMOVSR:
             host = self.cache.read(insn.rd)
             builder.mov(Mem(base=ENV_REG, disp=env_vfp(insn.fn)), Reg(host))
             return
-        if insn.op is Op.VMOVRS:
+        if insn.op is _OP_VMOVRS:
             host = self.cache.write(insn.rd)
             builder.mov(Reg(host), Mem(base=ENV_REG, disp=env_vfp(insn.fn)))
             return
-        builder.emit(X86Op.MOVSS, Xmm(0),
+        builder.emit(_X86_MOVSS, Xmm(0),
                      Mem(base=ENV_REG, disp=env_vfp(insn.fn)))
         builder.emit(self._VFP_HOST[insn.op], Xmm(0),
                      Mem(base=ENV_REG, disp=env_vfp(insn.fm)))
-        builder.emit(X86Op.MOVSS,
+        builder.emit(_X86_MOVSS,
                      Mem(base=ENV_REG, disp=env_vfp(insn.fd)), Xmm(0))
 
     # ------------------------------------------------------------------
@@ -543,9 +577,9 @@ class RuleTranslator:
         # so the abort handler and the retried instruction see them.
         self.stats.reg_flush_insns += self.cache.flush_dirty(tag="sync")
         self.flags.on_clobber()
-        if insn.op in (Op.LDM, Op.STM):
+        if insn.op in (_OP_LDM, _OP_STM):
             self._emit_block_memory(insn)
-        elif insn.op in (Op.VLDR, Op.VSTR):
+        elif insn.op in (_OP_VLDR, _OP_VSTR):
             self._emit_vfp_memory(insn)
         else:
             self._emit_single_memory(insn)
@@ -569,7 +603,7 @@ class RuleTranslator:
         addr = self._take_mem_scratch({base, EAX, EDX})
         if insn.mem_offset_reg is not None:
             offset_reg = cache.read(insn.mem_offset_reg, {base, addr})
-            if insn.mem_shift == ShiftKind.LSL and \
+            if insn.mem_shift == _SHIFT_LSL and \
                     insn.mem_shift_imm in (0, 1, 2, 3) and insn.add_offset:
                 scale = 1 << insn.mem_shift_imm
                 builder.lea(Reg(addr), Mem(base=base, index=offset_reg,
@@ -577,9 +611,7 @@ class RuleTranslator:
             else:
                 builder.mov(Reg(addr), Reg(offset_reg))
                 if insn.mem_shift_imm:
-                    host_shift = {ShiftKind.LSL: "shl", ShiftKind.LSR: "shr",
-                                  ShiftKind.ASR: "sar",
-                                  ShiftKind.ROR: "ror"}[insn.mem_shift]
+                    host_shift = _MEM_SHIFTS[insn.mem_shift]
                     getattr(builder, host_shift)(Reg(addr),
                                                  Imm(insn.mem_shift_imm))
                 if insn.add_offset:
@@ -597,8 +629,8 @@ class RuleTranslator:
         builder = self.builder
         cache = self.cache
         size = self._SIZES[insn.op]
-        signed = insn.op in (Op.LDRSB, Op.LDRSH)
-        is_store = insn.op in (Op.STR, Op.STRB, Op.STRH)
+        signed = insn.op in (_OP_LDRSB, _OP_LDRSH)
+        is_store = insn.op in (_OP_STR, _OP_STRB, _OP_STRH)
 
         addr_reg, _ = self._address_reg(insn)
         effective = addr_reg if insn.pre_indexed else \
@@ -636,7 +668,7 @@ class RuleTranslator:
         disp = insn.mem_offset_imm if insn.add_offset \
             else -insn.mem_offset_imm
         builder.lea(Reg(addr), Mem(base=base, disp=disp & 0xFFFFFFFF))
-        if insn.op is Op.VLDR:
+        if insn.op is _OP_VLDR:
             mmu_codegen.emit_load(builder, addr, 4, False, self.mmu_idx,
                                   insn.addr)
             builder.mov(Mem(base=ENV_REG, disp=env_vfp(insn.fd)), Reg(EAX))
@@ -677,7 +709,7 @@ class RuleTranslator:
         for position, guest in enumerate(sorted(insn.reglist)):
             if position:
                 builder.lea(Reg(addr), Mem(base=addr, disp=4))
-            if insn.op is Op.STM:
+            if insn.op is _OP_STM:
                 if guest == PC:
                     builder.movi(Reg(EDX), u32(insn.addr + 8))
                     value_reg = EDX
@@ -704,7 +736,7 @@ class RuleTranslator:
     # ------------------------------------------------------------------
 
     def _emit_direct_branch(self, insn: ArmInsn) -> None:
-        if insn.op is Op.BL:
+        if insn.op is _OP_BL:
             lr = self.cache.write(14)
             self.builder.movi(Reg(lr), u32(insn.addr + 4))
         self._end_block(slot=0, target_pc=insn.target)
@@ -726,12 +758,12 @@ class RuleTranslator:
         self.flags.on_clobber()
         src = self.alu.operand2_value(insn, set())
         builder = self.builder
-        if insn.op is Op.MOV:
+        if insn.op is _OP_MOV:
             if isinstance(src, Imm):
                 self._end_block(slot=0, target_pc=src.value & 0xFFFFFFFC)
                 return
             builder.mov(Reg(EAX), src)
-        elif insn.op is Op.ADD:
+        elif insn.op is _OP_ADD:
             rn = self.alu._read_guest(insn.rn, insn, set())
             builder.mov(Reg(EAX), Reg(rn))
             builder.add(Reg(EAX), src)
@@ -810,7 +842,7 @@ class RuleTranslator:
         self.stats.reg_flush_insns += count
         self.flags.on_clobber()
 
-        if insn.op is Op.SVC:
+        if insn.op is _OP_SVC:
             self._audit.append(terminal_event(len(builder.insns)))
             builder.call_helper(make_svc_helper(insn), tag="helper")
             self._ended = True
@@ -819,15 +851,15 @@ class RuleTranslator:
                 insn.rd == PC:
             # Exception return: compute the target, then helper.
             src = self.alu.operand2_value(insn, set())
-            if insn.op is Op.MOV:
+            if insn.op is _OP_MOV:
                 if isinstance(src, Imm):
                     builder.movi(Reg(EAX), src.value)
                 else:
                     builder.mov(Reg(EAX), src)
-            elif insn.op in (Op.SUB, Op.ADD):
+            elif insn.op in (_OP_SUB, _OP_ADD):
                 rn = self.alu._read_guest(insn.rn, insn, set())
                 builder.mov(Reg(EAX), Reg(rn))
-                host_op = "sub" if insn.op is Op.SUB else "add"
+                host_op = "sub" if insn.op is _OP_SUB else "add"
                 getattr(builder, host_op)(Reg(EAX), src)
             else:
                 self._emit_fallback(insn)

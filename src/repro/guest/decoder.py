@@ -10,8 +10,49 @@ from ..common.bitops import bit, bits, decode_arm_imm, sign_extend, u32
 from ..common.errors import DecodingError
 from .isa import (ArmInsn, Cond, Op, Operand2, ShiftKind)
 
+# Enum members bound once for the per-instruction code: on Python 3.10
+# and 3.11 each ``Enum.MEMBER`` lookup runs EnumType.__getattr__
+# (docs/internals.md, "Per-instruction Python costs").
+_OP_B = Op.B
+_OP_BL = Op.BL
+_OP_BX = Op.BX
+_OP_CLZ = Op.CLZ
+_OP_CPS = Op.CPS
+_OP_LDM = Op.LDM
+_OP_LDR = Op.LDR
+_OP_LDRB = Op.LDRB
+_OP_MCR = Op.MCR
+_OP_MLA = Op.MLA
+_OP_MRC = Op.MRC
+_OP_MRS = Op.MRS
+_OP_MSR = Op.MSR
+_OP_MUL = Op.MUL
+_OP_NOP = Op.NOP
+_OP_STM = Op.STM
+_OP_STR = Op.STR
+_OP_STRB = Op.STRB
+_OP_STRH = Op.STRH
+_OP_SVC = Op.SVC
+_OP_VADD = Op.VADD
+_OP_VCMP = Op.VCMP
+_OP_VLDR = Op.VLDR
+_OP_VMOVRS = Op.VMOVRS
+_OP_VMOVSR = Op.VMOVSR
+_OP_VMRS = Op.VMRS
+_OP_VMSR = Op.VMSR
+_OP_VMUL = Op.VMUL
+_OP_VSTR = Op.VSTR
+_OP_VSUB = Op.VSUB
+_OP_WFI = Op.WFI
+_COND_AL = Cond.AL
+_SHIFT_ASR = ShiftKind.ASR
+_SHIFT_LSR = ShiftKind.LSR
+_SHIFT_ROR = ShiftKind.ROR
+_SHIFT_RRX = ShiftKind.RRX
+
 _DP_BY_OPCODE = {op.value: op for op in Op if isinstance(op.value, int)}
 _COMPARES = {0x8, 0x9, 0xA, 0xB}
+_HALFWORD_LOADS = {0b01: Op.LDRH, 0b10: Op.LDRSB, 0b11: Op.LDRSH}   # by S,H
 
 
 def _decode_shift(word: int) -> Operand2:
@@ -20,9 +61,9 @@ def _decode_shift(word: int) -> Operand2:
     if bit(word, 4):
         return Operand2.register(rm, shift_kind, rs=bits(word, 11, 8))
     shift_imm = bits(word, 11, 7)
-    if shift_kind == ShiftKind.ROR and shift_imm == 0:
-        return Operand2.register(rm, ShiftKind.RRX)
-    if shift_kind in (ShiftKind.LSR, ShiftKind.ASR) and shift_imm == 0:
+    if shift_kind == _SHIFT_ROR and shift_imm == 0:
+        return Operand2.register(rm, _SHIFT_RRX)
+    if shift_kind in (_SHIFT_LSR, _SHIFT_ASR) and shift_imm == 0:
         shift_imm = 32  # LSR/ASR #0 encodes a shift of 32
     return Operand2.register(rm, shift_kind, shift_imm)
 
@@ -48,7 +89,10 @@ def _decode_data_processing(word: int, insn_addr: int) -> ArmInsn:
 def _decode_word_byte_transfer(word: int, insn_addr: int) -> ArmInsn:
     load = bool(bit(word, 20))
     byte = bool(bit(word, 22))
-    op = (Op.LDRB if byte else Op.LDR) if load else (Op.STRB if byte else Op.STR)
+    if load:
+        op = _OP_LDRB if byte else _OP_LDR
+    else:
+        op = _OP_STRB if byte else _OP_STR
     pre = bool(bit(word, 24))
     insn = ArmInsn(op=op, rd=bits(word, 15, 12), rn=bits(word, 19, 16),
                    pre_indexed=pre, add_offset=bool(bit(word, 23)),
@@ -68,9 +112,9 @@ def _decode_halfword_transfer(word: int, insn_addr: int) -> ArmInsn:
     load = bool(bit(word, 20))
     sh = (bit(word, 6) << 1) | bit(word, 5)  # S,H bits
     if load:
-        op = {0b01: Op.LDRH, 0b10: Op.LDRSB, 0b11: Op.LDRSH}.get(sh)
+        op = _HALFWORD_LOADS.get(sh)
     else:
-        op = Op.STRH if sh == 0b01 else None
+        op = _OP_STRH if sh == 0b01 else None
     if op is None:
         raise DecodingError(word, insn_addr)
     pre = bool(bit(word, 24))
@@ -86,7 +130,7 @@ def _decode_halfword_transfer(word: int, insn_addr: int) -> ArmInsn:
 
 def _decode_block_transfer(word: int, insn_addr: int) -> ArmInsn:
     reglist = [r for r in range(16) if bit(word, r)]
-    return ArmInsn(op=Op.LDM if bit(word, 20) else Op.STM,
+    return ArmInsn(op=_OP_LDM if bit(word, 20) else _OP_STM,
                    rn=bits(word, 19, 16), reglist=reglist,
                    before=bool(bit(word, 24)), increment=bool(bit(word, 23)),
                    writeback=bool(bit(word, 21)), addr=insn_addr)
@@ -95,26 +139,26 @@ def _decode_block_transfer(word: int, insn_addr: int) -> ArmInsn:
 def _decode_misc(word: int, insn_addr: int) -> ArmInsn:
     """Decode the 000-group space that is not plain data processing."""
     if word & 0x0FFFFFF0 == 0x012FFF10:
-        return ArmInsn(op=Op.BX, rm=bits(word, 3, 0), addr=insn_addr)
+        return ArmInsn(op=_OP_BX, rm=bits(word, 3, 0), addr=insn_addr)
     if word & 0x0FFF0FF0 == 0x016F0F10:
-        return ArmInsn(op=Op.CLZ, rd=bits(word, 15, 12), rm=bits(word, 3, 0),
+        return ArmInsn(op=_OP_CLZ, rd=bits(word, 15, 12), rm=bits(word, 3, 0),
                        addr=insn_addr)
     if word & 0x0FBF0FFF == 0x010F0000:
-        return ArmInsn(op=Op.MRS, rd=bits(word, 15, 12),
+        return ArmInsn(op=_OP_MRS, rd=bits(word, 15, 12),
                        spsr=bool(bit(word, 22)), addr=insn_addr)
     if word & 0x0FB0FFF0 == 0x0120F000:
-        return ArmInsn(op=Op.MSR, rm=bits(word, 3, 0), imm=bits(word, 19, 16),
+        return ArmInsn(op=_OP_MSR, rm=bits(word, 3, 0), imm=bits(word, 19, 16),
                        spsr=bool(bit(word, 22)), addr=insn_addr)
     if word & 0x0FC000F0 == 0x90:  # mul/mla (bit 21 selects accumulate)
-        op = Op.MLA if bit(word, 21) else Op.MUL
+        op = _OP_MLA if bit(word, 21) else _OP_MUL
         return ArmInsn(op=op, rd=bits(word, 19, 16),
-                       rn=bits(word, 15, 12) if op is Op.MLA else 0,
+                       rn=bits(word, 15, 12) if op is _OP_MLA else 0,
                        rs=bits(word, 11, 8), rm=bits(word, 3, 0),
                        set_flags=bool(bit(word, 20)), addr=insn_addr)
     if word & 0x0FFFF0FF == 0x0320F003:
-        return ArmInsn(op=Op.WFI, addr=insn_addr)
+        return ArmInsn(op=_OP_WFI, addr=insn_addr)
     if word & 0x0FFFF0FF == 0x0320F000:
-        return ArmInsn(op=Op.NOP, addr=insn_addr)
+        return ArmInsn(op=_OP_NOP, addr=insn_addr)
     raise DecodingError(word, insn_addr)
 
 
@@ -124,9 +168,9 @@ def decode(word: int, insn_addr: int = 0) -> ArmInsn:
     if cond_field == 0xF:
         if word & 0x0FF00000 == 0x01000000 and bit(word, 7):
             imod = bits(word, 19, 18)
-            insn = ArmInsn(op=Op.CPS, cps_enable=(imod == 0b10),
+            insn = ArmInsn(op=_OP_CPS, cps_enable=(imod == 0b10),
                            addr=insn_addr)
-            insn.cond = Cond.AL
+            insn.cond = _COND_AL
             insn.raw = u32(word)
             return insn
         raise DecodingError(word, insn_addr)
@@ -155,7 +199,7 @@ def decode(word: int, insn_addr: int = 0) -> ArmInsn:
         insn = _decode_block_transfer(word, insn_addr)
     elif group == 0b101:
         offset = sign_extend(bits(word, 23, 0), 24) << 2
-        insn = ArmInsn(op=Op.BL if bit(word, 24) else Op.B,
+        insn = ArmInsn(op=_OP_BL if bit(word, 24) else _OP_B,
                        target=(insn_addr + 8 + offset) & 0xFFFFFFFF,
                        addr=insn_addr)
     elif group == 0b110:
@@ -163,28 +207,28 @@ def decode(word: int, insn_addr: int = 0) -> ArmInsn:
         if bits(word, 11, 8) == 0b1010 and bit(word, 21) == 0 and \
                 bit(word, 24):
             fd = (bits(word, 15, 12) << 1) | bit(word, 22)
-            insn = ArmInsn(op=Op.VLDR if bit(word, 20) else Op.VSTR,
+            insn = ArmInsn(op=_OP_VLDR if bit(word, 20) else _OP_VSTR,
                            fd=fd, rn=bits(word, 19, 16),
                            mem_offset_imm=bits(word, 7, 0) << 2,
                            add_offset=bool(bit(word, 23)), addr=insn_addr)
     elif group == 0b111:
         if bit(word, 24):
-            insn = ArmInsn(op=Op.SVC, imm=bits(word, 23, 0), addr=insn_addr)
+            insn = ArmInsn(op=_OP_SVC, imm=bits(word, 23, 0), addr=insn_addr)
         elif bit(word, 4):  # coprocessor register transfers
             if word & 0x0FF00FF0 == 0x0EF00A10:
-                insn = ArmInsn(op=Op.VMRS, rd=bits(word, 15, 12),
+                insn = ArmInsn(op=_OP_VMRS, rd=bits(word, 15, 12),
                                addr=insn_addr)
             elif word & 0x0FF00FF0 == 0x0EE00A10:
-                insn = ArmInsn(op=Op.VMSR, rd=bits(word, 15, 12),
+                insn = ArmInsn(op=_OP_VMSR, rd=bits(word, 15, 12),
                                addr=insn_addr)
             elif bits(word, 11, 8) == 0b1010 and \
                     word & 0x0FE00F7F == 0x0E000A10:
                 fn = (bits(word, 19, 16) << 1) | bit(word, 7)
-                op = Op.VMOVRS if bit(word, 20) else Op.VMOVSR
+                op = _OP_VMOVRS if bit(word, 20) else _OP_VMOVSR
                 insn = ArmInsn(op=op, fn=fn, rd=bits(word, 15, 12),
                                addr=insn_addr)
             else:
-                op = Op.MRC if bit(word, 20) else Op.MCR
+                op = _OP_MRC if bit(word, 20) else _OP_MCR
                 insn = ArmInsn(op=op, cp_op1=bits(word, 23, 21),
                                cp_crn=bits(word, 19, 16),
                                rd=bits(word, 15, 12),
@@ -196,15 +240,15 @@ def decode(word: int, insn_addr: int = 0) -> ArmInsn:
             fn = (bits(word, 19, 16) << 1) | bit(word, 7)
             fm = (bits(word, 3, 0) << 1) | bit(word, 5)
             if word & 0x0FBF0FD0 == 0x0EB40A40:
-                insn = ArmInsn(op=Op.VCMP, fd=fd, fm=fm, addr=insn_addr)
+                insn = ArmInsn(op=_OP_VCMP, fd=fd, fm=fm, addr=insn_addr)
             elif word & 0x0FB00F50 == 0x0E300A00:
-                insn = ArmInsn(op=Op.VADD, fd=fd, fn=fn, fm=fm,
+                insn = ArmInsn(op=_OP_VADD, fd=fd, fn=fn, fm=fm,
                                addr=insn_addr)
             elif word & 0x0FB00F50 == 0x0E300A40:
-                insn = ArmInsn(op=Op.VSUB, fd=fd, fn=fn, fm=fm,
+                insn = ArmInsn(op=_OP_VSUB, fd=fd, fn=fn, fm=fm,
                                addr=insn_addr)
             elif word & 0x0FB00F50 == 0x0E200A00:
-                insn = ArmInsn(op=Op.VMUL, fd=fd, fn=fn, fm=fm,
+                insn = ArmInsn(op=_OP_VMUL, fd=fd, fn=fn, fm=fm,
                                addr=insn_addr)
     if insn is None:
         raise DecodingError(word, insn_addr)

@@ -188,6 +188,33 @@ SHIFT_NAMES = {ShiftKind.LSL: "lsl", ShiftKind.LSR: "lsr",
                ShiftKind.RRX: "rrx"}
 SHIFT_BY_NAME = {v: k for k, v in SHIFT_NAMES.items()}
 
+# Enum members bound once for the per-instruction code: on Python 3.10
+# and 3.11 each ``Enum.MEMBER`` lookup runs EnumType.__getattr__
+# (docs/internals.md, "Per-instruction Python costs").
+_OP_B = Op.B
+_OP_BL = Op.BL
+_OP_BX = Op.BX
+_OP_CLZ = Op.CLZ
+_OP_CPS = Op.CPS
+_OP_LDM = Op.LDM
+_OP_MCR = Op.MCR
+_OP_MLA = Op.MLA
+_OP_MRC = Op.MRC
+_OP_MRS = Op.MRS
+_OP_MSR = Op.MSR
+_OP_MUL = Op.MUL
+_OP_STM = Op.STM
+_OP_SVC = Op.SVC
+_OP_VCMP = Op.VCMP
+_OP_VLDR = Op.VLDR
+_OP_VMOVRS = Op.VMOVRS
+_OP_VMOVSR = Op.VMOVSR
+_OP_VMRS = Op.VMRS
+_OP_VMSR = Op.VMSR
+_OP_VSTR = Op.VSTR
+_SHIFT_LSL = ShiftKind.LSL
+_SHIFT_RRX = ShiftKind.RRX
+
 
 @dataclass
 class Operand2:
@@ -218,11 +245,11 @@ class Operand2:
         if self.is_imm:
             return f"#{self.imm}"
         text = reg_name(self.rm)
-        if self.shift == ShiftKind.RRX:
+        if self.shift == _SHIFT_RRX:
             return f"{text}, rrx"
         if self.rs is not None:
             return f"{text}, {SHIFT_NAMES[self.shift]} {reg_name(self.rs)}"
-        if self.shift_imm or self.shift != ShiftKind.LSL:
+        if self.shift_imm or self.shift != _SHIFT_LSL:
             return f"{text}, {SHIFT_NAMES[self.shift]} #{self.shift_imm}"
         return text
 
@@ -290,7 +317,7 @@ class ArmInsn:
 
     def is_system(self) -> bool:
         """True for the paper's "system-level" category (helper-emulated)."""
-        return self.op in SYSTEM_OPS or self.op is Op.SVC or (
+        return self.op in SYSTEM_OPS or self.op is _OP_SVC or (
             # Flag-setting writes to PC are exception returns.
             self.op in DATA_PROCESSING_OPS and self.set_flags and
             self.rd == PC and self.op not in COMPARE_OPS)
@@ -300,23 +327,23 @@ class ArmInsn:
         return self.op in MEMORY_OPS
 
     def is_load(self) -> bool:
-        return self.op in LOAD_OPS or self.op in (Op.LDM, Op.VLDR)
+        return self.op in LOAD_OPS or self.op in (_OP_LDM, _OP_VLDR)
 
     def is_store(self) -> bool:
-        return self.op in STORE_OPS or self.op in (Op.STM, Op.VSTR)
+        return self.op in STORE_OPS or self.op in (_OP_STM, _OP_VSTR)
 
     def is_branch(self) -> bool:
         return self.op in BRANCH_OPS
 
     def writes_pc(self) -> bool:
         """True when executing this instruction may change the PC."""
-        if self.op in BRANCH_OPS or self.op is Op.SVC:
+        if self.op in BRANCH_OPS or self.op is _OP_SVC:
             return True
         if self.op in DATA_PROCESSING_OPS and self.op not in COMPARE_OPS:
             return self.rd == PC
         if self.op in LOAD_OPS and self.rd == PC:
             return True
-        if self.op is Op.LDM and PC in self.reglist:
+        if self.op is _OP_LDM and PC in self.reglist:
             return True
         return False
 
@@ -325,13 +352,13 @@ class ArmInsn:
     # ------------------------------------------------------------------
 
     def mnemonic(self) -> str:
-        base = self.op.name.lower() if not isinstance(self.op.value, str) \
-            else self.op.value
-        if self.op is Op.CPS:
+        value = self.op._value_
+        base = value if isinstance(value, str) else self.op._name_.lower()
+        if self.op is _OP_CPS:
             base = "cpsie" if self.cps_enable else "cpsid"
         cond = COND_NAMES[self.cond]
         s = "s" if (self.set_flags and (self.op in DATA_PROCESSING_OPS or
-                                        self.op in (Op.MUL, Op.MLA)) and
+                                        self.op in (_OP_MUL, _OP_MLA)) and
                     self.op not in COMPARE_OPS) else ""
         return f"{base}{cond}{s}"
 
@@ -341,7 +368,7 @@ class ArmInsn:
             sign = "" if self.add_offset else "-"
             off = f"{sign}{reg_name(self.mem_offset_reg)}"
             # ror #0 (RRX encoding) must not collapse to "no shift".
-            if self.mem_shift_imm or self.mem_shift != ShiftKind.LSL:
+            if self.mem_shift_imm or self.mem_shift != _SHIFT_LSL:
                 off += f", {SHIFT_NAMES[self.mem_shift]} #{self.mem_shift_imm}"
         else:
             sign = "" if self.add_offset else "-"
@@ -362,14 +389,14 @@ class ArmInsn:
             return f"{m} {reg_name(self.rd)}, {self.op2}"
         if op in DATA_PROCESSING_OPS:
             return f"{m} {reg_name(self.rd)}, {reg_name(self.rn)}, {self.op2}"
-        if op is Op.MUL:
+        if op is _OP_MUL:
             return f"{m} {reg_name(self.rd)}, {reg_name(self.rm)}, {reg_name(self.rs)}"
-        if op is Op.MLA:
+        if op is _OP_MLA:
             return (f"{m} {reg_name(self.rd)}, {reg_name(self.rm)}, "
                     f"{reg_name(self.rs)}, {reg_name(self.rn)}")
         if op in LOAD_OPS or op in STORE_OPS:
             return f"{m} {reg_name(self.rd)}, {self._mem_operand()}"
-        if op in (Op.LDM, Op.STM):
+        if op in (_OP_LDM, _OP_STM):
             suffix = {"ldm": {(False, True): "ia", (True, True): "ib",
                               (False, False): "da", (True, False): "db"},
                       "stm": {(False, True): "ia", (True, True): "ib",
@@ -379,46 +406,46 @@ class ArmInsn:
             wb = "!" if self.writeback else ""
             cond = COND_NAMES[self.cond]
             return f"{op.value}{mode}{cond} {reg_name(self.rn)}{wb}, {{{regs}}}"
-        if op in (Op.B, Op.BL):
+        if op in (_OP_B, _OP_BL):
             return f"{m} 0x{self.target:x}"
-        if op is Op.BX:
+        if op is _OP_BX:
             return f"{m} {reg_name(self.rm)}"
-        if op is Op.MRS:
+        if op is _OP_MRS:
             src = "spsr" if self.spsr else "cpsr"
             return f"{m} {reg_name(self.rd)}, {src}"
-        if op is Op.MSR:
+        if op is _OP_MSR:
             dst = "spsr" if self.spsr else "cpsr"
             fields = "".join(c for c, bitv in zip("cxsf", (1, 2, 4, 8))
                              if self.imm & bitv)
             return f"{m} {dst}_{fields}, {reg_name(self.rm)}"
-        if op in (Op.MCR, Op.MRC):
+        if op in (_OP_MCR, _OP_MRC):
             return (f"{m} p15, {self.cp_op1}, {reg_name(self.rd)}, "
                     f"c{self.cp_crn}, c{self.cp_crm}, {self.cp_op2}")
-        if op is Op.VMRS:
+        if op is _OP_VMRS:
             return f"{m} {reg_name(self.rd)}, fpscr"
-        if op is Op.VMSR:
+        if op is _OP_VMSR:
             return f"{m} fpscr, {reg_name(self.rd)}"
-        if op is Op.CPS:
+        if op is _OP_CPS:
             return f"{m} i"
-        if op is Op.SVC:
+        if op is _OP_SVC:
             return f"{m} #{self.imm}"
-        if op is Op.CLZ:
+        if op is _OP_CLZ:
             return f"{m} {reg_name(self.rd)}, {reg_name(self.rm)}"
         cond_text = COND_NAMES[self.cond]
         if op in VFP_ARITH_OPS:
             stem = op.value[:-4]  # "vadd.f32" -> "vadd"
             return (f"{stem}{cond_text}.f32 s{self.fd}, s{self.fn}, "
                     f"s{self.fm}")
-        if op is Op.VCMP:
+        if op is _OP_VCMP:
             return f"vcmp{cond_text}.f32 s{self.fd}, s{self.fm}"
-        if op in (Op.VLDR, Op.VSTR):
+        if op in (_OP_VLDR, _OP_VSTR):
             sign = "" if self.add_offset else "-"
             off = f", #{sign}{self.mem_offset_imm}" \
                 if self.mem_offset_imm or not self.add_offset else ""
             return (f"{op.value}{cond_text} s{self.fd}, "
                     f"[{reg_name(self.rn)}{off}]")
-        if op is Op.VMOVSR:
+        if op is _OP_VMOVSR:
             return f"vmov{cond_text} s{self.fn}, {reg_name(self.rd)}"
-        if op is Op.VMOVRS:
+        if op is _OP_VMOVRS:
             return f"vmov{cond_text} {reg_name(self.rd)}, s{self.fn}"
         return m  # nop, wfi

@@ -34,6 +34,51 @@ from .cpu import COND_EXPRS, COND_TESTS, HostCpu
 from .isa import ECX, ESP, Imm, Mem, Reg, X86Insn, X86Op, Xmm
 from ..common.f32 import f32_add, f32_mul, f32_sub
 
+# Enum members bound once for the per-instruction code: on Python 3.10
+# and 3.11 each ``Enum.MEMBER`` lookup runs EnumType.__getattr__
+# (docs/internals.md, "Per-instruction Python costs").
+_X86_ADC = X86Op.ADC
+_X86_ADD = X86Op.ADD
+_X86_AND = X86Op.AND
+_X86_BSR = X86Op.BSR
+_X86_CALL_HELPER = X86Op.CALL_HELPER
+_X86_CLC = X86Op.CLC
+_X86_CMC = X86Op.CMC
+_X86_CMP = X86Op.CMP
+_X86_DEC = X86Op.DEC
+_X86_EXIT_TB = X86Op.EXIT_TB
+_X86_GOTO_TB = X86Op.GOTO_TB
+_X86_IMUL = X86Op.IMUL
+_X86_INC = X86Op.INC
+_X86_JCC = X86Op.JCC
+_X86_JMP = X86Op.JMP
+_X86_LAHF = X86Op.LAHF
+_X86_LEA = X86Op.LEA
+_X86_MOV = X86Op.MOV
+_X86_MOVSS = X86Op.MOVSS
+_X86_MOVSX = X86Op.MOVSX
+_X86_MOVZX = X86Op.MOVZX
+_X86_NEG = X86Op.NEG
+_X86_NOPSLOT = X86Op.NOPSLOT
+_X86_NOT = X86Op.NOT
+_X86_OR = X86Op.OR
+_X86_POP = X86Op.POP
+_X86_POPFD = X86Op.POPFD
+_X86_PUSH = X86Op.PUSH
+_X86_PUSHFD = X86Op.PUSHFD
+_X86_RCR = X86Op.RCR
+_X86_ROR = X86Op.ROR
+_X86_SAHF = X86Op.SAHF
+_X86_SAR = X86Op.SAR
+_X86_SBB = X86Op.SBB
+_X86_SETCC = X86Op.SETCC
+_X86_SHL = X86Op.SHL
+_X86_SHR = X86Op.SHR
+_X86_STC = X86Op.STC
+_X86_SUB = X86Op.SUB
+_X86_TEST = X86Op.TEST
+_X86_XOR = X86Op.XOR
+
 #: Hard cap on host instructions per TB execution (codegen-bug guard).
 _RUNAWAY_LIMIT = 5_000_000
 
@@ -56,6 +101,11 @@ _EXIT = 4
 
 _TERMINATORS = {X86Op.JMP: _NEXT, X86Op.JCC: _JCC, X86Op.CALL_HELPER: _CALL,
                 X86Op.GOTO_TB: _GOTO, X86Op.EXIT_TB: _EXIT}
+
+_SHIFTS_AND_ROTATES = (X86Op.SHL, X86Op.SHR, X86Op.SAR, X86Op.ROR,
+                       X86Op.ROL, X86Op.RCR)
+_SSE_ARITH = {X86Op.ADDSS: f32_add, X86Op.SUBSS: f32_sub,
+              X86Op.MULSS: f32_mul}
 
 
 @dataclass
@@ -272,21 +322,21 @@ class HostInterpreter:
                     self.watchdog.trips += 1
                 raise WatchdogTimeout(executed, limit, tb_pc=tb.pc)
             op = insn.op
-            if op is X86Op.JCC:
+            if op is _X86_JCC:
                 if COND_TESTS[insn.cond](cpu):
                     index = insn.target_index
-            elif op is X86Op.JMP:
+            elif op is _X86_JMP:
                 index = insn.target_index
-            elif op is X86Op.CALL_HELPER:
+            elif op is _X86_CALL_HELPER:
                 self._call_helper(tb, insn)
-            elif op is X86Op.GOTO_TB:
+            elif op is _X86_GOTO_TB:
                 target = tb.jmp_target[insn.imm]
                 if target is not None:
                     return target, executed, pending_chain
                 # Unpatched: fall through to the exit stub (QEMU's
                 # initial goto_tb jumps to the next instruction).
                 pending_chain = (tb, insn.imm)
-            elif op is X86Op.EXIT_TB:
+            elif op is _X86_EXIT_TB:
                 return ExitInfo("exit", status=insn.imm, tb=tb,
                                 chain=pending_chain)
             else:
@@ -305,15 +355,15 @@ class HostInterpreter:
         """Execute one non-control instruction."""
         cpu = self.cpu
         op = insn.op
-        if op is X86Op.MOV:
+        if op is _X86_MOV:
             self._write(insn.dst, self._read(insn.src))
-        elif op is X86Op.MOVZX:
+        elif op is _X86_MOVZX:
             if isinstance(insn.src, Reg):
                 value = cpu.regs[insn.src.number] & 0xFF
             else:
                 value = self._read(insn.src)
             self._write(insn.dst, value)
-        elif op is X86Op.MOVSX:
+        elif op is _X86_MOVSX:
             if isinstance(insn.src, Reg):
                 value = cpu.regs[insn.src.number] & 0xFF
                 width = 8
@@ -322,85 +372,84 @@ class HostInterpreter:
                 width = 8 * insn.src.size
             sign = 1 << (width - 1)
             self._write(insn.dst, (value & (sign - 1)) - (value & sign))
-        elif op is X86Op.LEA:
+        elif op is _X86_LEA:
             self._write(insn.dst, self._addr(insn.src))
-        elif op is X86Op.ADD:
+        elif op is _X86_ADD:
             self._write(insn.dst, cpu.flags_add(self._read(insn.dst),
                                                 self._read(insn.src)))
-        elif op is X86Op.ADC:
+        elif op is _X86_ADC:
             self._write(insn.dst, cpu.flags_add(self._read(insn.dst),
                                                 self._read(insn.src),
                                                 cpu.cf))
-        elif op is X86Op.SUB:
+        elif op is _X86_SUB:
             self._write(insn.dst, cpu.flags_sub(self._read(insn.dst),
                                                 self._read(insn.src)))
-        elif op is X86Op.SBB:
+        elif op is _X86_SBB:
             self._write(insn.dst, cpu.flags_sub(self._read(insn.dst),
                                                 self._read(insn.src),
                                                 cpu.cf))
-        elif op is X86Op.CMP:
+        elif op is _X86_CMP:
             cpu.flags_sub(self._read(insn.dst), self._read(insn.src))
-        elif op is X86Op.AND:
+        elif op is _X86_AND:
             self._write(insn.dst, cpu.flags_logic(self._read(insn.dst) &
                                                   self._read(insn.src)))
-        elif op is X86Op.OR:
+        elif op is _X86_OR:
             self._write(insn.dst, cpu.flags_logic(self._read(insn.dst) |
                                                   self._read(insn.src)))
-        elif op is X86Op.XOR:
+        elif op is _X86_XOR:
             self._write(insn.dst, cpu.flags_logic(self._read(insn.dst) ^
                                                   self._read(insn.src)))
-        elif op is X86Op.TEST:
+        elif op is _X86_TEST:
             cpu.flags_logic(self._read(insn.dst) & self._read(insn.src))
-        elif op is X86Op.NEG:
+        elif op is _X86_NEG:
             value = self._read(insn.dst)
             self._write(insn.dst, cpu.flags_sub(0, value))
-        elif op is X86Op.NOT:
+        elif op is _X86_NOT:
             self._write(insn.dst, ~self._read(insn.dst))
-        elif op is X86Op.INC:
+        elif op is _X86_INC:
             carry = cpu.cf
             self._write(insn.dst, cpu.flags_add(self._read(insn.dst), 1))
             cpu.cf = carry  # INC preserves CF
-        elif op is X86Op.DEC:
+        elif op is _X86_DEC:
             carry = cpu.cf
             self._write(insn.dst, cpu.flags_sub(self._read(insn.dst), 1))
             cpu.cf = carry  # DEC preserves CF
-        elif op is X86Op.IMUL:
+        elif op is _X86_IMUL:
             # Like flags_logic, IMUL here preserves CF/OF (ARM muls
             # leaves C/V unchanged); see DESIGN.md.
             product = s32(self._read(insn.dst)) * s32(self._read(insn.src))
             result = u32(product)
             cpu.set_nz(result)
             self._write(insn.dst, result)
-        elif op in (X86Op.SHL, X86Op.SHR, X86Op.SAR, X86Op.ROR,
-                    X86Op.ROL, X86Op.RCR):
+        elif op in _SHIFTS_AND_ROTATES:
             self._shift(insn, op)
-        elif op is X86Op.BSR:
+        elif op is _X86_BSR:
             value = self._read(insn.src)
             cpu.zf = 1 if value == 0 else 0
             if value:
                 self._write(insn.dst, value.bit_length() - 1)
-        elif op is X86Op.PUSH:
+        elif op is _X86_PUSH:
             cpu.regs[ESP] = u32(cpu.regs[ESP] - 4)
             self.memory.write(cpu.regs[ESP], self._read(insn.src))
-        elif op is X86Op.POP:
+        elif op is _X86_POP:
             self._write(insn.dst, self.memory.read(cpu.regs[ESP], 4))
             cpu.regs[ESP] = u32(cpu.regs[ESP] + 4)
-        elif op is X86Op.PUSHFD:
+        elif op is _X86_PUSHFD:
             cpu.regs[ESP] = u32(cpu.regs[ESP] - 4)
             self.memory.write(cpu.regs[ESP], cpu.eflags)
-        elif op is X86Op.POPFD:
+        elif op is _X86_POPFD:
             cpu.eflags = self.memory.read(cpu.regs[ESP], 4)
             cpu.regs[ESP] = u32(cpu.regs[ESP] + 4)
-        elif op is X86Op.LAHF:
+        elif op is _X86_LAHF:
             flags_byte = ((cpu.sf << 7) | (cpu.zf << 6) | 0x02 | cpu.cf)
             cpu.regs[0] = (cpu.regs[0] & ~0xFF00 & 0xFFFFFFFF) | \
                 (flags_byte << 8)
-        elif op is X86Op.SAHF:
+        elif op is _X86_SAHF:
             byte = (cpu.regs[0] >> 8) & 0xFF
             cpu.sf = (byte >> 7) & 1
             cpu.zf = (byte >> 6) & 1
             cpu.cf = byte & 1
-        elif op is X86Op.SETCC:
+        elif op is _X86_SETCC:
             bit_value = 1 if COND_TESTS[insn.cond](cpu) else 0
             if isinstance(insn.dst, Reg):
                 number = insn.dst.number
@@ -408,15 +457,15 @@ class HostInterpreter:
                                     0xFFFFFFFF) | bit_value
             else:
                 self._write(insn.dst, bit_value)
-        elif op is X86Op.CMC:
+        elif op is _X86_CMC:
             cpu.cf ^= 1
-        elif op is X86Op.STC:
+        elif op is _X86_STC:
             cpu.cf = 1
-        elif op is X86Op.CLC:
+        elif op is _X86_CLC:
             cpu.cf = 0
-        elif op is X86Op.NOPSLOT:
+        elif op is _X86_NOPSLOT:
             pass
-        elif op is X86Op.MOVSS:
+        elif op is _X86_MOVSS:
             if isinstance(insn.dst, Xmm):
                 value = cpu.xmm[insn.src.number] \
                     if isinstance(insn.src, Xmm) \
@@ -425,14 +474,12 @@ class HostInterpreter:
             else:
                 self.memory.write(self._addr(insn.dst),
                                   cpu.xmm[insn.src.number])
-        elif op in (X86Op.ADDSS, X86Op.SUBSS, X86Op.MULSS):
+        elif op in _SSE_ARITH:
             left = cpu.xmm[insn.dst.number]
             right = cpu.xmm[insn.src.number] \
                 if isinstance(insn.src, Xmm) \
                 else self.memory.read(self._addr(insn.src), 4)
-            table = {X86Op.ADDSS: f32_add, X86Op.SUBSS: f32_sub,
-                     X86Op.MULSS: f32_mul}
-            cpu.xmm[insn.dst.number] = table[op](left, right)
+            cpu.xmm[insn.dst.number] = _SSE_ARITH[op](left, right)
         else:
             raise HostExecutionError(f"unimplemented host op {op}")
 
@@ -443,7 +490,7 @@ class HostInterpreter:
             amount = insn.src.value & 31
         else:
             amount = cpu.regs[ECX] & 31
-        if op is X86Op.RCR:
+        if op is _X86_RCR:
             # Rotate through carry by one (used for ARM RRX).
             result = u32((value >> 1) | (cpu.cf << 31))
             cpu.cf = value & 1
@@ -451,17 +498,17 @@ class HostInterpreter:
             return
         if amount == 0:
             return
-        if op is X86Op.SHL:
+        if op is _X86_SHL:
             cpu.cf = (value >> (32 - amount)) & 1
             result = u32(value << amount)
-        elif op is X86Op.SHR:
+        elif op is _X86_SHR:
             cpu.cf = (value >> (amount - 1)) & 1
             result = value >> amount
-        elif op is X86Op.SAR:
+        elif op is _X86_SAR:
             signed = s32(value)
             cpu.cf = (signed >> (amount - 1)) & 1
             result = u32(signed >> amount)
-        elif op is X86Op.ROR:
+        elif op is _X86_ROR:
             result = u32((value >> amount) | (value << (32 - amount)))
             cpu.cf = (result >> 31) & 1
         else:  # ROL
@@ -559,7 +606,7 @@ class HostInterpreter:
         for index, insn in enumerate(code):
             if insn.op in _TERMINATORS:
                 leaders.add(index + 1)
-            if insn.op is X86Op.JMP or insn.op is X86Op.JCC:
+            if insn.op is _X86_JMP or insn.op is _X86_JCC:
                 if not 0 <= insn.target_index <= end:
                     return None
                 leaders.add(insn.target_index)
@@ -579,9 +626,9 @@ class HostInterpreter:
                 body = body[:-1]
             if body:
                 block.body, block.lines = self._generate(body)
-            if last.op is X86Op.JMP:
+            if last.op is _X86_JMP:
                 block.next = blocks.get(last.target_index)
-            elif last.op is X86Op.JCC:
+            elif last.op is _X86_JCC:
                 block.taken = blocks.get(last.target_index)
                 block.pred = COND_TESTS[last.cond]
         return blocks[starts[0]]
@@ -662,13 +709,13 @@ def _flag_use(insn: X86Insn):
     for operand, kinds in ((insn.dst, dst_kinds), (insn.src, src_kinds)):
         if kinds is not None and type(operand) not in kinds:
             return None
-    if insn.op is X86Op.SETCC:
+    if insn.op is _X86_SETCC:
         expr = COND_EXPRS[insn.cond]
         reads = [flag for flag in "czso" if f"C.{flag}f" in expr]
     elif insn.op in _SHIFTS and not insn.src.value & 31:
         writes = ""                  # a zero count changes nothing
-    raises = insn.op in (X86Op.PUSH, X86Op.POP, X86Op.PUSHFD, X86Op.POPFD) \
-        or insn.op is not X86Op.LEA and Mem in (type(insn.dst), type(insn.src))
+    raises = insn.op in (_X86_PUSH, _X86_POP, _X86_PUSHFD, _X86_POPFD) \
+        or insn.op is not _X86_LEA and Mem in (type(insn.dst), type(insn.src))
     return frozenset(reads), frozenset(writes), raises
 
 
@@ -705,7 +752,8 @@ class _BodySource:
             if use is None:
                 self.line(f"STEP({self.name('I', insn)})")
             else:
-                getattr(self, "_" + insn.op.name.lower())(insn, use[1] & live)
+                emit = getattr(self, "_" + insn.op._name_.lower())
+                emit(insn, use[1] & live)
 
     def text(self):
         """``(source, lines)``: *lines* maps a source line number to the
@@ -789,7 +837,7 @@ class _BodySource:
             self.line(f"r = {expr}")
             self.flags(writes, **exprs)
             expr = "r"
-        if insn.op not in (X86Op.CMP, X86Op.TEST):
+        if insn.op not in (_X86_CMP, _X86_TEST):
             self.store(insn.dst, expr, k)
 
     def target(self, insn: X86Insn):
@@ -815,7 +863,7 @@ class _BodySource:
 
     def _add(self, insn, writes):
         k, a, b = self.operands(insn)
-        carry = " + C.cf" if insn.op is X86Op.ADC else ""
+        carry = " + C.cf" if insn.op is _X86_ADC else ""
         total = f"{a} + {b}{carry}"
         if writes:
             self.line(f"x = {a}; y = {b}; t = x + y{carry}")
@@ -825,7 +873,7 @@ class _BodySource:
 
     def _sub(self, insn, writes):
         k, a, b = self.operands(insn)
-        borrow = " + C.cf" if insn.op is X86Op.SBB else ""
+        borrow = " + C.cf" if insn.op is _X86_SBB else ""
         subtrahend = "t" if borrow else "y"
         if writes:
             self.line(f"x = {a}; y = {b}; t = y{borrow}" if borrow
@@ -856,7 +904,7 @@ class _BodySource:
 
     def _inc(self, insn, writes):
         k, value = self.target(insn)
-        step, overflow = ("+", 0x80000000) if insn.op is X86Op.INC \
+        step, overflow = ("+", 0x80000000) if insn.op is _X86_INC \
             else ("-", 0x7FFFFFFF)
         self.result(insn, writes, f"({value} {step} 1) & {_MASK}", k,
                     o=f"1 if r == {overflow} else 0")
@@ -868,10 +916,10 @@ class _BodySource:
             return
         op = insn.op
         self.line(f"x = ({value} ^ 2147483648) - 2147483648"
-                  if op is X86Op.SAR else f"x = {value}")
-        expr = f"(x << {count}) & {_MASK}" if op is X86Op.SHL \
+                  if op is _X86_SAR else f"x = {value}")
+        expr = f"(x << {count}) & {_MASK}" if op is _X86_SHL \
             else f"(x >> {count}) & {_MASK}"
-        carry = f"(x >> {32 - count}) & 1" if op is X86Op.SHL \
+        carry = f"(x >> {32 - count}) & 1" if op is _X86_SHL \
             else f"(x >> {count - 1}) & 1"
         self.result(insn, writes, expr, k, c=carry)
 
@@ -879,7 +927,7 @@ class _BodySource:
         # ESP moves first: a [esp + d] source sees the new value.
         esp = f"R[{ESP}]"
         self.line(f"{esp} = ({esp} - 4) & {_MASK}")
-        value = self.value(insn.src) if insn.op is X86Op.PUSH \
+        value = self.value(insn.src) if insn.op is _X86_PUSH \
             else "C.cf | C.zf << 6 | C.sf << 7 | C.of << 11 | 2"
         k = self.site(esp, 4)
         self.line(f"P4(A{k}, a{k} - B{k}, {value})")
@@ -888,7 +936,7 @@ class _BodySource:
         # The destination is written before ESP moves (pop [esp + d]).
         esp = f"R[{ESP}]"
         value = self.load(self.site(esp, 4), 4)
-        if insn.op is X86Op.POP:
+        if insn.op is _X86_POP:
             self.store(insn.dst, value)
         else:
             self.line(f"v = {value}")

@@ -103,7 +103,7 @@ class TcgFrontend:
 
     def _body(self, insn: ArmInsn) -> None:  # noqa: C901
         op = insn.op
-        if insn.is_system() or op is Op.SVC:
+        if insn.is_system():
             self._system(insn)
         elif op in DATA_PROCESSING_OPS:
             self._data_processing(insn)

@@ -371,7 +371,6 @@ class DbtEngineBase:
     def translate_tcg(self, pc: int, mmu_idx: int) -> TranslationBlock:
         """The MiniQEMU pipeline (ARM -> TCG IR -> x86); the shared
         fallback tier below the rules engine."""
-        from ..guest.isa import Op
         from ..ir.opt import optimize
 
         insns = self.fetch_block(pc)
@@ -385,23 +384,19 @@ class DbtEngineBase:
         tb.jmp_pc = list(jmp_pcs)
         tb.meta = {
             "n_memory": sum(1 for insn in insns if insn.is_memory()),
-            "n_system": sum(1 for insn in insns
-                            if insn.is_system() or insn.op is Op.SVC),
+            "n_system": sum(1 for insn in insns if insn.is_system()),
         }
         return tb
 
     def _make_interp_tb(self, pc: int, mmu_idx: int) -> TranslationBlock:
         """Last-resort tier: an empty TB executed by the reference
         interpreter (cannot fail for codegen reasons)."""
-        from ..guest.isa import Op
-
         insns = self.fetch_block(pc)
         tb = TranslationBlock(pc=pc, mmu_idx=mmu_idx, guest_insns=insns,
                               code=[])
         tb.meta = {
             "n_memory": sum(1 for insn in insns if insn.is_memory()),
-            "n_system": sum(1 for insn in insns
-                            if insn.is_system() or insn.op is Op.SVC),
+            "n_system": sum(1 for insn in insns if insn.is_system()),
         }
         return tb
 
@@ -433,8 +428,7 @@ class DbtEngineBase:
                     break
                 raise
             insns.append(insn)
-            if insn.writes_pc() or insn.is_system() or \
-                    insn.op.name in ("SVC", "WFI"):
+            if insn.writes_pc() or insn.is_system():
                 break
             addr += 4
         if machine.tracer.enabled:

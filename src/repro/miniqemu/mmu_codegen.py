@@ -37,6 +37,11 @@ from ..softmmu.tlb import SoftTlb
 from .env import TLB_BASE
 from .helpers import make_ld_helper, make_st_helper
 
+# Enum members bound once for the per-instruction code: on Python 3.10
+# and 3.11 each ``Enum.MEMBER`` lookup runs EnumType.__getattr__
+# (docs/internals.md, "Per-instruction Python costs").
+_X86_NE = X86Cond.NE
+
 _MMU_STRIDE = SoftTlb.SIZE * SoftTlb.ENTRY_SIZE  # 4096 bytes per mmu index
 
 
@@ -51,7 +56,7 @@ def emit_load(builder: CodeBuilder, addr_reg: int, size: int, signed: bool,
     _emit_probe(builder, addr_reg, size, access_offset=0, mmu_idx=mmu_idx,
                 tag=tag)
     slow, done = builder.new_label("slow"), builder.new_label("done")
-    builder.jcc(X86Cond.NE, slow, tag=tag)
+    builder.jcc(_X86_NE, slow, tag=tag)
     builder.mov(Reg(EAX), Mem(base=EDX, disp=12), tag=tag)
     builder.add(Reg(EAX), Reg(addr_reg), tag=tag)
     target = Mem(base=EAX, size=size)
@@ -82,7 +87,7 @@ def emit_store(builder: CodeBuilder, addr_reg: int, value_reg: int,
     _emit_probe(builder, addr_reg, size, access_offset=4, mmu_idx=mmu_idx,
                 tag=tag)
     slow, done = builder.new_label("slow"), builder.new_label("done")
-    builder.jcc(X86Cond.NE, slow, tag=tag)
+    builder.jcc(_X86_NE, slow, tag=tag)
     builder.mov(Reg(EAX), Mem(base=EDX, disp=12), tag=tag)
     builder.add(Reg(EAX), Reg(addr_reg), tag=tag)
     builder.mov(Mem(base=EAX, size=size), Reg(value_reg), tag=tag)

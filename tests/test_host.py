@@ -14,7 +14,7 @@ from repro.host import (CodeBuilder, EAX, EBX, ECX, EDX, ESI, ESP, HostCpu,
                         HostInterpreter, HostMemory, Imm, Mem, Reg, X86Cond,
                         X86Insn, X86Op)
 from repro.host.interp import HOT_THRESHOLD
-from repro.host.isa import Xmm
+from repro.host.isa import REG_NAMES, Xmm
 from repro.miniqemu.tb import TbExitException
 from repro.observability import Profiler
 from repro.robustness import ExecutionWatchdog
@@ -283,6 +283,158 @@ def test_flags_sub_matches_python(a, b):
     result = cpu.flags_sub(a, b)
     assert result == (a - b) & 0xFFFFFFFF
     assert cpu.cf == (1 if b > a else 0)
+
+
+# ---------------------------------------------------------------------------
+# HostInterpreter._step against the x86 definition.
+#
+# Compiled code steps the ops the block generator does not cover through
+# _step itself, so the differential tests below cannot catch a wrong _step.
+# Each row gives the state an instruction starts from and the x86 result:
+# keys are register, xmm and flag names, or an address holding a u32.
+# Everything a row does not list must stay as it was.  Where the x86
+# definition leaves a flag undefined the model keeps it; where the model
+# deviates from x86 the row says so (see DESIGN.md, section 5).
+# ---------------------------------------------------------------------------
+
+WORD = 0x100                     # a memory word the rows use
+AT_WORD = Mem(disp=WORD)
+ALL_FLAGS_SET = {"cf": 1, "zf": 1, "sf": 1, "of": 1}
+ONE_HALF, TWO_QUARTERS = 0x3FC00000, 0x40100000     # 1.5f, 2.25f
+
+STEP_CASES = [
+    # bsr: index of the highest set bit; ZF says whether the source is 0.
+    pytest.param(X86Insn(X86Op.BSR, Reg(EAX), Reg(EBX)),
+                 {"ebx": 0x00012000, **ALL_FLAGS_SET}, {"eax": 16, "zf": 0},
+                 id="bsr"),
+    pytest.param(X86Insn(X86Op.BSR, Reg(EAX), AT_WORD),
+                 {WORD: 0x80000000}, {"eax": 31}, id="bsr-mem"),
+    # A zero source sets ZF and leaves the destination unchanged.
+    pytest.param(X86Insn(X86Op.BSR, Reg(EAX), Reg(EBX)),
+                 {"eax": 0x1234, "ebx": 0}, {"zf": 1}, id="bsr-zero"),
+    # lahf: AH = SF:ZF:0:AF:0:PF:1:CF; bit 1 is always set (AF and PF
+    # are not modelled and read 0); the rest of EAX is kept.
+    pytest.param(X86Insn(X86Op.LAHF),
+                 {"eax": 0x12345678, "sf": 1, "cf": 1, "of": 1},
+                 {"eax": 0x12348378}, id="lahf"),
+    pytest.param(X86Insn(X86Op.LAHF), {"eax": 0xFFFFFFFF, "zf": 1},
+                 {"eax": 0xFFFF42FF}, id="lahf-zf"),
+    # sahf: SF, ZF and CF from AH bits 7, 6 and 0; OF is kept.
+    pytest.param(X86Insn(X86Op.SAHF), {"eax": 0x0000C100},
+                 {"sf": 1, "zf": 1, "cf": 1}, id="sahf"),
+    pytest.param(X86Insn(X86Op.SAHF), {"eax": 0xFFFF00FF, **ALL_FLAGS_SET},
+                 {"sf": 0, "zf": 0, "cf": 0}, id="sahf-clear"),
+    # rcr 1 rotates through CF; SF and ZF are kept.  Model: OF is kept
+    # too (x86 sets it to MSB(dst) ^ CF for a one-bit rcr).
+    pytest.param(X86Insn(X86Op.RCR, Reg(EBX), Imm(1)),
+                 {"ebx": 2, "cf": 1}, {"ebx": 0x80000001, "cf": 0},
+                 id="rcr-cf-in"),
+    pytest.param(X86Insn(X86Op.RCR, Reg(EBX), Imm(1)),
+                 {"ebx": 3, "zf": 1}, {"ebx": 1, "cf": 1}, id="rcr-cf-out"),
+    # rol/ror: CF is the bit that wrapped round; the count is taken mod
+    # 32 and OF is undefined for counts above 1.  Model: SF and ZF
+    # follow the result (x86 rotates keep them).
+    pytest.param(X86Insn(X86Op.ROL, Reg(EAX), Imm(4)),
+                 {"eax": 0x80000001, "zf": 1}, {"eax": 0x18, "zf": 0},
+                 id="rol"),
+    pytest.param(X86Insn(X86Op.ROL, Reg(EAX), Reg(ECX)),
+                 {"eax": 0x10000000, "ecx": 36}, {"eax": 1, "cf": 1},
+                 id="rol-cl"),
+    pytest.param(X86Insn(X86Op.ROR, Reg(EAX), Imm(1)),
+                 {"eax": 1}, {"eax": 0x80000000, "cf": 1, "sf": 1},
+                 id="ror"),
+    # Shifts by CL (compiled code steps them): count mod 32, and a zero
+    # count changes no flag.
+    pytest.param(X86Insn(X86Op.SHR, Reg(EAX), Reg(ECX)),
+                 {"eax": 0x80000018, "ecx": 4}, {"eax": 0x08000001, "cf": 1},
+                 id="shr-cl"),
+    pytest.param(X86Insn(X86Op.SAR, Reg(EAX), Reg(ECX)),
+                 {"eax": 0x80000000, "ecx": 31},
+                 {"eax": 0xFFFFFFFF, "sf": 1}, id="sar-cl"),
+    pytest.param(X86Insn(X86Op.SHL, Reg(EAX), Reg(ECX)),
+                 {"eax": 0xC0000000, "ecx": 1},
+                 {"eax": 0x80000000, "cf": 1, "sf": 1}, id="shl-cl"),
+    pytest.param(X86Insn(X86Op.SHL, Reg(EAX), Reg(ECX)),
+                 {"eax": 0xFFFFFFFF, "ecx": 32, "zf": 1}, {},
+                 id="shl-cl-zero"),
+    # movsx sign-extends a byte register, byte or word; no flag moves.
+    pytest.param(X86Insn(X86Op.MOVSX, Reg(EAX), Reg(EBX)),
+                 {"ebx": 0x12345680}, {"eax": 0xFFFFFF80}, id="movsx-r8"),
+    pytest.param(X86Insn(X86Op.MOVSX, Reg(EAX),
+                         Mem(disp=WORD, size=1)),
+                 {WORD: 0xFFFFFF7F}, {"eax": 0x7F}, id="movsx-m8"),
+    pytest.param(X86Insn(X86Op.MOVSX, Reg(EAX),
+                         Mem(disp=WORD, size=2)),
+                 {WORD: 0x00008001}, {"eax": 0xFFFF8001}, id="movsx-m16"),
+    # dec writes ZF, SF and OF and keeps CF.
+    pytest.param(X86Insn(X86Op.DEC, Reg(EAX)),
+                 {"eax": 0x80000000, "cf": 1, "sf": 1},
+                 {"eax": 0x7FFFFFFF, "of": 1, "sf": 0}, id="dec-overflow"),
+    pytest.param(X86Insn(X86Op.DEC, Reg(EAX)), {"eax": 0},
+                 {"eax": 0xFFFFFFFF, "sf": 1}, id="dec-wraps-keeps-cf"),
+    pytest.param(X86Insn(X86Op.DEC, AT_WORD), {WORD: 1},
+                 {WORD: 0, "zf": 1}, id="dec-mem"),
+    # clc/stc/cmc write CF only; nop writes nothing.
+    pytest.param(X86Insn(X86Op.CLC), ALL_FLAGS_SET, {"cf": 0}, id="clc"),
+    pytest.param(X86Insn(X86Op.STC), {}, {"cf": 1}, id="stc"),
+    pytest.param(X86Insn(X86Op.CMC), {"cf": 1}, {"cf": 0}, id="cmc"),
+    pytest.param(X86Insn(X86Op.NOPSLOT), {"eax": 7, **ALL_FLAGS_SET}, {},
+                 id="nopslot"),
+    # SSE scalar single precision: bit patterns move unchanged, and the
+    # arithmetic rounds to f32; EFLAGS is untouched.
+    pytest.param(X86Insn(X86Op.MOVSS, Xmm(0), Xmm(1)),
+                 {"xmm1": ONE_HALF}, {"xmm0": ONE_HALF}, id="movss-xmm"),
+    pytest.param(X86Insn(X86Op.MOVSS, Xmm(2), AT_WORD),
+                 {WORD: TWO_QUARTERS}, {"xmm2": TWO_QUARTERS},
+                 id="movss-load"),
+    pytest.param(X86Insn(X86Op.MOVSS, AT_WORD, Xmm(3)),
+                 {"xmm3": ONE_HALF}, {WORD: ONE_HALF}, id="movss-store"),
+    pytest.param(X86Insn(X86Op.ADDSS, Xmm(0), Xmm(1)),
+                 {"xmm0": ONE_HALF, "xmm1": TWO_QUARTERS, "cf": 1},
+                 {"xmm0": 0x40700000}, id="addss"),              # 3.75
+    pytest.param(X86Insn(X86Op.SUBSS, Xmm(0), AT_WORD),
+                 {"xmm0": ONE_HALF, WORD: TWO_QUARTERS},
+                 {"xmm0": 0xBF400000}, id="subss-mem"),          # -0.75
+    pytest.param(X86Insn(X86Op.MULSS, Xmm(4), Xmm(5)),
+                 {"xmm4": ONE_HALF, "xmm5": TWO_QUARTERS},
+                 {"xmm4": 0x40580000}, id="mulss"),              # 3.375
+    pytest.param(X86Insn(X86Op.MULSS, Xmm(4), Xmm(4)),
+                 {"xmm4": ONE_HALF}, {"xmm4": 0x40100000},
+                 id="mulss-same-reg"),                           # 2.25
+]
+
+
+def _step_state(cpu, data: bytearray) -> dict:
+    """Every register, xmm register and flag, and every memory word."""
+    state = {name: cpu.regs[n] for n, name in enumerate(REG_NAMES)}
+    state.update({f"xmm{n}": value for n, value in enumerate(cpu.xmm)})
+    state.update(cf=cpu.cf, zf=cpu.zf, sf=cpu.sf, of=cpu.of)
+    state.update({addr: int.from_bytes(data[addr:addr + 4], "little")
+                  for addr in range(0, len(data), 4)})
+    return state
+
+
+@pytest.mark.parametrize("insn, before, changes", STEP_CASES)
+def test_step_follows_the_x86_definition(insn, before, changes):
+    data = bytearray(0x200)
+    memory = HostMemory()
+    memory.map_region(0, data, "flat")
+    cpu = HostCpu(stack_top=len(data))
+    for n in range(8):
+        if n != ESP:
+            cpu.regs[n] = 0x01010101 * (n + 1)   # distinct, so kept ones show
+    for key, value in before.items():
+        if isinstance(key, int):
+            data[key:key + 4] = value.to_bytes(4, "little")
+        elif key.startswith("xmm"):
+            cpu.xmm[int(key[3:])] = value
+        elif key in REG_NAMES:
+            cpu.regs[REG_NAMES.index(key)] = value
+        else:
+            setattr(cpu, key, value)
+    expected = {**_step_state(cpu, data), **changes}
+    HostInterpreter(cpu, memory)._step(insn)
+    assert _step_state(cpu, data) == expected
 
 
 # ---------------------------------------------------------------------------
