@@ -28,7 +28,8 @@ Commands:
   side-by-side cost comparison.
 - ``faultsmoke [--seeds N]`` — the robustness smoke matrix: run a
   seeded fault-injection scenario grid and check every run still
-  produces the correct guest output and exit code.
+  produces the correct guest output and exit code; two scenarios run
+  again on a warm translation store.
 - ``check [--all]`` — the translation soundness checker: report the
   classification ``learn()`` gave every learned rule (proved /
   tested-only / refuted) and run the dataflow verifier over the TB
@@ -181,42 +182,70 @@ SMOKE_SCENARIOS = (
     ("rule-crash", "seed={seed},rule-crash=0.02"),
     ("rule-corrupt", "seed={seed},rule-corrupt=SUB,rule-corrupt=EOR"),
     ("rule-wrong", "seed={seed},rule-wrong=SUB"),
+    ("extra-sync", "seed={seed},extra-sync=0.5"),
 )
+
+#: Scenarios run a second time on a copy of a store that an uninjected
+#: pass wrote: there the injector edits revived TBs, whose host code is
+#: shared (see repro.cache.store.decode_code).
+SMOKE_WARM_SCENARIOS = ("rule-wrong", "extra-sync")
 
 SMOKE_WORKLOADS = ("cpu-prime", "fileio")
 
 
 def cmd_faultsmoke(args) -> int:
+    import os
+    import shutil
+    import tempfile
+
     from .harness import format_table
 
     rows = []
     failures = 0
-    for name, template in SMOKE_SCENARIOS:
-        for seed in range(1, args.seeds + 1):
-            for workload_name in SMOKE_WORKLOADS:
-                spec = template.format(seed=seed)
-                workload = ALL_WORKLOADS[workload_name]
-                try:
-                    result = run_workload(workload, args.engine,
-                                          inject=spec)
-                except Exception as error:  # noqa: BLE001 - report all
-                    failures += 1
-                    rows.append([name, seed, workload_name, "FAIL",
-                                 "-", "-", "-", str(error)[:60]])
-                    continue
-                stats = result.stats
-                injected = sum(int(count) for key, count in stats.items()
-                               if key.startswith("robust.inj_"))
-                fallback = sum(
-                    int(count) for key, count in stats.items()
-                    if key.startswith("robust.tier_") and
-                    key.endswith("_tbs") and key != "robust.tier_rules_tbs")
-                rows.append([
-                    name, seed, workload_name, "ok", injected,
-                    f"{stats.get('robust.quarantined_rules', 0):.0f}",
-                    f"{stats.get('robust.recovered_faults', 0):.0f}",
-                    f"fallback_tbs={fallback}",
-                ])
+    with tempfile.TemporaryDirectory(prefix="faultsmoke-") as scratch:
+        # One uninjected store per workload for the warm scenarios (an
+        # engine without a rules tier writes none and skips them).
+        stores = {}
+        for workload_name in SMOKE_WORKLOADS:
+            store = os.path.join(scratch, workload_name)
+            result = run_workload(ALL_WORKLOADS[workload_name], args.engine,
+                                  cache_dir=store)
+            if result.stats.get("cache.tb_saved"):
+                stores[workload_name] = store
+        scenarios = [(name, template, False)
+                     for name, template in SMOKE_SCENARIOS]
+        scenarios += [(f"{name} (warm)", template, True)
+                      for name, template in SMOKE_SCENARIOS
+                      if name in SMOKE_WARM_SCENARIOS]
+        for name, template, warm in scenarios:
+            for seed in range(1, args.seeds + 1):
+                for workload_name in SMOKE_WORKLOADS:
+                    cache_dir = None
+                    if warm:
+                        if workload_name not in stores:
+                            continue
+                        cache_dir = os.path.join(scratch, "run")
+                        shutil.rmtree(cache_dir, ignore_errors=True)
+                        shutil.copytree(stores[workload_name], cache_dir)
+                    try:
+                        result = run_workload(ALL_WORKLOADS[workload_name],
+                                              args.engine,
+                                              inject=template.format(
+                                                  seed=seed),
+                                              cache_dir=cache_dir)
+                    except Exception as error:  # noqa: BLE001 - report all
+                        failures += 1
+                        rows.append([name, seed, workload_name, "FAIL",
+                                     "-", "-", "-", str(error)[:60]])
+                        continue
+                    row = _smoke_row(name, seed, workload_name,
+                                     result.stats, warm)
+                    if warm and not result.stats.get("cache.tb_loaded"):
+                        # A warm run that revived nothing tested
+                        # nothing it was meant to.
+                        failures += 1
+                        row[3] = "FAIL"
+                    rows.append(row)
     print(format_table(
         ["Scenario", "Seed", "Workload", "Result", "Injected",
          "Quarantined", "Recovered", "Notes"], rows,
@@ -226,6 +255,21 @@ def cmd_faultsmoke(args) -> int:
         return 1
     print(f"all {len(rows)} scenarios passed")
     return 0
+
+
+def _smoke_row(name, seed, workload_name, stats, warm):
+    injected = sum(int(count) for key, count in stats.items()
+                   if key.startswith("robust.inj_"))
+    fallback = sum(
+        int(count) for key, count in stats.items()
+        if key.startswith("robust.tier_") and
+        key.endswith("_tbs") and key != "robust.tier_rules_tbs")
+    notes = f"fallback_tbs={fallback}"
+    if warm:
+        notes += f" loaded={stats.get('cache.tb_loaded', 0):.0f}"
+    return [name, seed, workload_name, "ok", injected,
+            f"{stats.get('robust.quarantined_rules', 0):.0f}",
+            f"{stats.get('robust.recovered_faults', 0):.0f}", notes]
 
 
 def cmd_check(args) -> int:

@@ -20,6 +20,17 @@ translator's ``fetch_block`` uses, so a warm run touches the TLB and
 page tables identically to a cold one — the deterministic metrics stay
 bit-identical and only the (real) translation work is saved.
 
+Revived TBs are read-only views of the store.  Their helper-free host
+instructions are shared by every TB of the run that holds the same
+token, and their ``meta`` is a top-level copy whose nested audit and
+justification records are the entry's own.  Every runtime writer
+replaces a top-level meta key (``tier``, ``selfcheckable``,
+``provenance``, the fault injector's re-indexed records) and never
+edits a nested record or a host instruction in place.  The one
+copy-on-write exception is the fault injector, which copies the code
+list and each instruction whose jump target it shifts, so its edit
+stays in the TB it instruments and never reaches the store.
+
 The loader also subscribes to the code cache's eviction notifications:
 an in-memory invalidation (rule quarantine, self-check failure,
 ``--check`` rejection) evicts the corresponding persisted entry too, so
@@ -33,12 +44,13 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..analysis.justify import J_REORDER, justifications_of
 from ..common.errors import DecodingError, MemoryFault
+from ..core.rulebook import rule_key
 from ..guest.decoder import decode
 from ..miniqemu.tb import TranslationBlock
 from .fingerprint import (context_fingerprint, entry_checksum,
                           guest_image_digest)
-from .store import (PROVENANCE_KEY, CacheStore, UnpersistableTB,
-                    decode_code, serialize_tb)
+from .store import (PROVENANCE_KEY, CacheStore, TokenMemo,
+                    UnpersistableTB, decode_code, serialize_tb)
 
 #: Fault-injection sites consulted once per persisted-entry fetch (see
 #: repro.robustness.faultinject): ``cache-corrupt`` hands the real
@@ -46,21 +58,6 @@ from .store import (PROVENANCE_KEY, CacheStore, UnpersistableTB,
 #: the real guest-byte validation words that no longer match memory.
 SITE_CORRUPT = "cache-corrupt"
 SITE_STALE = "cache-stale-bytes"
-
-def _plain_copy(obj: Any) -> Any:
-    """Deep-copy plain JSON data (dict/list/scalar).
-
-    The revived TB's meta must not alias the store entry's — runtime
-    mutation would corrupt the entry's checksum — but entries are
-    freshly parsed JSON, so a structural copy beats ``copy.deepcopy``'s
-    generic machinery on the warm path.
-    """
-    if isinstance(obj, dict):
-        return {key: _plain_copy(value) for key, value in obj.items()}
-    if isinstance(obj, list):
-        return [_plain_copy(item) for item in obj]
-    return obj
-
 
 class CacheLoader:
     """Per-run warm-start state for one machine + store directory."""
@@ -75,8 +72,8 @@ class CacheLoader:
             root, context_fingerprint(engine.rulebook, engine.config,
                                       image=image))
         self._entries: Dict[Tuple[int, int], Dict[str, Any]] = {}
-        #: host-insn token -> parsed fields (see ``store.decode_code``)
-        self._memo: Dict[str, Tuple[Any, ...]] = {}
+        #: host-insn token -> shared instruction (see ``store.decode_code``)
+        self._memo: TokenMemo = {}
         #: store-level problems found at attach (reported, not fatal)
         self.problems: List[str] = []
         # Warm-start accounting (the ``cache.`` stats group).
@@ -150,7 +147,9 @@ class CacheLoader:
 
     def _revive(self, entry: Dict[str, Any], pc: int, mmu_idx: int,
                 words: List[int]) -> Optional[TranslationBlock]:
-        meta = _plain_copy(entry.get("meta") or {})
+        # Shallow: runtime writers replace top-level keys and never edit
+        # a nested record in place (see the module docstring).
+        meta = dict(entry.get("meta") or {})
         rules_used = meta.get("rules_used") or ()
         if set(self.engine.ladder.quarantined_rules).intersection(rules_used):
             self.quarantined += 1
@@ -216,17 +215,26 @@ class CacheLoader:
         """Merge this run's fresh rules-tier TBs into the store.
 
         Surviving loaded entries are kept as-is; every freshly
-        translated, still-live rules-tier TB is serialized and added.
+        translated, still-live rules-tier TB is serialized and added,
+        unless it holds an instruction of a rule quarantined this run.
         Returns the number of newly persisted TBs.  The store is only
         rewritten when something actually changed.
         """
         new = 0
+        quarantined = set(self.engine.ladder.quarantined_rules)
         for tb in self.engine.cache.all_tbs():
             if tb.meta.get("tier") != "rules":
                 continue
             key = (tb.pc, tb.mmu_idx)
             if tb.meta.get(PROVENANCE_KEY) == "cached" \
                     and key in self._entries:
+                continue
+            if quarantined and quarantined.intersection(
+                    map(rule_key, tb.guest_insns)):
+                # Translated around a quarantined rule: a later run in
+                # which the rule is healthy must not revive the
+                # degraded code.
+                self.unpersistable += 1
                 continue
             try:
                 entry = serialize_tb(tb)

@@ -23,7 +23,9 @@ Serialization notes:
   helper without a spec (e.g. one injected by the fault injector), or
   whose label or tag contains ``SEP``, is simply not persistable.
 - ``entries.json`` is compact JSON, so ``json.dumps`` runs on the C
-  encoder; the loader parses each distinct token once per run.
+  encoder; the loader parses each distinct token once per run, and
+  revived TBs share the instruction of each helper-free token (see
+  :func:`decode_code`).
 - ``meta`` is persisted as-is (it is JSON-friendly by design: the
   sync-site counters and the audit/justification records are plain
   dicts), except the run-local ``provenance`` tag.  ``words`` are in
@@ -37,6 +39,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..host.isa import Imm, Mem, Reg, X86Cond, X86Insn, X86Op, Xmm
@@ -130,8 +133,12 @@ _X86_OPS = {op.name: op for op in X86Op}
 _X86_CONDS = {cond.name: cond for cond in X86Cond}
 
 
-def _parse_token(token: str) -> Tuple[Any, ...]:
-    """A token's decoded fields, the helper still as its persist spec."""
+#: Parsed tokens of one run: token -> (instruction, helper spec or None).
+TokenMemo = Dict[str, Tuple[X86Insn, Optional[Tuple[Any, ...]]]]
+
+
+def _parse_token(token: str) -> Tuple[X86Insn, Optional[Tuple[Any, ...]]]:
+    """A token's instruction (without its helper) and helper spec."""
     fields = token.split(SEP) if isinstance(token, str) else ()
     if len(fields) != 10:
         raise ValueError(f"bad host insn token {token!r}")
@@ -139,31 +146,34 @@ def _parse_token(token: str) -> Tuple[Any, ...]:
     if spec:
         kind, *numbers = spec.split(",")
         spec = (kind, *map(int, numbers))
-    return (_X86_OPS[op], _decode_operand(dst), _decode_operand(src),
-            _X86_CONDS[cond] if cond else None, label or None, spec or None,
-            tuple(map(_decode_operand, args.split(";"))) if args else (),
-            int(imm) if imm else 0, tag or "code",
-            int(target) if target else -1)
+    insn = X86Insn(
+        _X86_OPS[op], _decode_operand(dst), _decode_operand(src),
+        _X86_CONDS[cond] if cond else None, label or None, None,
+        tuple(map(_decode_operand, args.split(";"))) if args else (),
+        int(imm) if imm else 0, tag or "code",
+        int(target) if target else -1)
+    return insn, spec or None
 
 
 def decode_code(tokens: List[str], by_addr: Dict[int, Any],
-                memo: Dict[str, Tuple[Any, ...]]) -> List[X86Insn]:
+                memo: TokenMemo) -> List[X86Insn]:
     """Rebuild a TB's host code from its tokens.
 
-    Parsed fields are shared through *memo* (operands are frozen), but
-    every instruction is a fresh ``X86Insn``: the translator and the
-    fault injector mutate them in place.  Helpers are resolved against
-    the TB's decoded guest instructions *by_addr*."""
+    Revived code is read-only.  Every helper-free instruction is one
+    ``X86Insn`` per distinct token, shared through *memo* by every TB
+    decoded with it; an instruction that calls a helper is built per
+    TB, its helper resolved against the TB's decoded guest instructions
+    *by_addr*.  The one writer of host instructions after translation,
+    the fault injector, copies the instructions it edits."""
     code = []
     for token in tokens:
-        fields = memo.get(token)
-        if fields is None:
-            fields = memo[token] = _parse_token(token)
-        op, dst, src, cond, label, spec, args, imm, tag, target = fields
-        code.append(X86Insn(
-            op, dst, src, cond, label,
-            None if spec is None else resolve_helper(spec, by_addr),
-            args, imm, tag, target))
+        parsed = memo.get(token)
+        if parsed is None:
+            parsed = memo[token] = _parse_token(token)
+        insn, spec = parsed
+        if spec is not None:
+            insn = replace(insn, helper=resolve_helper(spec, by_addr))
+        code.append(insn)
     return code
 
 
@@ -204,7 +214,7 @@ def serialize_tb(tb) -> Dict[str, Any]:
     meta = tb.meta
     if meta.get("tier") != "rules":
         raise UnpersistableTB(f"tier {meta.get('tier')!r}")
-    if meta.get("injected"):
+    if meta.get("injected") or meta.get("unpersistable"):
         raise UnpersistableTB("fault-injected TB")
     by_addr = sorted(tb.guest_insns, key=lambda insn: insn.addr)
     words: List[int] = []
@@ -368,7 +378,7 @@ def verify_store(directory: str) -> List[str]:
             manifest["entries"] != len(entries):
         problems.append(f"manifest says {manifest['entries']} entries, "
                         f"store has {len(entries)}")
-    memo: Dict[str, Tuple[Any, ...]] = {}
+    memo: TokenMemo = {}
     for entry in entries:
         label = f"entry 0x{entry.get('pc', 0):08x}"
         if entry.get("sha256") != entry_checksum(entry):

@@ -60,7 +60,7 @@ the gate's own detection path testable end to end.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Optional
 
 from ..common.errors import InjectedFault, ReproError, RuleApplicationError
@@ -166,6 +166,24 @@ def _make_wrong_helper(rule: str, reg: int, mask: int):
     return helper_injected_wrong
 
 
+def _retarget(code, remap):
+    """A copy of *code* whose resolved intra-TB jump targets went
+    through *remap*.
+
+    Revived TBs share their host instructions with other TBs and with
+    the store's decode memo (see repro.cache.store.decode_code), so an
+    instruction whose target changes is copied, never edited in place.
+    """
+    out = []
+    for insn in code:
+        if insn.target_index >= 0:
+            target = remap(insn.target_index)
+            if target != insn.target_index:
+                insn = replace(insn, target_index=target)
+        out.append(insn)
+    return out
+
+
 class NullInjector:
     """No-fault injector: every hot-path hook is a cheap no-op."""
 
@@ -240,7 +258,7 @@ class FaultInjector(NullInjector):
                                        detail="injected translator crash")
 
     def instrument_tb(self, tb) -> None:
-        """Corrupt a freshly-translated rules-tier TB in place.
+        """Corrupt a rules-tier TB, fresh or revived, before it runs.
 
         Prepends an injected helper call (shifting every resolved
         intra-TB jump target by one slot):
@@ -278,17 +296,15 @@ class FaultInjector(NullInjector):
         from ..analysis.justify import AUDIT_KEY, JUSTIFY_KEY, shift_indices
         from ..host.isa import X86Insn, X86Op
 
-        for insn in tb.code:
-            if insn.target_index >= 0:
-                insn.target_index += 1
         # Keep the audit/justification bookkeeping aligned: the static
         # checker must see a well-formed (if doomed-at-runtime) TB, not
         # a bookkeeping mismatch.
         for key in (AUDIT_KEY, JUSTIFY_KEY):
             if tb.meta.get(key):
                 tb.meta[key] = shift_indices(tb.meta[key], 0, 1)
-        tb.code.insert(0, X86Insn(X86Op.CALL_HELPER, helper=helper,
-                                  tag="injected"))
+        tb.code = [X86Insn(X86Op.CALL_HELPER, helper=helper,
+                           tag="injected"),
+                   *_retarget(tb.code, lambda target: target + 1)]
 
     # -- performance regression simulation ---------------------------------
 
@@ -309,15 +325,18 @@ class FaultInjector(NullInjector):
         from ..host.isa import X86Insn, X86Op
 
         count = EXTRA_SYNC_INSNS
-        for insn in tb.code:
-            if insn.target_index >= 0:
-                insn.target_index += count
         for key in (AUDIT_KEY, JUSTIFY_KEY):
             if tb.meta.get(key):
                 tb.meta[key] = shift_indices(tb.meta[key], 0, count)
-        for _ in range(count):
-            tb.code.insert(0, X86Insn(X86Op.NOPSLOT, tag="sync"))
+        tb.code = [*(X86Insn(X86Op.NOPSLOT, tag="sync")
+                     for _ in range(count)),
+                   *_retarget(tb.code, lambda target: target + count)]
         tb.meta["sync_insns"] = tb.meta.get("sync_insns", 0) + count
+        # Unlike the other sites this one must not stop chaining into
+        # the TB (that would change the costs it models), so it does
+        # not set ``injected``; the store must refuse the TB all the
+        # same, or a later clean run would revive the padding.
+        tb.meta["unpersistable"] = "extra-sync"
 
     # -- analysis-level soundness corruption -------------------------------
 
@@ -374,14 +393,12 @@ class FaultInjector(NullInjector):
 
         start, end = event["start"], event["end"]
         delta = end - start
-        del tb.code[start:end]
-        for insn in tb.code:
-            if insn.target_index >= end:
-                insn.target_index -= delta
-            elif insn.target_index >= start:
-                # Defensive: a jump into the removed range now lands on
-                # the instruction that follows it.
-                insn.target_index = start
+        # A jump past the removed range moves down with it; a jump into
+        # it (defensively) lands on the instruction that follows it.
+        tb.code = _retarget(
+            tb.code[:start] + tb.code[end:],
+            lambda target: target - delta if target >= end
+            else min(target, start))
         audit = [e for e in (tb.meta.get(AUDIT_KEY) or ()) if e is not event]
         # Shift from start+1 so ranges *ending* exactly at the removal
         # point keep their end; anything at or beyond the removed

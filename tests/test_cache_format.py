@@ -25,6 +25,7 @@ from repro.harness.runner import make_machine
 from repro.host.isa import Imm, Mem, Reg, X86Cond, X86Insn, X86Op, Xmm
 from repro.miniqemu.helpers import (make_ld_helper, make_st_helper,
                                     make_sysreg_helper)
+from repro.observability import Profiler
 from repro.workloads import ALL_WORKLOADS
 from tests.test_persistent_cache import (_deterministic_stats, _final_state,
                                          _machine, _run)
@@ -101,7 +102,29 @@ def test_unencodable_label_or_tag_is_unpersistable(field, value):
         encode_insn(insn)
 
 
-def test_revived_tbs_share_no_insn_objects(tmp_path):
+# ---------------------------------------------------------------------------
+# Revived code and meta are shared, read-only views of the store.
+# ---------------------------------------------------------------------------
+
+#: Every injector edit of a revived TB's code and meta: NOP padding,
+#: a prepended helper and a removed sync-save range.
+INJECTED_WARM = "seed=1,extra-sync=0.5,rule-wrong=SUB,drop-save=0.5"
+
+
+def _workload_run(workload, cache_dir, **kwargs):
+    """Run *workload* on ``rules-full`` against the store at
+    *cache_dir*; returns the machine, its loader and the number of
+    entries the store held at attach."""
+    machine = make_machine(workload, "rules-full", cache_dir=str(cache_dir),
+                           **kwargs)
+    loader = machine.engine.persistent
+    at_attach = len(loader)
+    assert machine.run(workload.max_insns) == 0
+    loader.save()
+    return machine, loader, at_attach
+
+
+def test_revived_helper_free_insns_are_shared(tmp_path):
     cold, cold_loader = _machine(tmp_path)
     _run(cold, cold_loader)
     warm, warm_loader = _machine(tmp_path)
@@ -109,7 +132,67 @@ def test_revived_tbs_share_no_insn_objects(tmp_path):
     code = [insn for tb in warm.engine.cache.all_tbs()
             if tb.meta.get("provenance") == "cached" for insn in tb.code]
     assert warm_loader.loaded > 1
-    assert len({id(insn) for insn in code}) == len(code)
+    shared = [insn for insn in code if insn.helper is None]
+    calls = [insn for insn in code if insn.helper is not None]
+    assert len({id(insn) for insn in shared}) < len(shared)
+    # A helper is resolved against its own TB's guest instructions.
+    assert calls and len({id(insn) for insn in calls}) == len(calls)
+
+
+def test_injected_warm_run_leaves_the_store_clean(tmp_path):
+    """The injector edits revived TBs by copy, so neither the run it
+    instruments nor a later clean run sees its edits elsewhere."""
+    workload = ALL_WORKLOADS["cpu-prime"]
+    cold, cold_loader, _ = _workload_run(workload, tmp_path)
+    assert cold_loader.saved > 0
+
+    injected, loader, _ = _workload_run(workload, tmp_path,
+                                        inject=INJECTED_WARM)
+    assert injected.uart.text == cold.uart.text
+    stats = injected.stats()
+    for site in ("extra_sync", "rule_wrong", "drop_save"):
+        assert stats[f"robust.inj_{site}"] > 0, site
+    assert loader.loaded > 0 and loader.corrupt == 0
+    # The shared instructions still say what their tokens say.
+    shared = [(token, insn) for token, (insn, spec) in loader._memo.items()
+              if spec is None]
+    assert any(insn.target_index >= 0 for _, insn in shared)
+    for token, insn in shared:
+        assert encode_insn(insn) == token
+    # rule-wrong quarantined rules: what was translated around them
+    # stays out of the store.
+    assert stats["robust.quarantined_rules"] > 0
+    assert loader.unpersistable > 0 and loader.saved == 0
+    assert verify_store(iter_store_dirs(str(tmp_path))[0]) == []
+
+    warm, loader, at_attach = _workload_run(workload, tmp_path)
+    assert loader.loaded == at_attach > 0
+    assert loader.corrupt == loader.stale == 0
+    assert warm.uart.text == cold.uart.text
+    assert _deterministic_stats(warm) == _deterministic_stats(cold)
+
+
+@pytest.mark.parametrize("inject,check", [
+    (None, True), (INJECTED_WARM, True),
+    # Unchecked, the TBs drop-save edits stay live (--check rejects
+    # them and evicts their entries).
+    (INJECTED_WARM, False),
+], ids=["clean", "injected", "injected-unchecked"])
+def test_warm_run_writes_nothing_into_shared_meta(tmp_path, inject, check):
+    workload = ALL_WORKLOADS["cpu-prime"]
+    cold, _, _ = _workload_run(workload, tmp_path)
+    _, on_disk = _read_store(tmp_path)
+    disk_meta = {(entry["pc"], entry["mmu_idx"]): entry["meta"]
+                 for entry in on_disk["entries"]}
+
+    warm, loader, _ = _workload_run(workload, tmp_path, inject=inject,
+                                    check=check, profiler=Profiler())
+    assert warm.uart.text == cold.uart.text
+    assert loader.loaded > 0
+    assert (warm.stats().get("engine.check_tbs", 0) > 0) == check
+    for key, entry in loader._entries.items():
+        assert entry["sha256"] == entry_checksum(entry), key
+        assert entry["meta"] == disk_meta[key], key
 
 
 # ---------------------------------------------------------------------------

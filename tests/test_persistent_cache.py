@@ -26,9 +26,11 @@ from repro.analysis.justify import J_REORDER, justifications_of
 from repro.cache import attach_cache, iter_store_dirs, verify_store
 from repro.core import OptLevel, make_rule_engine
 from repro.guest.asm import assemble
+from repro.harness.runner import run_workload
 from repro.miniqemu.machine import Machine
 from repro.miniqemu.tb import TranslationBlock
 from repro.robustness import FaultInjector, parse_inject_spec
+from repro.workloads import ALL_WORKLOADS
 
 BASE = 0x1000
 UART_DR = 0x10000000
@@ -401,6 +403,24 @@ def test_inject_cache_stale_bytes_forces_fresh_translation(tmp_path):
     assert warm_loader.loaded == 0
     assert warm_loader.stale >= 1
     assert bytes(warm.uart.output) == bytes(cold.uart.output)
+
+
+def test_extra_sync_store_does_not_poison_clean_runs(tmp_path):
+    """``extra-sync`` pads TBs without marking them ``injected`` (that
+    would stop chaining into them); the store must refuse them anyway,
+    so a clean warm run costs exactly what a clean cold run does."""
+    workload = ALL_WORKLOADS["cpu-prime"]
+    clean = run_workload(workload, "rules-full")
+    padded = run_workload(workload, "rules-full", cache_dir=str(tmp_path),
+                          inject="seed=1,extra-sync=1.0")
+    assert padded.stats["robust.inj_extra_sync"] > 0
+    assert padded.stats["cache.tb_saved"] == 0
+    assert padded.stats["cache.tb_unpersistable"] > 0
+
+    warm = run_workload(workload, "rules-full", cache_dir=str(tmp_path))
+    assert warm.stats["cache.tb_loaded"] == 0
+    assert warm.host_instructions == clean.host_instructions
+    assert warm.output == clean.output
 
 
 def test_parse_inject_spec_accepts_cache_sites():

@@ -553,3 +553,18 @@ def test_wakeup_deadlock_reports_device_state():
                            timer_reload=7, intc_pending=0x2)
     assert "timer enabled=True" in str(error)
     assert "pending=0x2" in str(error)
+
+
+def test_faultsmoke_reruns_scenarios_on_a_warm_store(monkeypatch, capsys):
+    import repro.__main__ as cli
+
+    monkeypatch.setattr(cli, "SMOKE_WORKLOADS", ("cpu-prime",))
+    monkeypatch.setattr(cli, "SMOKE_SCENARIOS",
+                        (("extra-sync", "seed={seed},extra-sync=0.5"),))
+    assert cli.main(["faultsmoke", "--seeds", "1"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    cold = [row for row in rows if row[:2] == ["extra-sync", "1"]]
+    warm = [row for row in rows if row[:2] == ["extra-sync", "(warm)"]]
+    assert len(cold) == 1 and "loaded=" not in " ".join(cold[0])
+    assert len(warm) == 1 and warm[0][4] == "ok"
+    assert int(warm[0][-1].split("=")[1]) > 0
