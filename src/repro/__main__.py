@@ -181,6 +181,9 @@ SMOKE_SCENARIOS = (
     ("irq-storm", "seed={seed},irq-storm=0.0002"),
     ("rule-crash", "seed={seed},rule-crash=0.02"),
     ("rule-corrupt", "seed={seed},rule-corrupt=SUB,rule-corrupt=EOR"),
+    # Uncovered memory instructions meet the define-before-use scheduler
+    # and the translation-time memo end to end.
+    ("rule-corrupt-mem", "seed={seed},rule-corrupt=LDR,rule-corrupt=STR"),
     ("rule-wrong", "seed={seed},rule-wrong=SUB"),
     ("extra-sync", "seed={seed},extra-sync=0.5"),
 )

@@ -20,7 +20,9 @@ translator's ``fetch_block`` uses, so a warm run touches the TLB and
 page tables identically to a cold one — the deterministic metrics stay
 bit-identical and only the (real) translation work is saved.
 
-Revived TBs are read-only views of the store.  Their helper-free host
+Revived TBs are read-only views of the store.  Their guest
+instructions come from the engine's decode memo, shared with every
+fetch of the same word at the same address.  Their helper-free host
 instructions are shared by every TB of the run that holds the same
 token, and their ``meta`` is a top-level copy whose nested audit and
 justification records are the entry's own.  Every runtime writer
@@ -45,7 +47,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from ..analysis.justify import J_REORDER, justifications_of
 from ..common.errors import DecodingError, MemoryFault
 from ..core.rulebook import rule_key
-from ..guest.decoder import decode
 from ..miniqemu.tb import TranslationBlock
 from .fingerprint import (context_fingerprint, entry_checksum,
                           guest_image_digest)
@@ -155,6 +156,7 @@ class CacheLoader:
             self.quarantined += 1
             self._discard(pc, mmu_idx, "quarantined-rule")
             return None
+        decode = self.engine.decode     # the engine's decode memo
         try:
             decoded = [decode(word, pc + 4 * index)
                        for index, word in enumerate(words)]

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional, Set, Tuple
 
 from ..common.bitops import u32
-from ..guest.isa import (ArmInsn, COMPARE_OPS, Op, PC, ShiftKind)
+from ..guest.isa import ArmInsn, Op, PC, ShiftKind
 from ..host.builder import CodeBuilder
 from ..host.isa import EAX, ECX, EDX, Imm, Mem, Reg, X86Cond, X86Op
 from .analysis import flags_written
@@ -205,7 +205,7 @@ class AluEmitter:
         builder = self.builder
         cache = self.cache
 
-        if op in COMPARE_OPS:
+        if op.compare:
             self._emit_compare(insn)
             return
 

@@ -26,8 +26,6 @@ _OP_ADC = Op.ADC
 _OP_BL = Op.BL
 _OP_BX = Op.BX
 _OP_CLZ = Op.CLZ
-_OP_CMN = Op.CMN
-_OP_CMP = Op.CMP
 _OP_LDM = Op.LDM
 _OP_LDR = Op.LDR
 _OP_LDRB = Op.LDRB
@@ -93,30 +91,45 @@ def flags_read(insn: ArmInsn) -> int:
     return mask
 
 
+#: Flag-write class of each opcode, keyed by name: hashing an Op
+#: member runs the Python-level Enum.__hash__, a name hashes in C.
+_W_NONE, _W_COMPARE, _W_TEST, _W_LOGICAL, _W_ARITH, _W_MULTIPLY, \
+    _W_MSR, _W_VMRS = range(8)
+_WRITE_CLASS = {op._name_: (_W_COMPARE if op in (Op.CMP, Op.CMN) else
+                            _W_TEST if op in COMPARE_OPS else
+                            _W_LOGICAL if op in _LOGICAL_DP else
+                            _W_ARITH if op in DATA_PROCESSING_OPS else
+                            _W_MULTIPLY if op in (Op.MUL, Op.MLA) else
+                            _W_MSR if op is Op.MSR else
+                            _W_VMRS if op is Op.VMRS else _W_NONE)
+                for op in Op}
+
+
 def flags_written(insn: ArmInsn) -> int:
     """NZCV bits this instruction definitely writes (when it executes)."""
-    if insn.op in COMPARE_OPS:
-        if insn.op in (_OP_CMP, _OP_CMN):
-            return F_ALL
-        # TST/TEQ: N,Z always; C only via a shifted operand.
-        mask = F_N | F_Z
-        if _shifter_touches_carry(insn):
-            mask |= F_C
-        return mask
-    if insn.op in DATA_PROCESSING_OPS and insn.set_flags:
-        if insn.op in _LOGICAL_DP:
-            mask = F_N | F_Z
-            if _shifter_touches_carry(insn):
-                mask |= F_C
-            return mask
+    kind = _WRITE_CLASS[insn.op._name_]
+    if kind == _W_NONE:
+        return F_NONE
+    if kind == _W_COMPARE:
         return F_ALL
-    if insn.op in (_OP_MUL, _OP_MLA) and insn.set_flags:
-        return F_N | F_Z
-    if insn.op is _OP_MSR and not insn.spsr and insn.imm & 0x8:
-        return F_ALL
-    if insn.op is _OP_VMRS and insn.rd == PC:
-        return F_ALL
-    return F_NONE
+    if kind == _W_TEST:
+        return _logical_flags(insn)
+    if kind == _W_MSR:
+        return F_ALL if not insn.spsr and insn.imm & 0x8 else F_NONE
+    if kind == _W_VMRS:
+        return F_ALL if insn.rd == PC else F_NONE
+    if not insn.set_flags:
+        return F_NONE
+    if kind == _W_LOGICAL:
+        return _logical_flags(insn)
+    return F_ALL if kind == _W_ARITH else F_N | F_Z
+
+
+def _logical_flags(insn: ArmInsn) -> int:
+    """TST/TEQ and logical S ops: N,Z always; C only via the shifter."""
+    if _shifter_touches_carry(insn):
+        return F_N | F_Z | F_C
+    return F_N | F_Z
 
 
 def flags_written_may(insn: ArmInsn) -> int:
@@ -158,7 +171,7 @@ def regs_read(insn: ArmInsn) -> Set[int]:
     """Guest registers this instruction reads."""
     regs: Set[int] = set()
     op = insn.op
-    if op in DATA_PROCESSING_OPS:
+    if op.data_processing:
         if op not in (_OP_MOV, _OP_MVN):
             regs.add(insn.rn)
         if insn.op2 is not None and not insn.op2.is_imm:
@@ -196,7 +209,7 @@ def regs_written(insn: ArmInsn) -> Set[int]:
     """Guest registers this instruction writes."""
     regs: Set[int] = set()
     op = insn.op
-    if op in DATA_PROCESSING_OPS and op not in COMPARE_OPS:
+    if op.writes_rd:
         regs.add(insn.rd)
     elif op in (_OP_MUL, _OP_MLA, _OP_CLZ):
         regs.add(insn.rd)
@@ -251,32 +264,40 @@ class BlockInfo:
 def analyze_block(insns: List[ArmInsn], rulebook=None) -> BlockInfo:
     """Run the full static analysis over a guest block."""
     info = BlockInfo()
+    # Per instruction: reaches a helper that may read the CPSR
+    # architecturally (system or uncovered), and the flags it writes on
+    # every path (flags_written_definite).
+    helper = []
+    definite = []
     for insn in insns:
-        item = InsnInfo(insn=insn, reads=flags_read(insn),
-                        writes=flags_written(insn))
+        writes = flags_written(insn)
+        item = InsnInfo(insn=insn, reads=flags_read(insn), writes=writes)
+        system = insn.is_system()
+        memory = insn.is_memory()
         # Control transfers are handled by the DBT's own control-flow
         # machinery (TB terminators, chaining), not by learned rules.
         item.covered = rulebook is None or insn.is_branch() or \
             rulebook.covers(insn)
-        item.is_site = insn.is_memory() or insn.is_system() or \
-            not item.covered
-        if insn.is_memory():
+        item.is_site = memory or system or not item.covered
+        if memory:
             info.n_memory += 1
-        if insn.is_system():
+        if system:
             info.n_system += 1
-        if not item.covered and not insn.is_system():
+        elif not item.covered:
             info.n_uncovered += 1
         info.insns.append(item)
+        helper.append(system or not item.covered)
+        definite.append(writes if insn.cond == _COND_AL else F_NONE)
 
     # Backward liveness; flags escape at block end and into helpers.
     live = F_ALL
-    for item in reversed(info.insns):
+    for index in range(len(info.insns) - 1, -1, -1):
+        item = info.insns[index]
         item.live_after = live
-        if item.insn.is_system() or not item.covered:
-            # Helpers may architecturally read the CPSR.
+        if helper[index]:
             live = F_ALL
             continue
-        live = (live & ~flags_written_definite(item.insn)) | item.reads
+        live = (live & ~definite[index]) | item.reads
 
     # Live-in requirement (for inter-TB define-before-use proofs):
     # conservatively, a flag is NOT needed at entry iff the block
@@ -284,12 +305,12 @@ def analyze_block(insns: List[ArmInsn], rulebook=None) -> BlockInfo:
     # helper-style site (which may read the CPSR architecturally).
     needed = 0
     defined = 0
-    for item in info.insns:
+    for index, item in enumerate(info.insns):
         needed |= item.reads & ~defined
-        if item.insn.is_system() or not item.covered:
+        if helper[index]:
             needed |= F_ALL & ~defined
             break
-        defined |= flags_written_definite(item.insn)
+        defined |= definite[index]
         if defined == F_ALL:
             break
     # A flag the block never definitely writes is still required at
@@ -299,6 +320,43 @@ def analyze_block(insns: List[ArmInsn], rulebook=None) -> BlockInfo:
     # successors* still read.
     info.live_in = needed | (F_ALL & ~defined)
     return info
+
+
+@dataclass
+class AnalyzedBlock:
+    """One guest block as the rule translator emits it.
+
+    The translation-time memo (:class:`repro.core.engine.RuleEngine`)
+    keeps one per block pc, so a successor's inter-TB live-in query and
+    the successor's own translation share one schedule and one
+    analysis.  ``fetched`` is the block in address order, as decoded:
+    an entry is reused only while a fetch of the block yields these
+    very instruction objects (the engine's decode memo returns the same
+    object for the same word at the same address).
+    """
+
+    fetched: List[ArmInsn]
+    #: emission order: ``fetched`` after define-before-use scheduling
+    #: when scheduling is on, else ``fetched`` itself
+    insns: List[ArmInsn]
+    #: the analysis of ``insns``; ``info.live_in`` is the block's entry
+    #: requirement as translated
+    info: BlockInfo
+
+    def holds(self, fetched: List[ArmInsn]) -> bool:
+        """Was this entry built from exactly these decoded instructions?"""
+        mine = self.fetched
+        return len(mine) == len(fetched) and \
+            all(a is b for a, b in zip(mine, fetched))
+
+
+def prepare_block(insns: List[ArmInsn], rulebook=None,
+                  scheduling: bool = False) -> AnalyzedBlock:
+    """Schedule (when *scheduling*) and analyze a fetched block."""
+    emitted = schedule_define_before_use(insns) if scheduling \
+        else list(insns)
+    return AnalyzedBlock(list(insns), emitted,
+                         analyze_block(emitted, rulebook))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..common.errors import DecodingError, MemoryFault
 from ..guest.isa import ArmInsn
@@ -12,7 +12,7 @@ from ..miniqemu.backend import TcgBackend
 from ..miniqemu.frontend import TcgFrontend
 from ..miniqemu.machine import DbtEngineBase, Machine
 from ..miniqemu.tb import TranslationBlock
-from .analysis import F_ALL, analyze_block
+from .analysis import F_ALL, AnalyzedBlock, prepare_block
 from .config import OptConfig, OptLevel
 from .rulebook import (MatureRulebook, QuarantineFilter, StructuralFilter,
                        rule_key)
@@ -46,42 +46,65 @@ class RuleEngine(DbtEngineBase):
         self._quarantine = QuarantineFilter(rulebook or MatureRulebook())
         self.rulebook = StructuralFilter(self._quarantine)
         self.ladder.quarantine = self._quarantine
-        self._live_in_cache: Dict[int, int] = {}
-        # Successor live-in facts depend on rule coverage: quarantining
-        # a rule turns its instructions uncovered, which changes every
-        # block's live-in, so cached facts must not outlive coverage
-        # changes (a stale entry would let the inter-TB optimization
-        # elide a flag sync the successor now needs).
+        #: Block memo: pc -> the block as last fetched, scheduled and
+        #: analyzed (docs/internals.md, "Translation-time memo").  The
+        #: inter-TB live-in query and the block's own translation share
+        #: the entry.  It depends on rule coverage: quarantining a rule
+        #: turns its instructions uncovered, which changes every
+        #: block's analysis, so entries must not outlive coverage
+        #: changes (a stale live-in would let the inter-TB optimization
+        #: elide a flag sync the successor now needs).
+        self._blocks: Dict[int, AnalyzedBlock] = {}
+        #: Pcs whose successor query already read the block through
+        #: ``bus.fetch`` since their entry was last dropped; a repeated
+        #: query re-checks the words with a side-effect-free peek
+        #: instead, so TLB fills match those of one fetch per entry.
+        self._queried: Set[int] = set()
         self.cache.add_evict_listener(self._on_cache_evict)
 
     # ------------------------------------------------------------------
-    # Successor analysis for the inter-TB optimization.
+    # The block memo, and successor analysis for the inter-TB
+    # optimization.
     # ------------------------------------------------------------------
 
     def _on_cache_evict(self, victims: List[TranslationBlock],
                         rules: Optional[Iterable[str]] = None) -> None:
         if rules:
-            # Coverage changed (rule quarantine): every cached live-in
-            # fact is suspect, not just the evicted blocks'.
-            self._live_in_cache.clear()
+            # Coverage changed (rule quarantine): every memoized
+            # analysis is suspect, not just the evicted blocks'.
+            self._blocks.clear()
+            self._queried.clear()
         else:
             for tb in victims:
-                self._live_in_cache.pop(tb.pc, None)
+                self._blocks.pop(tb.pc, None)
+                self._queried.discard(tb.pc)
+
+    def analyzed_block(self, pc: int, insns: List[ArmInsn]) -> AnalyzedBlock:
+        """The memo entry for the block *insns* just read at *pc*,
+        built (or rebuilt, if the words changed) on a miss."""
+        block = self._blocks.get(pc)
+        if block is None or not block.holds(insns):
+            block = self._blocks[pc] = prepare_block(
+                insns, self.rulebook, self.config.scheduling)
+        return block
 
     def successor_live_in(self, pc: int) -> int:
-        cached = self._live_in_cache.get(pc)
-        if cached is not None:
-            return cached
+        """Flags the block at *pc* needs on entry, as it is translated."""
         try:
-            insns = self.fetch_block(pc)
+            # A repeated query re-checks the memo against guest memory:
+            # the code may have been rewritten since it was analyzed.
+            insns = self.peek_block(pc) if pc in self._queried \
+                else self.fetch_block(pc)
         except (DecodingError, MemoryFault):
             # Unfetchable or undecodable successor: assume it needs
             # everything (no inter-TB elision).
-            live_in = F_ALL
-        else:
-            live_in = analyze_block(insns, self.rulebook).live_in
-        self._live_in_cache[pc] = live_in
-        return live_in
+            insns = None
+        # Not reached when an injected fetch fault propagates: the
+        # retried translation fetches again, as it did without the memo.
+        self._queried.add(pc)
+        if insns is None:
+            return F_ALL
+        return self.analyzed_block(pc, insns).info.live_in
 
     # ------------------------------------------------------------------
     # Inline QEMU fallback for uncovered instructions.
@@ -111,6 +134,7 @@ class RuleEngine(DbtEngineBase):
 
     def translate_rules(self, pc: int, mmu_idx: int) -> TranslationBlock:
         insns = self.fetch_block(pc)
+        block = self.analyzed_block(pc, insns)
         injector = self.machine.injector
         if injector.enabled:
             # The rule-crash site models a rule whose application code
@@ -119,11 +143,11 @@ class RuleEngine(DbtEngineBase):
                 if not insn.is_branch() and self.rulebook.covers(insn):
                     injector.rule_crash(rule_key(insn))
         translator = RuleTranslator(
-            mmu_idx, self.config, rulebook=self.rulebook,
+            mmu_idx, self.config,
             successor_live_in=self.successor_live_in,
             tcg_fallback=self.tcg_fallback,
             tracer=self.machine.tracer)
-        return translator.translate(pc, insns)
+        return translator.translate(pc, block)
 
     # ------------------------------------------------------------------
     # Verify-before-enter (``--check``).

@@ -33,11 +33,12 @@ _SHIFT_RRX = ShiftKind.RRX
 
 #: User-level ops the rule emitters implement directly (VFP arithmetic
 #: and moves are rule-translatable per the paper's footnote 3; vcmp is
-#: helper territory because it writes the FPSCR).
-_RULE_OPS = frozenset(DATA_PROCESSING_OPS) | MEMORY_OPS | \
-    VFP_ARITH_OPS | \
-    frozenset({Op.MUL, Op.MLA, Op.B, Op.BL, Op.BX, Op.CLZ, Op.NOP,
-               Op.VMOVSR, Op.VMOVRS})
+#: helper territory because it writes the FPSCR).  Held by name: an
+#: Op member hashes through the Python-level Enum.__hash__.
+_RULE_OPS = frozenset(op._name_ for op in DATA_PROCESSING_OPS | MEMORY_OPS |
+                      VFP_ARITH_OPS |
+                      {Op.MUL, Op.MLA, Op.B, Op.BL, Op.BX, Op.CLZ, Op.NOP,
+                       Op.VMOVSR, Op.VMOVRS})
 
 
 class MatureRulebook:
@@ -46,7 +47,7 @@ class MatureRulebook:
     name = "mature"
 
     def covers(self, insn: ArmInsn) -> bool:
-        return insn.op in _RULE_OPS and not insn.is_system()
+        return insn.op._name_ in _RULE_OPS and not insn.is_system()
 
 
 class EmptyRulebook:

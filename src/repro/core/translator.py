@@ -38,8 +38,7 @@ from ..analysis.justify import (AUDIT_KEY, JUSTIFY_KEY,
                                 inter_tb_justification, produce_event,
                                 reorder_justification, terminal_event)
 from ..common.bitops import u32
-from ..guest.isa import (ArmInsn, COMPARE_OPS, Cond, DATA_PROCESSING_OPS,
-                         Op, PC, ShiftKind, VFP_ARITH_OPS)
+from ..guest.isa import ArmInsn, Cond, Op, PC, ShiftKind
 from ..host.builder import CodeBuilder
 from ..host.isa import (EAX, EDX, ENV_REG, Imm, Mem, Reg, X86Cond,
                         X86Op, Xmm)
@@ -50,8 +49,8 @@ from ..miniqemu.helpers import (make_exception_return_helper,
                                 make_svc_helper, make_sysreg_helper)
 from ..miniqemu.tb import (EXIT_INTERRUPT, EXIT_PC_UPDATED, TranslationBlock)
 from .alu import AluEmitter
-from .analysis import (InsnInfo, analyze_block, flags_read,
-                       flags_written, schedule_define_before_use, F_ALL)
+from .analysis import (AnalyzedBlock, InsnInfo, flags_read, flags_written,
+                       F_ALL)
 from .condmap import CarryKind, skip_sequence
 from .config import OptConfig
 from .coordination import FlagsState, SyncStats
@@ -88,6 +87,10 @@ _SHIFT_LSL = ShiftKind.LSL
 _X86_MOVSS = X86Op.MOVSS
 _X86_NE = X86Cond.NE
 
+#: VFP ops with a rule (arithmetic and moves), tested by identity: a
+#: frozenset test would hash through the Python-level Enum.__hash__.
+_VFP_RULE_OPS = (Op.VADD, Op.VSUB, Op.VMUL, Op.VMOVSR, Op.VMOVRS)
+
 RULE_TAG = "rule"
 IRQ_TAG = "irqcheck"
 
@@ -108,14 +111,13 @@ class _ColdStub:
 class RuleTranslator:
     """Translates one guest block with a given optimization config."""
 
-    def __init__(self, mmu_idx: int, config: OptConfig, rulebook=None,
+    def __init__(self, mmu_idx: int, config: OptConfig,
                  successor_live_in: Optional[Callable[[int], int]] = None,
                  tcg_fallback: Optional[Callable] = None,
                  tracer=None):
         from ..observability.trace import NULL_TRACER
         self.mmu_idx = mmu_idx
         self.config = config
-        self.rulebook = rulebook
         self.successor_live_in = successor_live_in or (lambda pc: F_ALL)
         self.tcg_fallback = tcg_fallback
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -130,13 +132,13 @@ class RuleTranslator:
     # Entry point.
     # ------------------------------------------------------------------
 
-    def translate(self, pc: int, insns: List[ArmInsn]) -> TranslationBlock:
+    def translate(self, pc: int, block: AnalyzedBlock) -> TranslationBlock:
+        """Translate *block*, scheduled and analyzed by
+        :func:`~repro.core.analysis.prepare_block` under the engine's
+        rulebook and this translator's config."""
         config = self.config
-        original = list(insns)
-        if config.scheduling:
-            insns = schedule_define_before_use(insns)
+        original, insns, info = block.fetched, block.insns, block.info
         reordered = any(a is not b for a, b in zip(original, insns))
-        info = analyze_block(insns, self.rulebook)
 
         self.builder = builder = CodeBuilder(default_tag=RULE_TAG)
         self.stats = SyncStats()
@@ -321,7 +323,7 @@ class RuleTranslator:
         if op is _OP_BX:
             self._emit_indirect_branch(insn)
             return
-        if op in VFP_ARITH_OPS or op in (_OP_VMOVSR, _OP_VMOVRS):
+        if op in _VFP_RULE_OPS:
             self._emit_vfp(insn)
             return
         if op is _OP_VCMP:
@@ -356,8 +358,8 @@ class RuleTranslator:
             self.flags.on_clobber()
 
         body_start = len(self.builder.insns)
-        if op in DATA_PROCESSING_OPS:
-            if insn.rd == PC and op not in COMPARE_OPS:
+        if op.data_processing:
+            if insn.rd == PC and op.writes_rd:
                 self._emit_pc_write_dp(insn)
                 return
             self.alu.emit_dp(insn, flags_live=self.flags.in_eflags)
@@ -847,8 +849,7 @@ class RuleTranslator:
             builder.call_helper(make_svc_helper(insn), tag="helper")
             self._ended = True
             return
-        if insn.op in DATA_PROCESSING_OPS and insn.set_flags and \
-                insn.rd == PC:
+        if insn.op.writes_rd and insn.set_flags and insn.rd == PC:
             # Exception return: compute the target, then helper.
             src = self.alu.operand2_value(insn, set())
             if insn.op is _OP_MOV:

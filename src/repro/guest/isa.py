@@ -147,6 +147,21 @@ class Op(enum.Enum):
     VMOVSR = "vmov_s_r"   # vmov sN, rT
     VMOVRS = "vmov_r_s"   # vmov rT, sN
 
+    # Per-opcode classification, set once for every member below the
+    # operation sets.  The ArmInsn queries read these attributes instead
+    # of testing frozenset membership: hashing a plain Enum member runs
+    # the Python-level Enum.__hash__ (docs/internals.md,
+    # "Translation-time memo").
+    data_processing: bool    # in DATA_PROCESSING_OPS
+    compare: bool            # in COMPARE_OPS
+    writes_rd: bool          # data processing that writes Rd (no compare)
+    system: bool             # helper-emulated whatever the operands
+    memory: bool             # in MEMORY_OPS
+    load: bool               # single or multiple load (ldr*, ldm, vldr)
+    store: bool              # single or multiple store (str*, stm, vstr)
+    branch: bool             # in BRANCH_OPS
+    ends_block: bool         # always changes the PC (branch or svc)
+
 
 DATA_PROCESSING_OPS = frozenset(op for op in Op if isinstance(op.value, int))
 
@@ -171,6 +186,18 @@ SYSTEM_OPS = frozenset({Op.MRS, Op.MSR, Op.MCR, Op.MRC, Op.VMRS, Op.VMSR,
                         Op.CPS, Op.WFI})
 
 BRANCH_OPS = frozenset({Op.B, Op.BL, Op.BX})
+
+for _op in Op:
+    _op.data_processing = _op in DATA_PROCESSING_OPS
+    _op.compare = _op in COMPARE_OPS
+    _op.writes_rd = _op.data_processing and not _op.compare
+    _op.system = _op in SYSTEM_OPS or _op is Op.SVC
+    _op.memory = _op in MEMORY_OPS
+    _op.load = _op in LOAD_OPS or _op in (Op.LDM, Op.VLDR)
+    _op.store = _op in STORE_OPS or _op in (Op.STM, Op.VSTR)
+    _op.branch = _op in BRANCH_OPS
+    _op.ends_block = _op.branch or _op is Op.SVC
+del _op
 
 
 class ShiftKind(enum.IntEnum):
@@ -317,35 +344,35 @@ class ArmInsn:
 
     def is_system(self) -> bool:
         """True for the paper's "system-level" category (helper-emulated)."""
-        return self.op in SYSTEM_OPS or self.op is _OP_SVC or (
-            # Flag-setting writes to PC are exception returns.
-            self.op in DATA_PROCESSING_OPS and self.set_flags and
-            self.rd == PC and self.op not in COMPARE_OPS)
+        op = self.op
+        # Flag-setting writes to PC are exception returns.
+        return op.system or (op.writes_rd and self.set_flags and
+                             self.rd == PC)
 
     def is_memory(self) -> bool:
         """True for instructions that access guest memory (need softmmu)."""
-        return self.op in MEMORY_OPS
+        return self.op.memory
 
     def is_load(self) -> bool:
-        return self.op in LOAD_OPS or self.op in (_OP_LDM, _OP_VLDR)
+        return self.op.load
 
     def is_store(self) -> bool:
-        return self.op in STORE_OPS or self.op in (_OP_STM, _OP_VSTR)
+        return self.op.store
 
     def is_branch(self) -> bool:
-        return self.op in BRANCH_OPS
+        return self.op.branch
 
     def writes_pc(self) -> bool:
         """True when executing this instruction may change the PC."""
-        if self.op in BRANCH_OPS or self.op is _OP_SVC:
+        op = self.op
+        if op.ends_block:
             return True
-        if self.op in DATA_PROCESSING_OPS and self.op not in COMPARE_OPS:
+        if op.writes_rd:
             return self.rd == PC
-        if self.op in LOAD_OPS and self.rd == PC:
-            return True
-        if self.op is _OP_LDM and PC in self.reglist:
-            return True
-        return False
+        if op is _OP_LDM:
+            return PC in self.reglist
+        # Single loads (LOAD_OPS): a VFP load writes no core register.
+        return op.load and op is not _OP_VLDR and self.rd == PC
 
     # ------------------------------------------------------------------
     # Pretty printing (the assembler parses this same syntax back).

@@ -527,12 +527,10 @@ class TcgFrontend:
             return
         if insn.op in DATA_PROCESSING_OPS and insn.set_flags and \
                 insn.rd == PC:
-            # Exception return: compute the target with normal DP rules,
+            # Exception return: compute the target with normal DP rules
+            # (no shifter carry: the helper replaces the whole CPSR),
             # then hand CPSR<-SPSR to the helper.
-            saved = insn.set_flags
-            insn.set_flags = False
             operand2, _ = self._shifter(insn.op2, insn, False)
-            insn.set_flags = saved
             if op is Op.MOV:
                 target = operand2 if isinstance(operand2, Temp) \
                     else build.movi(operand2)

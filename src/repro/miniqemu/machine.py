@@ -23,7 +23,7 @@ The physical memory map::
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..common.costmodel import (COST_INTERP_TIER_INSN, COST_TB_LOOKUP,
                                 COST_TRANSLATE_PER_INSN)
@@ -40,7 +40,7 @@ from ..devices.uart import Uart
 from ..guest.cpu import GuestCpu, MODE_IRQ, MODE_USR, VECTOR_IRQ
 from ..guest.decoder import decode
 from ..guest.interp import Interpreter
-from ..guest.isa import PC
+from ..guest.isa import PC, ArmInsn
 from ..host.cpu import HostCpu
 from ..observability.stats import merge_stats
 from ..observability.trace import FLIGHT_RECORDER_EVENTS, NULL_TRACER
@@ -304,6 +304,11 @@ class DbtEngineBase:
                           machine.watchdog is not None or
                           self.selfcheck.enabled)
         self._tier_interp = Interpreter(machine.cpu, machine.bus)
+        #: Decode memo: ``addr << 32 | word`` -> the shared, read-only
+        #: instruction ``decode(word, addr)`` returns (docs/internals.md,
+        #: "Translation-time memo").  Decoding is a pure function of
+        #: the word and its address, so an entry never goes stale.
+        self._decoded: Dict[int, ArmInsn] = {}
 
     # -- translation (the tier ladder) -------------------------------------------
 
@@ -406,21 +411,42 @@ class DbtEngineBase:
         return MMU_IDX_USER if self.machine.cpu.mode == MODE_USR \
             else MMU_IDX_KERNEL
 
-    def fetch_block(self, pc: int):
+    def decode(self, word: int, addr: int) -> ArmInsn:
+        """``decode(word, addr)`` through the engine's decode memo."""
+        key = addr << 32 | word
+        insn = self._decoded.get(key)
+        if insn is None:
+            insn = self._decoded[key] = decode(word, addr)
+        return insn
+
+    def fetch_block(self, pc: int) -> List[ArmInsn]:
         """Read a guest basic block's instructions at translation time."""
         machine = self.machine
         machine.injector.maybe_fault("fetch", f"pc=0x{pc:08x}")
-        insns = []
+        insns = self._read_block(pc, machine.bus.fetch)
+        if machine.tracer.enabled:
+            machine.tracer.emit("decode.block", pc=pc, n_insns=len(insns))
+        return insns
+
+    def peek_block(self, pc: int) -> List[ArmInsn]:
+        """The block :meth:`fetch_block` would read now, read without
+        side effects: no TLB fill, no injector site, no trace event.
+        Raises as :meth:`fetch_block` does."""
+        return self._read_block(pc, self.machine.bus.peek)
+
+    def _read_block(self, pc: int, read: Callable[[int], int]
+                    ) -> List[ArmInsn]:
+        insns: List[ArmInsn] = []
         addr = pc
         while len(insns) < MAX_TB_INSNS:
             try:
-                word = machine.bus.fetch(addr)
+                word = read(addr)
             except MemoryFault:
                 if insns:
                     break
                 raise
             try:
-                insn = decode(word, addr)
+                insn = self.decode(word, addr)
             except DecodingError:
                 # Ran into data (e.g. a literal pool): end the block; a
                 # first-instruction failure is a genuine guest undef.
@@ -431,8 +457,6 @@ class DbtEngineBase:
             if insn.writes_pc() or insn.is_system():
                 break
             addr += 4
-        if machine.tracer.enabled:
-            machine.tracer.emit("decode.block", pc=pc, n_insns=len(insns))
         return insns
 
     def _vet_tb(self, tb: TranslationBlock) -> TranslationBlock:

@@ -66,8 +66,8 @@ class CodeCache:
         #: Eviction observers: ``fn(victims, rules)`` called after any
         #: invalidation, with the evicted TBs and the quarantined rule
         #: keys (None unless this was a rule-quarantine eviction).  The
-        #: rule engine uses this to drop stale successor live-in entries
-        #: and the persistent cache uses it to evict on-disk entries.
+        #: rule engine uses this to drop stale block memo entries and
+        #: the persistent cache uses it to evict on-disk entries.
         self._evict_listeners: List = []
 
     def add_evict_listener(self, listener) -> None:

@@ -30,20 +30,27 @@ class GuestBus:
 
     def translate(self, vaddr: int, access: int) -> int:
         """Translate a guest virtual address to a guest physical address."""
+        paddr, walked = self._resolve(vaddr, access)
+        if walked is not None:
+            region = self.memory.find(walked.paddr_page)
+            if region is not None and region.is_ram:
+                self.tlb.fill(self.mmu_index(), walked)
+        return paddr
+
+    def _resolve(self, vaddr: int, access: int):
+        """``(paddr, translation)``, without side effects: the TLB's
+        answer (translation None), else the page walk's."""
         if not self.cpu.cp15.mmu_enabled:
-            return vaddr
+            return vaddr, None
         mmu_idx = self.mmu_index()
         paddr = self.tlb.lookup(mmu_idx, vaddr, access)
         if paddr is not None:
-            return paddr
+            return paddr, None
         translation = self.walker.walk(self.cpu.cp15.ttbr0, vaddr,
                                        access == ACCESS_WRITE,
                                        mmu_idx == MMU_IDX_USER)
-        paddr_page = translation.paddr_page
-        region = self.memory.find(paddr_page)
-        if region is not None and region.is_ram:
-            self.tlb.fill(mmu_idx, translation)
-        return paddr_page | (vaddr & (PAGE_SIZE - 1))
+        return translation.paddr_page | (vaddr & (PAGE_SIZE - 1)), \
+            translation
 
     # -- access ---------------------------------------------------------------
 
@@ -79,6 +86,19 @@ class GuestBus:
             return self.memory.read(paddr, 4)
         except BusError:
             raise MemoryFault(vaddr, False, "bus") from None
+
+    def peek(self, vaddr: int) -> int:
+        """The code word :meth:`fetch` would return, read without side
+        effects: a TLB lookup, else a page walk that fills nothing.
+
+        Raises :class:`MemoryFault` where a fetch would fault, and for a
+        word outside RAM, whose device read could have side effects.
+        """
+        paddr, _ = self._resolve(vaddr, ACCESS_CODE)
+        region = self.memory.find(paddr)
+        if region is None or not region.is_ram:
+            raise MemoryFault(vaddr, False, "bus")
+        return region.read(paddr - region.base, 4)
 
     def tlb_flush(self) -> None:
         self.tlb.flush()

@@ -62,12 +62,13 @@ class PageWalker:
 
     def __init__(self, physical_memory):
         self.memory = physical_memory
-        self.walk_count = 0  # statistics: number of slow-path walks
 
     def walk(self, ttbr0: int, vaddr: int, is_write: bool,
              is_user: bool) -> Translation:
-        """Translate *vaddr*; raises :class:`MemoryFault` on any fault."""
-        self.walk_count += 1
+        """Translate *vaddr*; raises :class:`MemoryFault` on any fault.
+
+        Reads the tables and nothing else: the walk has no side effects.
+        """
         l1_index = vaddr >> SECTION_SHIFT
         l1_entry = self.memory.read((ttbr0 & ~0x3FFF) + l1_index * 4, 4)
         descriptor_type = l1_entry & 0b11

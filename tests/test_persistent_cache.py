@@ -429,8 +429,8 @@ def test_parse_inject_spec_accepts_cache_sites():
 
 
 # ---------------------------------------------------------------------------
-# Regression: the successor live-in cache must not outlive coverage
-# changes (quarantine) or code-cache invalidation.
+# Regression: the block memo (which holds successor live-in facts) must
+# not outlive coverage changes (quarantine) or code-cache invalidation.
 # ---------------------------------------------------------------------------
 
 def _bare_rules_machine(source, base=0x2000):
@@ -454,7 +454,7 @@ def test_live_in_cache_cleared_on_rule_quarantine():
                                   base=pc)
     engine = machine.engine
     before = engine.successor_live_in(pc)
-    assert pc in engine._live_in_cache
+    assert pc in engine._blocks
 
     adds = decode(int.from_bytes(machine.ram.data[pc:pc + 4], "little"), pc)
     key = rule_key(adds)
@@ -462,8 +462,8 @@ def test_live_in_cache_cleared_on_rule_quarantine():
     engine.ladder.quarantine_rule(key, "test")
     engine.cache.invalidate_rules([key])
 
-    # The fix: coverage changed, so every cached live-in fact is gone.
-    assert engine._live_in_cache == {}
+    # The fix: coverage changed, so every memoized analysis is gone.
+    assert engine._blocks == {}
     after = engine.successor_live_in(pc)
     assert not engine.rulebook.covers(adds)
     # The block's live-in genuinely changed — serving the cached value
@@ -475,9 +475,10 @@ def test_live_in_cache_dropped_per_victim_on_invalidation():
     machine = _bare_rules_machine("    adds r0, r0, r1\n    bx lr\n")
     engine = machine.engine
     engine.successor_live_in(0x2000)
-    engine._live_in_cache[0x9000] = 7    # unrelated cached fact
+    engine.successor_live_in(0x2004)     # an unrelated block: bx lr
+    other = engine._blocks[0x2004]
     tb = TranslationBlock(pc=0x2000, mmu_idx=0)
     engine.cache.insert(tb)
     engine.cache.invalidate(tb)
-    assert 0x2000 not in engine._live_in_cache
-    assert engine._live_in_cache.get(0x9000) == 7   # others survive
+    assert 0x2000 not in engine._blocks
+    assert engine._blocks.get(0x2004) is other   # others survive
