@@ -11,6 +11,7 @@ coordination at all.
 Run:  python examples/floating_point.py
 """
 
+from repro.analysis.justify import sync_counts
 from repro.core import OptLevel
 from repro.core.engine import RuleEngine
 from repro.guest.asm import assemble
@@ -46,7 +47,7 @@ def show_block():
     sse = [insn for insn in tb.code if insn.op.value.endswith("ss")]
     print(f"rule translation: {len(tb.code)} host instructions, "
           f"{len(sse)} SSE instructions, "
-          f"{tb.meta['sync_insns']} sync instructions for the FP ops")
+          f"{sync_counts(tb.meta).insns} sync instructions for the FP ops")
 
 
 def main():

@@ -10,6 +10,7 @@ interrupt check) directly visible.
 Run:  python examples/inspect_translation.py
 """
 
+from repro.analysis.justify import sync_counts
 from repro.core import OptLevel, make_rule_engine
 from repro.core.engine import RuleEngine
 from repro.guest.asm import assemble
@@ -56,10 +57,10 @@ def main():
         engine = RuleEngine(machine, level=level)
         tb = engine.translate(BLOCK_ADDR, 0)
         show(f"rule-based, {level.name}", tb.code)
-        meta = tb.meta
-        print(f"  coordination: {meta['sync_saves']} saves, "
-              f"{meta['sync_restores']} restores, "
-              f"{meta['sync_insns']} sync instructions")
+        counts = sync_counts(tb.meta)
+        print(f"  coordination: {counts.saves} saves, "
+              f"{counts.restores} restores, "
+              f"{counts.insns} sync instructions")
 
     print("\nNote how Base brackets every memory access and conditional "
           "with parsed\nsync sequences, while the optimized version keeps "

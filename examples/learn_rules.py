@@ -55,17 +55,12 @@ def main():
     assert machine.uart.text == workload.expected_output
     stats = machine.stats()
 
-    covered = uncovered = 0
-    for tb in machine.engine.cache.all_tbs():
-        weight = tb.exec_count
-        uncovered += weight * tb.meta.get("n_uncovered", 0)
-        covered += weight * (tb.guest_insn_count -
-                             tb.meta.get("n_uncovered", 0) -
-                             tb.meta.get("n_system", 0))
+    covered = stats["engine.rule_covered_insns_dyn"]
+    uncovered = stats["engine.rule_uncovered_insns_dyn"]
     print(f"output verified: {machine.uart.text.strip()!r}")
     print(f"dynamic rule coverage: "
           f"{100 * covered / (covered + uncovered):.1f}% "
-          f"({uncovered} uncovered instructions fell back to QEMU)")
+          f"({uncovered:.0f} uncovered instructions fell back to QEMU)")
     print(f"speedup over QEMU with learned rules only: "
           f"{qemu_cost / stats['engine.host_cost']:.2f}x")
 

@@ -25,11 +25,14 @@ persisted with the TB, and the warm-start loader orders the revived
 
 Both lists hold plain, JSON-friendly dicts.  Host instruction ranges are
 half-open ``[start, end)`` indices into ``tb.code``.
+
+The two lists are also the only record of a TB's static coordination
+counts (Figs 8 and 17): :func:`sync_counts` derives them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
 AUDIT_KEY = "audit"
 JUSTIFY_KEY = "justifications"
@@ -124,6 +127,31 @@ def audit_of(meta: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 def justifications_of(meta: Dict[str, Any]) -> List[Dict[str, Any]]:
     return list(meta.get(JUSTIFY_KEY) or ())
+
+
+class SyncCounts(NamedTuple):
+    """Static coordination counts of one TB (scaled by ``exec_count``
+    for the dynamic figures)."""
+
+    saves: int
+    restores: int
+    #: Host instructions of the saves and restores.
+    insns: int
+    #: Saves skipped by the consecutive-site elimination (Sec III-C-2).
+    elisions: int
+    #: End-of-block saves skipped on inter-TB chain edges (Sec III-C-3).
+    inter_tb_elisions: int
+
+
+def sync_counts(meta: Dict[str, Any]) -> SyncCounts:
+    """Count the sync-saves, sync-restores and elisions *meta* records."""
+    syncs = [event for event in meta.get(AUDIT_KEY) or ()
+             if event["kind"] in (EV_SAVE, EV_RESTORE)]
+    saves = sum(1 for event in syncs if event["kind"] == EV_SAVE)
+    kinds = [record["kind"] for record in meta.get(JUSTIFY_KEY) or ()]
+    return SyncCounts(saves, len(syncs) - saves,
+                      sum(event["end"] - event["start"] for event in syncs),
+                      kinds.count(J_ELIDE_SAVE), kinds.count(J_INTER_TB))
 
 
 def shift_indices(records: List[Dict[str, Any]], at: int,

@@ -27,11 +27,12 @@ Serialization notes:
   revived TBs share the instruction of each helper-free token (see
   :func:`decode_code`).
 - ``meta`` is persisted as-is (it is JSON-friendly by design: the
-  sync-site counters and the audit/justification records are plain
-  dicts), except the run-local ``provenance`` tag.  ``words`` are in
-  address order; when scheduling reordered the block, its ``reorder``
-  justification is the only record of the emitted order, and the
-  loader orders the revived ``guest_insns`` from it.
+  audit/justification records, from which the sync counts are
+  derived, are plain dicts), except the run-local ``provenance`` tag.
+  ``words`` are in address order; when scheduling reordered the
+  block, its ``reorder`` justification is the only record of the
+  emitted order, and the loader orders the revived ``guest_insns``
+  from it.
 """
 
 from __future__ import annotations

@@ -255,9 +255,8 @@ class BlockInfo:
     #: definitely written): the inter-TB optimization skips the
     #: predecessor's save only when a successor's live_in is empty.
     live_in: int = F_ALL
-    #: static counts for the experiment harness
-    n_memory: int = 0
-    n_system: int = 0
+    #: uncovered non-system instructions (TCG fallback splices), for
+    #: the rule-coverage statistics
     n_uncovered: int = 0
 
 
@@ -279,11 +278,7 @@ def analyze_block(insns: List[ArmInsn], rulebook=None) -> BlockInfo:
         item.covered = rulebook is None or insn.is_branch() or \
             rulebook.covers(insn)
         item.is_site = memory or system or not item.covered
-        if memory:
-            info.n_memory += 1
-        if system:
-            info.n_system += 1
-        elif not item.covered:
+        if not system and not item.covered:
             info.n_uncovered += 1
         info.insns.append(item)
         helper.append(system or not item.covered)

@@ -28,7 +28,6 @@ Figures 8 and 17 measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..analysis.justify import restore_event, save_event
@@ -46,33 +45,19 @@ def _env(offset: int) -> Mem:
     return Mem(base=ENV_REG, disp=offset)
 
 
-@dataclass
-class SyncStats:
-    """Static per-TB counters (scaled by exec_count for dynamic figures)."""
-
-    saves: int = 0
-    restores: int = 0
-    save_insns: int = 0
-    restore_insns: int = 0
-    reg_flush_insns: int = 0
-    inter_tb_elisions: int = 0
-    #: Saves skipped by the consecutive-site elimination (Sec III-C-2).
-    elided_saves: int = 0
-
-
 class FlagsState:
     """Where the live guest CCR is, during emission of one TB."""
 
-    def __init__(self, builder: CodeBuilder, stats: SyncStats,
-                 packed: bool, tracer=NULL_TRACER,
+    def __init__(self, builder: CodeBuilder, packed: bool,
+                 tracer=NULL_TRACER,
                  audit: Optional[List[Dict[str, Any]]] = None):
         self.builder = builder
-        self.stats = stats
         self.packed = packed
         self.tracer = tracer
         #: audit-event sink (tb.meta["audit"]): every save/restore range
         #: is recorded so the soundness checker can anchor its abstract
-        #: interpretation (see repro.analysis.justify).
+        #: interpretation, and the TB's sync counts are derived from it
+        #: (see repro.analysis.justify).
         self.audit = audit if audit is not None else []
         # At TB entry QEMU's env holds the authoritative flags.  Which
         # representation is current depends on the mode: packed-sync
@@ -156,9 +141,7 @@ class FlagsState:
                     # stale: stop helpers from materializing from it.
                     builder.movi(_env(ENV_PACKED_VALID), 0)
                     self.packed_ok = False
-        self.stats.saves += 1
         emitted = len(builder.insns) - before
-        self.stats.save_insns += emitted
         mode = "packed" if self.packed and not parsed else "parsed"
         self.audit.append(save_event(before, before + emitted, mode, reason))
         if self.tracer.enabled:
@@ -209,9 +192,7 @@ class FlagsState:
                 self._emit_parsed_restore()
         self.in_eflags = True
         self.kind = CarryKind.DIRECT
-        self.stats.restores += 1
         emitted = len(builder.insns) - before
-        self.stats.restore_insns += emitted
         mode = "packed" if packed_reload else "parsed"
         self.audit.append(restore_event(before, before + emitted, mode))
         if self.tracer.enabled:

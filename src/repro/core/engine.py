@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set
 
+from ..analysis.justify import sync_counts
 from ..common.errors import DecodingError, MemoryFault
 from ..guest.isa import ArmInsn
-from ..ir.ops import IRBuilder
 from ..ir.opt import optimize
 from ..miniqemu.backend import TcgBackend
 from ..miniqemu.frontend import TcgFrontend
@@ -112,15 +112,9 @@ class RuleEngine(DbtEngineBase):
 
     def tcg_fallback(self, insn: ArmInsn, mmu_idx: int):
         """Translate one instruction through the TCG pipeline."""
-        frontend = TcgFrontend(mmu_idx)
-        frontend.builder = IRBuilder()
-        frontend.builder.current_pc = insn.addr
-        frontend.jmp_pcs = [None, None]
-        frontend._ended = False
-        frontend._body(insn)
-        ir_insns = optimize(frontend.builder.insns)
-        code = TcgBackend(mmu_idx).lower(ir_insns, tag="fallback")
-        return code, frontend._ended
+        ir_insns, ended = TcgFrontend(mmu_idx).lower_body(insn)
+        code = TcgBackend(mmu_idx).lower(optimize(ir_insns), tag="fallback")
+        return code, ended
 
     # ------------------------------------------------------------------
     # Translation.
@@ -196,15 +190,14 @@ class RuleEngine(DbtEngineBase):
         covered_dyn = 0
         uncovered_dyn = 0
         for tb in self.cache.all_tbs():
-            meta = tb.meta
             weight = tb.exec_count
-            sync_ops += weight * (meta.get("sync_saves", 0) +
-                                  meta.get("sync_restores", 0))
-            sync_insns += weight * meta.get("sync_insns", 0)
-            sync_elisions += weight * (meta.get("sync_elisions", 0) +
-                                       meta.get("inter_tb_elisions", 0))
-            n_uncovered = meta.get("n_uncovered", 0)
-            n_system = meta.get("n_system", 0)
+            counts = sync_counts(tb.meta)
+            sync_ops += weight * (counts.saves + counts.restores)
+            sync_insns += weight * counts.insns
+            sync_elisions += weight * (counts.elisions +
+                                       counts.inter_tb_elisions)
+            n_uncovered = tb.meta.get("n_uncovered", 0)
+            n_system = sum(insn.is_system() for insn in tb.guest_insns)
             uncovered_dyn += weight * n_uncovered
             covered_dyn += weight * max(
                 tb.guest_insn_count - n_uncovered - n_system, 0)

@@ -53,7 +53,7 @@ from .analysis import (AnalyzedBlock, InsnInfo, flags_read, flags_written,
                        F_ALL)
 from .condmap import CarryKind, skip_sequence
 from .config import OptConfig
-from .coordination import FlagsState, SyncStats
+from .coordination import FlagsState
 from .regcache import RegCache
 
 # Enum members bound once for the per-instruction code: on Python 3.10
@@ -126,7 +126,6 @@ class RuleTranslator:
         self.cache: Optional[RegCache] = None
         self.flags: Optional[FlagsState] = None
         self.alu: Optional[AluEmitter] = None
-        self.stats: Optional[SyncStats] = None
 
     # ------------------------------------------------------------------
     # Entry point.
@@ -141,14 +140,12 @@ class RuleTranslator:
         reordered = any(a is not b for a, b in zip(original, insns))
 
         self.builder = builder = CodeBuilder(default_tag=RULE_TAG)
-        self.stats = SyncStats()
         self._audit = []
         self._justifications = []
         if reordered:
             self._justifications.append(reorder_justification(
                 [i.addr for i in original], [i.addr for i in insns]))
-        self.flags = FlagsState(builder, self.stats,
-                                packed=config.packed_sync,
+        self.flags = FlagsState(builder, packed=config.packed_sync,
                                 tracer=self.tracer,
                                 audit=self._audit)
         self.cache = RegCache(builder)
@@ -174,13 +171,6 @@ class RuleTranslator:
                               guest_insns=insns, code=code)
         tb.jmp_pc = list(self._jmp_pcs)
         tb.meta = {
-            "sync_saves": self.stats.saves,
-            "sync_restores": self.stats.restores,
-            "sync_insns": self.stats.save_insns + self.stats.restore_insns,
-            "sync_elisions": self.stats.elided_saves,
-            "inter_tb_elisions": self.stats.inter_tb_elisions,
-            "n_memory": info.n_memory,
-            "n_system": info.n_system,
             "n_uncovered": info.n_uncovered,
             "live_in": info.live_in,
             # Rule keys applied in this TB (for quarantine attribution;
@@ -246,7 +236,6 @@ class RuleTranslator:
             if self.flags.in_eflags:
                 # env is already current: the naive policy would have
                 # saved here — a consecutive-site elision (Sec III-C-2).
-                self.stats.elided_saves += 1
                 self._justifications.append(elide_save_justification(
                     len(self.builder.insns), self.flags.packed_ok,
                     self.flags.parsed_ok))
@@ -414,8 +403,7 @@ class RuleTranslator:
                 insn.writes_pc() or insn.is_memory():
             # Helpers (and TB-ending bodies, whose flushes would sit in
             # the skipped region) need dirty registers flushed pre-branch.
-            count = self.cache.flush_dirty(tag="sync")
-            self.stats.reg_flush_insns += count
+            self.cache.flush_dirty(tag="sync")
         if not item.covered and not insn.is_system():
             # The fallback body may read or partially update the per-bit
             # flag fields; make them current on BOTH paths (state
@@ -495,8 +483,7 @@ class RuleTranslator:
         """b<cond>: two-successor TB end."""
         builder = self.builder
         self._demand_flags()
-        count = self.cache.flush_dirty(tag="sync")
-        self.stats.reg_flush_insns += count
+        self.cache.flush_dirty(tag="sync")
 
         taken = builder.new_label("taken")
         execute = builder.new_label("bexec")
@@ -577,7 +564,7 @@ class RuleTranslator:
         # Memory accesses can fault and resume (demand paging): the
         # dirty guest-register copies must be in env before the access
         # so the abort handler and the retried instruction see them.
-        self.stats.reg_flush_insns += self.cache.flush_dirty(tag="sync")
+        self.cache.flush_dirty(tag="sync")
         self.flags.on_clobber()
         if insn.op in (_OP_LDM, _OP_STM):
             self._emit_block_memory(insn)
@@ -799,8 +786,7 @@ class RuleTranslator:
         self._finish_indirect_exit(pc_in_env=True)
 
     def _finish_indirect_exit(self, pc_in_env: bool) -> None:
-        count = self.cache.flush_dirty(tag="sync")
-        self.stats.reg_flush_insns += count
+        self.cache.flush_dirty(tag="sync")
         if self._successor_needs_save(self.flags):
             self._save_for_successor(self.flags)
         self.builder.exit_tb(EXIT_PC_UPDATED, tag="chain")
@@ -811,14 +797,12 @@ class RuleTranslator:
         """Terminate the block through goto_tb *slot* to *target_pc*."""
         builder = self.builder
         flags = copy.copy(self.flags) if state_copy else self.flags
-        count = self.cache.flush_dirty(tag="sync")
-        self.stats.reg_flush_insns += count
+        self.cache.flush_dirty(tag="sync")
 
         if self._successor_needs_save(flags):
             skip_save = (self.config.inter_tb and
                          self.successor_live_in(target_pc) == 0)
             if skip_save:
-                self.stats.inter_tb_elisions += 1
                 self._justifications.append(inter_tb_justification(
                     len(builder.insns), u32(target_pc), live_in=0))
                 if self.tracer.enabled:
@@ -840,8 +824,7 @@ class RuleTranslator:
     def _emit_system(self, insn: ArmInsn) -> None:
         builder = self.builder
         self._sync_before_clobber()
-        count = self.cache.flush_dirty(tag="sync")
-        self.stats.reg_flush_insns += count
+        self.cache.flush_dirty(tag="sync")
         self.flags.on_clobber()
 
         if insn.op is _OP_SVC:
@@ -887,8 +870,7 @@ class RuleTranslator:
             raise RuntimeError(f"no fallback translator for {insn}")
         builder = self.builder
         self._sync_before_clobber()
-        count = self.cache.flush_dirty(tag="sync")
-        self.stats.reg_flush_insns += count
+        self.cache.flush_dirty(tag="sync")
         self.flags.on_clobber()
         self.cache.invalidate()
 

@@ -76,6 +76,17 @@ class TcgFrontend:
         build.exit_tb(EXIT_INTERRUPT)
         return build.insns, self.jmp_pcs
 
+    def lower_body(self, insn: ArmInsn):
+        """Lower the body of one instruction alone: no interrupt check,
+        no condition skip, no block end.  Returns ``(ir_insns, ended)``,
+        *ended* when the body itself leaves the TB."""
+        build = self.builder = IRBuilder()
+        build.current_pc = insn.addr
+        self.jmp_pcs = [None, None]
+        self._ended = False
+        self._body(insn)
+        return build.insns, self._ended
+
     # ------------------------------------------------------------------
     # Per-instruction translation.
     # ------------------------------------------------------------------

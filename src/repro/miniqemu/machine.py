@@ -387,23 +387,13 @@ class DbtEngineBase:
         tb = TranslationBlock(pc=pc, mmu_idx=mmu_idx, guest_insns=insns,
                               code=code)
         tb.jmp_pc = list(jmp_pcs)
-        tb.meta = {
-            "n_memory": sum(1 for insn in insns if insn.is_memory()),
-            "n_system": sum(1 for insn in insns if insn.is_system()),
-        }
         return tb
 
     def _make_interp_tb(self, pc: int, mmu_idx: int) -> TranslationBlock:
         """Last-resort tier: an empty TB executed by the reference
         interpreter (cannot fail for codegen reasons)."""
-        insns = self.fetch_block(pc)
-        tb = TranslationBlock(pc=pc, mmu_idx=mmu_idx, guest_insns=insns,
-                              code=[])
-        tb.meta = {
-            "n_memory": sum(1 for insn in insns if insn.is_memory()),
-            "n_system": sum(1 for insn in insns if insn.is_system()),
-        }
-        return tb
+        return TranslationBlock(pc=pc, mmu_idx=mmu_idx,
+                                guest_insns=self.fetch_block(pc), code=[])
 
     # -- helpers ----------------------------------------------------------------
 
@@ -739,8 +729,9 @@ class DbtEngineBase:
         memory_dyn = system_dyn = check_dyn = 0
         for tb in self.cache.all_tbs():
             weight = tb.exec_count
-            memory_dyn += weight * tb.meta.get("n_memory", 0)
-            system_dyn += weight * tb.meta.get("n_system", 0)
+            insns = tb.guest_insns
+            memory_dyn += weight * sum(insn.is_memory() for insn in insns)
+            system_dyn += weight * sum(insn.is_system() for insn in insns)
             check_dyn += weight
         base = {
             "host_instructions": float(host.total),

@@ -38,7 +38,8 @@ class TranslationBlock:
     #: guest pc each GOTO_TB slot leads to (for chaining lookups)
     jmp_pc: List[Optional[int]] = field(default_factory=lambda: [None, None])
     exec_count: int = 0
-    #: engine-specific metadata (static coordination counts, analysis, ...)
+    #: engine-specific metadata (tier, coverage, the audit and
+    #: justification records the sync counts are derived from, ...)
     meta: dict = field(default_factory=dict)
     #: threaded code the host interpreter compiled once the TB got hot
     #: (repro.host.interp); run-time only, never persisted or compared

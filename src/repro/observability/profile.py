@@ -19,6 +19,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
+from ..analysis.justify import sync_counts
+
 #: The paper's Sec III cost accounting: tag -> category.
 #:
 #: - ``body``: the translated guest computation itself (rule-emitted
@@ -99,14 +101,14 @@ class Profiler:
     def register(self, tb) -> None:
         """Snapshot a freshly-translated TB's static metadata."""
         meta = tb.meta
+        counts = sync_counts(meta)
         self.static[(tb.pc, tb.mmu_idx)] = {
             "tier": meta.get("tier", "?"),
             "guest_insns": tb.guest_insn_count,
             "host_insns": len(tb.code),
-            "sync_saves": meta.get("sync_saves", 0),
-            "sync_restores": meta.get("sync_restores", 0),
-            "sync_elisions": meta.get("sync_elisions", 0),
-            "inter_tb_elisions": meta.get("inter_tb_elisions", 0),
+            "sync_saves": counts.saves,
+            "sync_restores": counts.restores,
+            "sync_elisions": counts.elisions,
             "rules_used": tuple(meta.get("rules_used") or ()),
         }
 

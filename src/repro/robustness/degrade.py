@@ -153,9 +153,9 @@ def tb_selfcheckable(tb) -> bool:
     instructions and no (non-injected) helper calls, so both the
     sandboxed host run and the reference interpretation are closed over
     the env state alone."""
-    meta = tb.meta
-    if meta.get("n_memory", 1) or meta.get("n_system", 1):
-        return False
+    for insn in tb.guest_insns:
+        if insn.is_memory() or insn.is_system():
+            return False
     for insn in tb.code:
         if insn.op is X86Op.CALL_HELPER and \
                 not getattr(insn.helper, "injected", False):

@@ -312,12 +312,13 @@ class FaultInjector(NullInjector):
         """Insert redundant sync instructions at TB entry (``extra-sync``).
 
         The inserted instructions are architectural no-ops carrying the
-        ``sync`` cost tag, and the TB's static ``sync_insns`` counter is
-        bumped to match — so every Sec III coordination metric (the
-        breakdown's ``coordination`` category, Fig 8's insns-per-sync,
-        Fig 17's sync-per-guest) degrades exactly as if the translator
-        had emitted pointless coordination, while guest behaviour and
-        the soundness bookkeeping stay intact.
+        ``sync`` cost tag, so the host cost, the dynamic ``sync`` tag
+        (Fig 17's sync-per-guest) and the breakdown's ``coordination``
+        category degrade exactly as if the translator had emitted
+        pointless coordination, while guest behaviour and the soundness
+        bookkeeping stay intact.  The padding belongs to no audited save
+        or restore, so the static sync counts derived from the audit
+        (Fig 8's insns-per-sync) do not move.
         """
         if not self.fires("extra-sync"):
             return
@@ -331,7 +332,6 @@ class FaultInjector(NullInjector):
         tb.code = [*(X86Insn(X86Op.NOPSLOT, tag="sync")
                      for _ in range(count)),
                    *_retarget(tb.code, lambda target: target + count)]
-        tb.meta["sync_insns"] = tb.meta.get("sync_insns", 0) + count
         # Unlike the other sites this one must not stop chaining into
         # the TB (that would change the costs it models), so it does
         # not set ``injected``; the store must refuse the TB all the

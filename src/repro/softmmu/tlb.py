@@ -20,6 +20,7 @@ exactly like QEMU's ``io_readx``/``io_writex``.
 
 from __future__ import annotations
 
+import struct
 from typing import Optional
 
 from ..common.bitops import u32
@@ -35,6 +36,9 @@ INVALID = 0xFFFFFFFF
 ACCESS_READ = 0
 ACCESS_WRITE = 1
 ACCESS_CODE = 2
+
+#: One packed entry: addr_read, addr_write, addr_code, addend.
+_ENTRY = struct.Struct("<4I")
 
 
 class SoftTlb:
@@ -58,12 +62,6 @@ class SoftTlb:
         index = (vaddr >> 12) & (cls.SIZE - 1)
         return (mmu_idx * cls.SIZE + index) * cls.ENTRY_SIZE
 
-    def _read_u32(self, offset: int) -> int:
-        return int.from_bytes(self.data[offset:offset + 4], "little")
-
-    def _write_u32(self, offset: int, value: int) -> None:
-        self.data[offset:offset + 4] = u32(value).to_bytes(4, "little")
-
     # -- operations ------------------------------------------------------------
 
     def flush(self) -> None:
@@ -74,13 +72,11 @@ class SoftTlb:
     def lookup(self, mmu_idx: int, vaddr: int,
                access: int) -> Optional[int]:
         """Fast-path lookup; returns the guest physical address or None."""
-        offset = self.entry_offset(mmu_idx, vaddr)
-        tag = self._read_u32(offset + 4 * access)
-        if tag != vaddr & PAGE_MASK:
+        entry = _ENTRY.unpack_from(self.data,
+                                   self.entry_offset(mmu_idx, vaddr))
+        if entry[access] != vaddr & PAGE_MASK:
             return None
-        addend = self._read_u32(offset + 12)
-        host_addr = u32(vaddr + addend)
-        return host_addr - self.ram_host_base
+        return u32(vaddr + entry[3]) - self.ram_host_base
 
     def fill(self, mmu_idx: int, translation: Translation) -> None:
         """Install a RAM translation produced by the page walker."""
@@ -93,9 +89,9 @@ class SoftTlb:
         writable = visible and perms & PERM_WRITE
         executable = visible and perms & PERM_EXEC
         page = translation.vaddr_page
-        self._write_u32(offset + 0, page if readable else INVALID)
-        self._write_u32(offset + 4, page if writable else INVALID)
-        self._write_u32(offset + 8, page if executable else INVALID)
-        self._write_u32(offset + 12,
-                        u32(self.ram_host_base + translation.paddr_page
-                            - page))
+        _ENTRY.pack_into(self.data, offset,
+                         page if readable else INVALID,
+                         page if writable else INVALID,
+                         page if executable else INVALID,
+                         u32(self.ram_host_base + translation.paddr_page
+                             - page))

@@ -257,6 +257,9 @@ def test_improvement_direction_up():
     verdict = _verdict_of(report, "figures.fig16.summary.geomean")
     assert verdict.direction == UP
     assert verdict.verdict == VERDICT_IMPROVED
+    # Any move fails --fail-on changed, an improvement included.
+    assert report.exit_code("regressed") == 0
+    assert report.exit_code("changed") == 1
 
 
 def test_incomparable_sweeps_raise():

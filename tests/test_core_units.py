@@ -11,7 +11,7 @@ from repro.core import (CarryKind, EmptyRulebook, MatureRulebook, OptConfig,
 from repro.core.analysis import (F_ALL, F_C, F_N, F_V, F_Z,
                                  schedule_define_before_use)
 from repro.core.condmap import map_condition, negate, skip_sequence
-from repro.core.coordination import FlagsState, SyncStats
+from repro.core.coordination import FlagsState
 from repro.core.regcache import CACHE_REGS, RegCache
 from repro.guest.asm import assemble
 from repro.guest.decoder import decode
@@ -171,7 +171,7 @@ def test_negate_is_involution():
 
 def sequence_lengths(packed):
     builder = CodeBuilder()
-    state = FlagsState(builder, SyncStats(), packed=packed)
+    state = FlagsState(builder, packed=packed)
     state.in_eflags = True
     state.packed_ok = False
     state.parsed_ok = False
@@ -199,7 +199,7 @@ def test_parsed_sync_is_much_longer():
 
 def test_inverted_carry_costs_one_cmc():
     builder = CodeBuilder()
-    state = FlagsState(builder, SyncStats(), packed=True)
+    state = FlagsState(builder, packed=True)
     state.in_eflags = True
     state.packed_ok = False
     state.kind = CarryKind.INVERTED
@@ -210,7 +210,7 @@ def test_inverted_carry_costs_one_cmc():
 
 def test_ensure_parsed_from_packed():
     builder = CodeBuilder()
-    state = FlagsState(builder, SyncStats(), packed=True)
+    state = FlagsState(builder, packed=True)
     # env holds the CCR in the packed slot only.
     assert state.packed_ok and not state.parsed_ok
     state.ensure_parsed()

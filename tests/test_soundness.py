@@ -25,7 +25,8 @@ from repro.analysis.justify import (AUDIT_KEY, EV_FALLBACK, EV_RESTORE,
                                     EV_SAVE, J_INTER_TB, J_REORDER,
                                     JUSTIFY_KEY, audit_of,
                                     inter_tb_justification,
-                                    justifications_of, shift_indices)
+                                    justifications_of, shift_indices,
+                                    sync_counts)
 from repro.core import OptConfig, OptLevel, make_rule_engine
 from repro.core.analysis import (F_ALL, F_C, F_N, F_V, F_Z,
                                  flags_written_definite, flags_written_may)
@@ -418,7 +419,7 @@ next:
     live_in = engine.successor_live_in(BASE_ADDR + 8)
     assert live_in & (F_C | F_V)
     tb = engine.translate(BASE_ADDR, 0)
-    assert tb.meta["sync_saves"] == 1
+    assert sync_counts(tb.meta).saves == 1
     assert not [r for r in justifications_of(tb.meta)
                 if r["kind"] == J_INTER_TB]
     assert findings_of(engine, tb) == []

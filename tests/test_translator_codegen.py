@@ -7,6 +7,7 @@ Fig 9 (redundant restores), Fig 10 (consecutive memory ops), Fig 11
 
 import pytest
 
+from repro.analysis.justify import sync_counts
 from repro.core import OptConfig, OptLevel
 from repro.core.engine import RuleEngine
 from repro.guest.asm import assemble
@@ -49,15 +50,15 @@ target:
 def test_base_pairs_every_memory_access():
     tb = translate(CONSECUTIVE_STORES, OptLevel.BASE)
     # One save per store (the flags are re-restored after each one).
-    assert tb.meta["sync_saves"] >= 3
-    assert tb.meta["sync_restores"] >= 3
+    assert sync_counts(tb.meta).saves >= 3
+    assert sync_counts(tb.meta).restores >= 3
 
 
 def test_elimination_coalesces_consecutive_stores():
     tb = translate(CONSECUTIVE_STORES, OptLevel.ELIMINATION)
     # One save before the run of stores; one restore for the branch.
-    assert tb.meta["sync_saves"] == 1
-    assert tb.meta["sync_restores"] == 1
+    assert sync_counts(tb.meta).saves == 1
+    assert sync_counts(tb.meta).restores == 1
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +76,13 @@ CONDITIONAL_RUN = """
 
 def test_base_restores_per_conditional():
     tb = translate(CONDITIONAL_RUN, OptLevel.BASE)
-    assert tb.meta["sync_restores"] >= 3
+    assert sync_counts(tb.meta).restores >= 3
 
 
 def test_elimination_keeps_flags_live_across_conditionals():
     tb = translate(CONDITIONAL_RUN, OptLevel.ELIMINATION)
     # The flags stay in EFLAGS through the whole run: no restores at all.
-    assert tb.meta["sync_restores"] == 0
+    assert sync_counts(tb.meta).restores == 0
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +114,12 @@ def test_inter_tb_elides_end_save_when_successor_defines_first():
         INTER_TB,
         config=OptConfig(packed_sync=True, eliminate_redundant=True,
                          inter_tb=False))
-    assert with_opt.meta["sync_saves"] < without.meta["sync_saves"]
+    assert sync_counts(with_opt.meta).saves < sync_counts(without.meta).saves
 
 
 def test_inter_tb_keeps_save_when_successor_reads_flags():
     tb = translate(INTER_TB_LIVE, OptLevel.ELIMINATION)
-    assert tb.meta["sync_saves"] == 1
+    assert sync_counts(tb.meta).saves == 1
 
 
 # ---------------------------------------------------------------------------

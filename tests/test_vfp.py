@@ -144,6 +144,7 @@ def test_fp_workloads_match_expected(name):
 
 def test_fp_rules_need_no_coordination():
     """A pure FP arithmetic block emits zero sync instructions."""
+    from repro.analysis.justify import sync_counts
     from repro.core.engine import RuleEngine
     from repro.guest.asm import assemble
     from repro.miniqemu.machine import Machine
@@ -157,6 +158,6 @@ def test_fp_rules_need_no_coordination():
 """, base=0x40000))
     engine = RuleEngine(machine, level=OptLevel.FULL)
     tb = engine.translate(0x40000, 0)
-    assert tb.meta["sync_insns"] == 0
+    assert sync_counts(tb.meta).insns == 0
     sse = [insn for insn in tb.code if "ss" in insn.op.value]
     assert len(sse) == 9  # 3 ops x (movss, op, movss)
