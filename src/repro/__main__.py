@@ -28,8 +28,9 @@ Commands:
   side-by-side cost comparison.
 - ``faultsmoke [--seeds N]`` — the robustness smoke matrix: run a
   seeded fault-injection scenario grid and check every run still
-  produces the correct guest output and exit code; two scenarios run
-  again on a warm translation store.
+  produces the correct guest output and exit code, and that every run
+  that injected a wrong result caught it in the self-check; two
+  scenarios run again on a warm translation store.
 - ``check [--all]`` — the translation soundness checker: report the
   classification ``learn()`` gave every learned rule (proved /
   tested-only / refuted) and run the dataflow verifier over the TB
@@ -241,11 +242,14 @@ def cmd_faultsmoke(args) -> int:
                         rows.append([name, seed, workload_name, "FAIL",
                                      "-", "-", "-", str(error)[:60]])
                         continue
-                    row = _smoke_row(name, seed, workload_name,
-                                     result.stats, warm)
-                    if warm and not result.stats.get("cache.tb_loaded"):
-                        # A warm run that revived nothing tested
-                        # nothing it was meant to.
+                    stats = result.stats
+                    row = _smoke_row(name, seed, workload_name, stats, warm)
+                    # A warm run that revived nothing, or a wrong result
+                    # injected but never detected, tested nothing it was
+                    # meant to.
+                    if warm and not stats.get("cache.tb_loaded") or \
+                            stats.get("robust.inj_rule_wrong") and \
+                            not stats.get("robust.selfcheck_failures"):
                         failures += 1
                         row[3] = "FAIL"
                     rows.append(row)

@@ -61,8 +61,8 @@ def _robustness_kwargs(inject) -> Dict:
         "fault_injector": FaultInjector(plan),
         "watchdog": ExecutionWatchdog(),
         # Silent wrong-result rules are only catchable by the online
-        # differential self-check: check every eligible TB (paranoid).
-        "selfcheck_interval": 1 if plan.wrong_rules else 0,
+        # differential self-check of every eligible TB run.
+        "selfcheck": bool(plan.wrong_rules),
     }
 
 

@@ -39,6 +39,9 @@ class HostCpu:
         self.zf = 0
         self.sf = 0
         self.of = 0
+        #: ESP at the start of every execute() call (the stack is empty
+        #: between TBs)
+        self.stack_top = stack_top
         self.regs[4] = stack_top  # ESP
 
     # -- EFLAGS as a packed word (pushfd/popfd) ---------------------------------

@@ -79,8 +79,9 @@ _X86_SUB = X86Op.SUB
 _X86_TEST = X86Op.TEST
 _X86_XOR = X86Op.XOR
 
-#: Hard cap on host instructions per TB execution (codegen-bug guard).
-_RUNAWAY_LIMIT = 5_000_000
+#: Hard cap on host instructions per execute() call (codegen-bug guard);
+#: also the watchdog's default bound (repro.robustness.guard).
+RUNAWAY_LIMIT = 5_000_000
 
 #: Entry on which a TB starts running compiled.  Measured on the
 #: generated cold-code programs: of 661 TBs, about 391 run once, 258
@@ -143,17 +144,6 @@ class _Block:
         self.pred = None                   # JCC condition predicate
         self.next: Optional[_Block] = None     # None: falls off the TB end
         self.taken: Optional[_Block] = None    # JCC target
-
-
-class _Program:
-    """A TB's compiled blocks, tagged with the interpreter they are bound
-    to."""
-
-    __slots__ = ("owner", "entry")
-
-    def __init__(self, owner: "HostInterpreter", entry: Optional[_Block]):
-        self.owner = owner
-        self.entry = entry                 # None: the TB stays interpreted
 
 
 class HostInterpreter:
@@ -258,17 +248,21 @@ class HostInterpreter:
           and registers are the interpreter's too.  Nothing rolls
           counters back further; ``MachineSnapshot`` does not either.
         - ``self.on_tb_enter``, ``self.runtime``, ``self.tracer`` and
-          ``tb.jmp_target`` are read when used, never bound into a
-          program, so rebinding them takes effect at once.  A program
-          binds only this interpreter's ``cpu`` and ``memory`` (and its
-          bodies' code objects come from this interpreter's memo), and a TB
-          whose program another interpreter built (the self-check
-          sandbox's copy) runs interpreted.
+          ``tb.jmp_target`` are read when used, never bound into compiled
+          code, so rebinding them takes effect at once.  Compiled code
+          binds this interpreter's ``cpu`` and ``memory``; a TB runs on
+          the one interpreter of its machine.
         - TB-like objects without ``exec_count`` are always interpreted.
+
+        Each call starts with ESP at the stack top: the host stack is
+        empty between TBs, as after QEMU's ``cpu_loop_exit``, even when
+        a helper left the previous call by raising between pushing its
+        arguments and the code that pops them.
         """
         self.tb_side_effects = False
+        self.cpu.regs[ESP] = self.cpu.stack_top
         limit = self.watchdog.max_host_insns if self.watchdog is not None \
-            else _RUNAWAY_LIMIT
+            else RUNAWAY_LIMIT
         profiler = self.profiler
         if profiler is not None:
             self._profile_key = (tb.pc, tb.mmu_idx)
@@ -521,13 +515,15 @@ class HostInterpreter:
 
     def _program_entry(self, tb) -> Optional[_Block]:
         """Entry block of *tb*'s compiled code, compiling it on the entry
-        that makes the TB hot; None while *tb* is to be interpreted."""
-        program = getattr(tb, "compiled", None)
-        if program is None:
+        that makes the TB hot; None while *tb* is to be interpreted.
+        ``tb.compiled`` keeps the entry block, or False for code that
+        :meth:`_compile` leaves interpreted."""
+        entry = getattr(tb, "compiled", None)
+        if entry is None:
             if getattr(tb, "exec_count", 0) < HOT_THRESHOLD:
                 return None
-            program = tb.compiled = _Program(self, self._compile(tb.code))
-        return program.entry if program.owner is self else None
+            entry = tb.compiled = self._compile(tb.code) or False
+        return entry or None
 
     def _run_compiled(self, tb, block: _Block, executed: int, pending_chain,
                       limit: int, prof_tags):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import struct
 
 from ..common.bitops import MASK32
+from ..host.isa import FLAG_CF, FLAG_OF, FLAG_SF, FLAG_ZF
 
 # --- host virtual address map of the emulator process ----------------------
 
@@ -92,6 +93,20 @@ class Env:
     @pc.setter
     def pc(self, value: int) -> None:
         self.set_reg(15, value)
+
+    def unpack_flags(self) -> bool:
+        """Parse a pending packed CCR save into the per-bit fields;
+        returns False when the per-bit fields already hold the live
+        condition codes."""
+        if not self.read(ENV_PACKED_VALID):
+            return False
+        packed = self.read(ENV_PACKED_FLAGS)
+        self.write(ENV_NF, (packed >> FLAG_SF) & 1)
+        self.write(ENV_ZF, (packed >> FLAG_ZF) & 1)
+        self.write(ENV_CF, (packed >> FLAG_CF) & 1)
+        self.write(ENV_VF, (packed >> FLAG_OF) & 1)
+        self.write(ENV_PACKED_VALID, 0)
+        return True
 
     # -- synchronization with the architectural GuestCpu object ----------------
 

@@ -65,15 +65,8 @@ class QemuRuntime:
         This is the deferred "one-to-many" parse of Sec III-B; it is
         charged only when QEMU genuinely reads the condition codes.
         """
-        env = self.env
-        if not env.read(ENV_PACKED_VALID):
+        if not self.env.unpack_flags():
             return
-        packed = env.read(ENV_PACKED_FLAGS)
-        env.write(ENV_NF, (packed >> FLAG_SF) & 1)
-        env.write(ENV_ZF, (packed >> FLAG_ZF) & 1)
-        env.write(ENV_CF, (packed >> FLAG_CF) & 1)
-        env.write(ENV_VF, (packed >> FLAG_OF) & 1)
-        env.write(ENV_PACKED_VALID, 0)
         self.flag_parse_count += 1
         if self.machine.tracer.enabled:
             self.machine.tracer.emit("sync.lazy_parse")

@@ -79,7 +79,7 @@ class Machine:
     def __init__(self, ram_size: int = DEFAULT_RAM_SIZE,
                  engine: str = "tcg", rule_engine_factory=None,
                  fault_injector=None, watchdog=None,
-                 selfcheck_interval: int = 0,
+                 selfcheck: bool = False,
                  tracer=None, profiler=None):
         # Observability (defaults are the zero-cost disabled paths; see
         # repro.observability).  Set first so every subsystem built
@@ -130,13 +130,13 @@ class Machine:
             self.tracer.set_clock(
                 lambda: (float(self.host.cost), self.guest_icount))
 
-        # Robustness: fault injection, watchdog, self-check sampling.
+        # Robustness: fault injection, watchdog, self-check.
         # Set before the engine is built — engines read these to size
         # their degradation ladder.
         self.injector = fault_injector if fault_injector is not None \
             else NullInjector()
         self.watchdog = watchdog
-        self.selfcheck_interval = selfcheck_interval
+        self.selfcheck = selfcheck
         self.host.watchdog = watchdog
 
         # Execution engine.
@@ -296,10 +296,10 @@ class DbtEngineBase:
         self.persistent = None
         machine.host.on_tb_enter = self._on_tb_enter  # set below via attr
         self.ladder = DegradationController(self.tiers)
-        self.selfcheck = SelfCheck(interval=machine.selfcheck_interval,
-                                   tlb_size=len(machine.tlb.data))
+        self.selfcheck = SelfCheck(enabled=machine.selfcheck)
         # Pre-execute snapshots are only worth taking when some fault
-        # source can actually fire (keeps the normal path allocation-free).
+        # source can actually fire or the self-check may roll a run back
+        # (keeps the normal path allocation-free).
         self._recovery = (machine.injector.enabled or
                           machine.watchdog is not None or
                           self.selfcheck.enabled)
@@ -549,14 +549,6 @@ class DbtEngineBase:
                 self.ladder.note_progress()
                 continue
             snapshot = MachineSnapshot(machine) if self._recovery else None
-            if self.selfcheck.should_check(tb) and \
-                    not self.selfcheck.verify(tb, bytes(machine.env.data)):
-                # Differential mismatch *before* the TB ran: quarantine
-                # its rules and retranslate; live state is untouched.
-                if machine.tracer.enabled:
-                    machine.tracer.emit("ladder.selfcheck_fail", pc=tb.pc)
-                self._condemn_tb(tb, "self-check mismatch")
-                continue
             self._before_execute(tb)
             try:
                 exit_info = host.execute(tb)
@@ -564,7 +556,7 @@ class DbtEngineBase:
                 self.ladder.note_progress()
                 continue  # helper delivered an exception; env.pc updated
             except RuleApplicationError as error:
-                self._recover(tb, snapshot, error, rule=error.rule)
+                self._recover(tb, snapshot, error, rules=[error.rule])
                 continue
             except InjectedFault as fault:
                 # Transient execute-time fault (softmmu/helper): roll
@@ -578,12 +570,22 @@ class DbtEngineBase:
             except (WatchdogTimeout, HostExecutionError) as error:
                 self._recover(tb, snapshot, error)
                 continue
-            self.ladder.note_progress()
             status = exit_info.status
+            if self.selfcheck.should_check(tb) and not self.selfcheck.verify(
+                    tb, snapshot.env_data, machine.env,
+                    status == EXIT_INTERRUPT):
+                # The TB computed a wrong result: roll it back before the
+                # guest can observe it, quarantine its rules, retranslate.
+                if machine.tracer.enabled:
+                    machine.tracer.emit("ladder.selfcheck_fail", pc=tb.pc)
+                self._recover(tb, snapshot, ReproError("self-check mismatch"),
+                              rules=sorted(tb.meta.get("rules_used") or ()))
+                continue
+            self.ladder.note_progress()
             if exit_info.chain is not None and status == EXIT_PC_UPDATED \
-                    and not self.selfcheck.paranoid:
-                # Paranoid self-checking keeps every entry visible to the
-                # run loop (a chained jump would bypass the check).
+                    and not self.selfcheck.enabled:
+                # The self-check keeps every entry visible to the run loop
+                # (a chained jump would bypass the check).
                 self._chain(*exit_info.chain)
             if status in (EXIT_PC_UPDATED, EXIT_INTERRUPT, EXIT_EXCEPTION):
                 continue
@@ -597,8 +599,10 @@ class DbtEngineBase:
     # -- fault recovery (the execute-time half of the ladder) ------------------
 
     def _recover(self, tb: TranslationBlock, snapshot, error,
-                 rule: Optional[str] = None) -> None:
-        """Roll back a faulted TB execution and degrade its translation.
+                 rules=()) -> None:
+        """Roll back a faulted or condemned TB execution and degrade its
+        translation: quarantine *rules*, the rules to blame, or demote
+        the block when none of them is newly quarantined.
 
         Only safe when the partial execution performed no non-idempotent
         work (MMIO, exception delivery) — otherwise the error propagates
@@ -612,29 +616,16 @@ class DbtEngineBase:
         snapshot.restore(machine)
         if machine.tracer.enabled:
             machine.tracer.emit("ladder.recover", pc=tb.pc,
-                                rule=rule or "",
+                                rule=",".join(rules),
                                 reason=type(error).__name__)
-        if rule is not None:
-            self.ladder.quarantine_rule(rule, f"execute: {error}")
-            self.cache.invalidate_rules([rule])
-        else:
+        newly = [rule for rule in rules
+                 if self.ladder.quarantine_rule(rule, f"execute: {error}")]
+        if rules:
+            self.cache.invalidate_rules(rules)
+        if not newly:
             self.ladder.demote(tb.pc, tb.mmu_idx)
         if self.cache.lookup(tb.pc, tb.mmu_idx) is tb:
             self.cache.invalidate(tb, machine.diag_context())
-        self.ladder.recovered_faults += 1
-
-    def _condemn_tb(self, tb: TranslationBlock, reason: str) -> None:
-        """Quarantine a TB's rules and evict it (self-check failure)."""
-        rules = sorted(tb.meta.get("rules_used") or ())
-        newly = [rule for rule in rules
-                 if self.ladder.quarantine_rule(rule, reason)]
-        if rules:
-            self.cache.invalidate_rules(rules)
-        if self.cache.lookup(tb.pc, tb.mmu_idx) is tb:
-            self.cache.invalidate(tb, self.machine.diag_context())
-        if not newly:
-            # No rule left to blame: degrade the whole block instead.
-            self.ladder.demote(tb.pc, tb.mmu_idx)
         self.ladder.recovered_faults += 1
 
     # -- the interp tier -------------------------------------------------------

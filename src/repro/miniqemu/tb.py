@@ -41,7 +41,8 @@ class TranslationBlock:
     #: engine-specific metadata (tier, coverage, the audit and
     #: justification records the sync counts are derived from, ...)
     meta: dict = field(default_factory=dict)
-    #: threaded code the host interpreter compiled once the TB got hot
+    #: entry block of the threaded code the host interpreter compiled
+    #: once the TB got hot, or False when it stays interpreted
     #: (repro.host.interp); run-time only, never persisted or compared
     compiled: Optional[object] = field(default=None, compare=False,
                                        repr=False)

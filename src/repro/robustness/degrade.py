@@ -9,12 +9,13 @@ holds the policy state the engine loop consults:
   are quarantined, which guest blocks have been demoted to a lower
   translation tier, transient-fault retry budgets, and the recovery
   statistics surfaced through ``Machine.stats()``;
-- :class:`SelfCheck` — the online differential self-check: before a
-  sampled rules-tier TB executes, it is re-run in a *sandboxed* host
-  interpreter against the reference ARM interpreter from the same
-  pre-state; a mismatch quarantines the TB's rules and the block is
-  retranslated down the ladder **before** the bad code ever touches the
-  live machine state.
+- :class:`SelfCheck` — the online differential self-check: after a
+  rules-tier TB executed, compiled or interpreted, the reference ARM
+  interpreter replays its guest instructions from the pre-state env the
+  run's :class:`~repro.robustness.guard.MachineSnapshot` kept, and the
+  result is compared with the live env; on a mismatch the engine
+  restores the snapshot, so the guest never observes the wrong result,
+  quarantines the TB's rules and retranslates the block down the ladder.
 
 Tier names are ordered strongest-first; ``interp`` (per-block reference
 interpretation) is the unconditional last resort.
@@ -22,31 +23,18 @@ interpretation) is the unconditional last resort.
 
 from __future__ import annotations
 
-import copy
-from typing import Dict, Optional, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..common.bitops import u32
 from ..guest.cpu import GuestCpu
 from ..guest.interp import Interpreter, condition_passed
 from ..guest.isa import PC
-from ..host.cpu import HostCpu
-from ..host.interp import HostInterpreter
-from ..host.isa import (ENV_REG, FLAG_CF, FLAG_OF, FLAG_SF, FLAG_ZF,
-                        X86Op)
-from ..host.memory import HostMemory
-from ..miniqemu.env import (ENV_BASE, ENV_CF, ENV_CPSR_REST, ENV_FPSCR,
-                            ENV_NF, ENV_PACKED_FLAGS, ENV_PACKED_VALID,
-                            ENV_VF, ENV_ZF, Env, STACK_BASE, STACK_SIZE,
-                            TLB_BASE, env_vfp)
-from ..miniqemu.tb import EXIT_PC_UPDATED
-from .guard import ExecutionWatchdog
+from ..host.isa import X86Op
+from ..miniqemu.env import Env, env_vfp
 
 #: Consecutive transient (injected) faults tolerated on one guest block
 #: before the fault is treated as persistent and propagated.
 TRANSIENT_RETRY_LIMIT = 64
-
-#: Host-instruction bound for sandboxed self-check execution.
-SELFCHECK_HOST_BOUND = 200_000
 
 
 class DegradationController:
@@ -125,13 +113,6 @@ class DegradationController:
 # ---------------------------------------------------------------------------
 
 
-class _SandboxRuntime:
-    """Minimal runtime facade for injected helpers inside the sandbox."""
-
-    def __init__(self, env: Env):
-        self.env = env
-
-
 class _NoBus:
     """Bus that rejects every access (pure blocks never touch it)."""
 
@@ -150,9 +131,9 @@ class _NoBus:
 
 def tb_selfcheckable(tb) -> bool:
     """A TB is checkable when it is *pure*: no guest memory or system
-    instructions and no (non-injected) helper calls, so both the
-    sandboxed host run and the reference interpretation are closed over
-    the env state alone."""
+    instructions and no (non-injected) helper calls, so both its run and
+    the reference interpretation are closed over the env state alone,
+    and the run's snapshot covers everything it can change."""
     for insn in tb.guest_insns:
         if insn.is_memory() or insn.is_system():
             return False
@@ -164,91 +145,53 @@ def tb_selfcheckable(tb) -> bool:
 
 
 class SelfCheck:
-    """Periodic differential re-execution of sampled rules-tier TBs.
+    """Differential check of every self-checkable rules-tier TB run.
 
-    ``interval`` counts eligible TB executions between checks; an
-    interval of 1 is *paranoid mode* — every eligible execution is
-    checked first (the engine also disables block chaining so corrupted
-    TBs cannot be entered behind the check's back).
+    The check compares the run that happened with the reference, so it
+    covers whichever form the host code ran in.  While it is enabled the
+    engine takes a snapshot before every TB and disables block chaining,
+    so every execution returns to the run loop and can be rolled back.
     """
 
-    def __init__(self, interval: int = 0, tlb_size: int = 0):
-        self.interval = interval
-        self.tlb_size = tlb_size
-        self._countdown = interval
+    def __init__(self, enabled: bool = False):
+        self.enabled = enabled
         # Statistics.
         self.checks = 0
         self.failures = 0
         self.inconclusive = 0
 
-    @property
-    def enabled(self) -> bool:
-        return self.interval > 0
-
-    @property
-    def paranoid(self) -> bool:
-        return self.interval == 1
-
     def should_check(self, tb) -> bool:
-        if not self.enabled or tb.meta.get("tier", "rules") != "rules":
-            return False
-        if not tb.meta.get("selfcheckable", False):
-            return False
-        self._countdown -= 1
-        if self._countdown > 0:
-            return False
-        self._countdown = self.interval
-        return True
+        return self.enabled and tb.meta.get("tier", "rules") == "rules" \
+            and tb.meta.get("selfcheckable", False)
 
     # -- the check itself --------------------------------------------------
 
-    def verify(self, tb, env_prestate: bytes) -> bool:
-        """Shadow-execute *tb* from *env_prestate*; True when it matches
-        the reference interpreter (or the check is inconclusive)."""
+    def verify(self, tb, env_prestate: bytes, env: Env,
+               interrupted: bool) -> bool:
+        """True when *env*, left by *tb* run from *env_prestate*, matches
+        the reference interpreter (or the check is inconclusive).  An
+        *interrupted* run left at the TB-entry interrupt check, before
+        any of the block's instructions."""
         self.checks += 1
-        sandbox_env, exit_ok = self._sandbox_execute(tb, env_prestate)
-        if sandbox_env is None:
-            self.failures += 1
-            return False          # the TB crashed even in the sandbox
-        if not exit_ok:
-            self.inconclusive += 1
-            return True           # interrupt exit: nothing to compare
-        reference = self._reference_execute(tb, env_prestate)
+        reference = self._reference_execute(
+            () if interrupted else tb.guest_insns, env_prestate)
         if reference is None:
             self.inconclusive += 1
             return True
-        if self._matches(sandbox_env, reference):
+        if self._matches(env, reference):
             return True
         self.failures += 1
         return False
 
-    def _sandbox_execute(self, tb, env_prestate: bytes):
+    @staticmethod
+    def _reference_execute(insns: Sequence, env_prestate: bytes):
         env = Env()
         env.data[:] = env_prestate
-        memory = HostMemory()
-        memory.map_region(ENV_BASE, env.data, "env")
-        memory.map_region(STACK_BASE, bytearray(STACK_SIZE), "stack")
-        if self.tlb_size:
-            memory.map_region(TLB_BASE, bytearray(self.tlb_size), "tlb")
-        cpu = HostCpu(stack_top=STACK_BASE + STACK_SIZE)
-        cpu.regs[ENV_REG] = ENV_BASE
-        host = HostInterpreter(cpu, memory)
-        host.runtime = _SandboxRuntime(env)
-        host.watchdog = ExecutionWatchdog(max_host_insns=SELFCHECK_HOST_BOUND)
-        shadow = copy.copy(tb)
-        shadow.jmp_target = [None, None]
-        try:
-            exit_info = host.execute(shadow)
-        except Exception:
-            return None, False
-        return env, exit_info.status == EXIT_PC_UPDATED
-
-    def _reference_execute(self, tb, env_prestate: bytes):
-        env = Env()
-        env.data[:] = env_prestate
-        cpu = _cpu_from_env(env)
+        env.unpack_flags()
+        cpu = GuestCpu()
+        env.store_to_cpu(cpu)
         interp = Interpreter(cpu, _NoBus())
-        for insn in tb.guest_insns:
+        for insn in insns:
             if cpu.regs[PC] != insn.addr:
                 break             # an earlier branch left the block
             if not condition_passed(insn.cond, cpu.cpsr):
@@ -269,27 +212,3 @@ class SelfCheck:
             if env.read(env_vfp(index)) != cpu.vfp[index]:
                 return False
         return True
-
-
-def _cpu_from_env(env: Env) -> GuestCpu:
-    """Architectural CPU view of an env byte image (for the reference)."""
-    cpu = GuestCpu()
-    if env.read(ENV_PACKED_VALID):
-        packed = env.read(ENV_PACKED_FLAGS)
-        n = (packed >> FLAG_SF) & 1
-        z = (packed >> FLAG_ZF) & 1
-        c = (packed >> FLAG_CF) & 1
-        v = (packed >> FLAG_OF) & 1
-    else:
-        n = env.read(ENV_NF) & 1
-        z = env.read(ENV_ZF) & 1
-        c = env.read(ENV_CF) & 1
-        v = env.read(ENV_VF) & 1
-    cpu.cpsr = (env.read(ENV_CPSR_REST) & 0x0FFFFFFF) | \
-        (n << 31) | (z << 30) | (c << 29) | (v << 28)
-    for index in range(16):
-        cpu.regs[index] = env.get_reg(index)
-    for index in range(32):
-        cpu.vfp[index] = env.read(env_vfp(index))
-    cpu.fpscr = env.read(ENV_FPSCR)
-    return cpu

@@ -15,7 +15,8 @@ Three hang classes are converted into structured, recoverable errors:
 - **unsafe recovery**: :class:`MachineSnapshot` captures the
   architectural state (env bytes, guest CPU, time, timer/intc) before a
   TB executes so the engine can roll back and replay after a fault that
-  surfaced before any non-idempotent (MMIO/exception) side effect.
+  surfaced before any non-idempotent (MMIO/exception) side effect, or
+  undo a run the self-check found wrong.
 """
 
 from __future__ import annotations
@@ -23,10 +24,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from ..common.errors import WakeupDeadlock
-
-#: Default per-execute() host-instruction bound (matches the legacy
-#: hard-coded runaway limit in the host interpreter).
-DEFAULT_MAX_HOST_INSNS = 5_000_000
+from ..host.interp import RUNAWAY_LIMIT
 
 #: Halt fast-forward iterations before declaring a wakeup deadlock.  Each
 #: iteration advances guest time by at least one timer period, so any
@@ -37,7 +35,7 @@ MAX_HALT_ITERATIONS = 1_000_000
 class ExecutionWatchdog:
     """Bounds on host work per engine step, shared by all engines."""
 
-    def __init__(self, max_host_insns: int = DEFAULT_MAX_HOST_INSNS,
+    def __init__(self, max_host_insns: int = RUNAWAY_LIMIT,
                  max_halt_iterations: int = MAX_HALT_ITERATIONS):
         self.max_host_insns = max_host_insns
         self.max_halt_iterations = max_halt_iterations

@@ -1,6 +1,5 @@
 """Unit tests for the host x86 model: flags semantics, interpreter, builder."""
 
-import copy
 import random
 
 import pytest
@@ -519,7 +518,7 @@ def make_state(state):
     data = bytearray(random.Random(seed).randbytes(MEM_SIZE))
     memory = HostMemory()
     memory.map_region(0, data, "flat")
-    cpu = HostCpu()
+    cpu = HostCpu(stack_top=regs[ESP])
     cpu.regs[:] = regs
     cpu.cf, cpu.zf, cpu.sf, cpu.of = flags
     cpu.xmm[:] = xmm
@@ -558,7 +557,7 @@ def run_both_ways(code, state, limit=None):
             interp.watchdog = ExecutionWatchdog(max_host_insns=limit)
         tb = HotTb(code, exec_count)
         seen.append(observe(interp, data, lambda: interp.execute(tb)))
-    assert tb.compiled is not None and tb.compiled.entry is not None
+    assert tb.compiled
     return seen
 
 
@@ -710,25 +709,7 @@ def test_unlinked_chain_target_is_not_entered():
     assert interp.cpu.regs[EAX] == 12
 
 
-def test_program_of_another_interpreter_runs_interpreted():
-    """The self-check sandbox runs copies of live TBs on its own host."""
-    builder = CodeBuilder()
-    builder.add(Reg(EAX), Imm(5))
-    builder.exit_tb(0)
-    tb = HotTb(builder.finish(), HOT_THRESHOLD)
-    owner, _ = make_state(flat_state())
-    owner.execute(tb)
-    program = tb.compiled
-    sandbox, _ = make_state(flat_state())
-    shadow = copy.copy(tb)
-    sandbox.execute(shadow)
-    assert shadow.compiled is program and program.owner is owner
-    assert sandbox.cpu.regs[EAX] == 5 and sandbox.total == 2
-
-
-def test_selfcheck_on_hot_tbs_and_counters_match_interpreted_run(
-        monkeypatch):
-    body = """
+EOR_LOOP = """
 main:
     mov r4, #0
     mov r5, #0
@@ -743,23 +724,36 @@ loop:
     mov r0, #0
     bl uexit
 """
-    kwargs = {"engine": "rules", "selfcheck_interval": 1,
-              "rule_engine_factory": make_rule_engine(OptLevel.FULL)}
-    code, text, machine = run_guest(body, **kwargs)
+
+
+SELFCHECKED = {"engine": "rules", "selfcheck": True,
+               "rule_engine_factory": make_rule_engine(OptLevel.FULL)}
+
+
+def test_selfcheck_on_hot_tbs_and_counters_match_interpreted_run(
+        monkeypatch):
+    code, text, machine = run_guest(EOR_LOOP, **SELFCHECKED)
     stats = machine.stats()
     assert code == 0
     assert stats["robust.selfcheck_checks"] > HOT_THRESHOLD
     assert stats["robust.selfcheck_failures"] == 0
-    compiled = [tb.compiled for tb in machine.engine.cache.all_tbs()
-                if tb.compiled is not None]
-    assert compiled
-    assert all(program.owner is machine.host for program in compiled)
+    assert any(tb.compiled for tb in machine.engine.cache.all_tbs())
     # Never compiling must change nothing a run reports.
     monkeypatch.setattr(host_interp, "HOT_THRESHOLD", 10 ** 9)
-    code, reference_text, reference = run_guest(body, **kwargs)
+    code, reference_text, reference = run_guest(EOR_LOOP, **SELFCHECKED)
     assert reference_text == text
     assert reference.stats() == stats
     assert list(reference.stats()) == list(stats)
+
+
+def test_selfcheck_catches_a_wrong_result_of_compiled_code(monkeypatch):
+    """The self-check compares the run that happened: a generated body
+    computing XOR as OR is caught once its TB runs compiled."""
+    monkeypatch.setitem(host_interp._LOGIC, X86Op.XOR, "|")
+    _, _, machine = run_guest(EOR_LOOP, **SELFCHECKED)
+    stats = machine.stats()
+    assert stats["robust.selfcheck_failures"] >= 1
+    assert stats["robust.quarantined_rules"] >= 1
 
 
 def shaped_code(disp, value):
@@ -786,8 +780,8 @@ def test_bodies_of_one_shape_share_code_but_not_constants():
         seen.append(observe(interp, data, lambda: [
             interp.execute(tb) for tb in tbs][-1]))
     assert seen[1] == seen[0]
-    assert all(tb.compiled.entry.body is not None for tb in tbs)
-    assert tbs[0].compiled.entry.body is not tbs[1].compiled.entry.body
+    assert all(tb.compiled.body is not None for tb in tbs)
+    assert tbs[0].compiled.body is not tbs[1].compiled.body
     assert len(interp._codes) == 1      # one code object for both bodies
 
 

@@ -1,10 +1,15 @@
 """Tests for MiniQEMU internals: TB cache, block chaining, lazy flags."""
 
+import pytest
+
 from repro.core import OptLevel, make_rule_engine
 from repro.guest.asm import assemble
+from repro.host.isa import ESP
 from repro.miniqemu import Machine
 from repro.miniqemu.env import (ENV_CF, ENV_NF, ENV_PACKED_FLAGS,
-                                ENV_PACKED_VALID, ENV_VF, ENV_ZF)
+                                ENV_PACKED_VALID, ENV_VF, ENV_ZF,
+                                STACK_BASE, STACK_SIZE)
+from tests.support import run_workload
 
 
 def run_flat(source, engine="tcg", factory=None, max_insns=100000):
@@ -123,3 +128,32 @@ def test_stats_tags_cover_all_instructions():
                     if key.startswith("engine.tag_"))
     assert tag_total == stats["engine.host_instructions"] + \
         (stats["engine.host_cost"] - stats["engine.host_instructions"])
+
+
+SYSCALL_LOOP = """
+main:
+    mov r4, #300
+loop:
+    bl uticks
+    subs r4, r4, #1
+    bne loop
+    mov r0, #0
+    bl uexit
+"""
+
+#: The largest helper frame: a slow-path store's address and value.
+HELPER_FRAME = 8
+
+
+@pytest.mark.parametrize("factory", [None, make_rule_engine(OptLevel.FULL)],
+                         ids=["tcg", "rules-full"])
+def test_host_stack_is_empty_between_tbs(factory):
+    """A helper that leaves its TB by raising (every exception return
+    does) never pops its pushed arguments; each execute() starts with
+    ESP at the stack top again, so only the frame of the helper that
+    halted the guest is left."""
+    engine = "tcg" if factory is None else "rules"
+    code, _, machine = run_workload(SYSCALL_LOOP, engine=engine,
+                                    rule_engine_factory=factory)
+    assert code == 0
+    assert machine.host_cpu.regs[ESP] >= STACK_BASE + STACK_SIZE - HELPER_FRAME

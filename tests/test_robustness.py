@@ -15,12 +15,14 @@ from repro.common.errors import (DiagContext, InjectedFault, ReproError,
 from repro.core import OptLevel, make_rule_engine
 from repro.core.rulebook import (EmptyRulebook, MatureRulebook,
                                  QuarantineFilter, rule_key)
+from repro.guest.cpu import MODE_USR
 from repro.guest.decoder import decode
 from repro.host.isa import X86Insn, X86Op
 from repro.kernel.kernel import USER_ENTRY
+from repro.miniqemu.env import ENV_CPSR_REST, Env
 from repro.miniqemu.tb import CodeCache, TranslationBlock
 from repro.robustness import (ExecutionWatchdog, FaultInjector, FaultPlan,
-                              MachineSnapshot, NullInjector,
+                              MachineSnapshot, NullInjector, SelfCheck,
                               fast_forward_halt, parse_inject_spec)
 from tests.support import boot_machine, run_workload
 
@@ -433,7 +435,7 @@ def _run_injected(spec, body=COUNT_BODY, **extra):
     kwargs = {
         "fault_injector": FaultInjector(plan),
         "watchdog": ExecutionWatchdog(),
-        "selfcheck_interval": 1 if plan.wrong_rules else 0,
+        "selfcheck": bool(plan.wrong_rules),
     }
     kwargs.update(RULES_KW)
     kwargs.update(extra)
@@ -481,6 +483,25 @@ def test_wrong_result_rule_is_caught_by_selfcheck():
     assert stats["robust.inj_rule_wrong"] >= 1
     assert stats["robust.selfcheck_failures"] >= 1
     assert stats["robust.quarantined_rules"] >= 1
+
+
+def test_selfcheck_reference_of_an_interrupted_run_is_the_prestate():
+    """A run that left at the TB-entry interrupt check ran none of the
+    block's instructions, so any changed register is a mismatch."""
+    tb = TranslationBlock(pc=0, mmu_idx=0, guest_insns=[ADD_INSN])
+    before = Env()
+    before.write(ENV_CPSR_REST, MODE_USR)
+    before.set_reg(1, 5)
+    before.set_reg(2, 7)
+    after = Env()
+    after.data[:] = before.data
+    after.set_reg(0, 12)
+    after.pc = 4
+    check = SelfCheck(enabled=True)
+    assert check.verify(tb, bytes(before.data), after, interrupted=False)
+    assert not check.verify(tb, bytes(before.data), after, interrupted=True)
+    assert check.verify(tb, bytes(before.data), before, interrupted=True)
+    assert (check.checks, check.failures, check.inconclusive) == (3, 1, 0)
 
 
 def test_translate_time_rule_crash_quarantines_and_retries():
