@@ -50,7 +50,7 @@ from ..core.rulebook import rule_key
 from ..miniqemu.tb import TranslationBlock
 from .fingerprint import (context_fingerprint, entry_checksum,
                           guest_image_digest)
-from .store import (PROVENANCE_KEY, CacheStore, TokenMemo,
+from .store import (PROVENANCE_KEY, CacheStore, OperandMemo, TokenMemo,
                     UnpersistableTB, decode_code, serialize_tb)
 
 #: Fault-injection sites consulted once per persisted-entry fetch (see
@@ -75,6 +75,8 @@ class CacheLoader:
         self._entries: Dict[Tuple[int, int], Dict[str, Any]] = {}
         #: host-insn token -> shared instruction (see ``store.decode_code``)
         self._memo: TokenMemo = {}
+        #: operand field text -> operand, beside it
+        self._operands: OperandMemo = {}
         #: store-level problems found at attach (reported, not fatal)
         self.problems: List[str] = []
         # Warm-start accounting (the ``cache.`` stats group).
@@ -166,7 +168,8 @@ class CacheLoader:
             return None
         by_addr = {insn.addr: insn for insn in decoded}
         try:
-            code = decode_code(entry["code"], by_addr, self._memo)
+            code = decode_code(entry["code"], by_addr, self._memo,
+                               self._operands)
             # Words are in address order; a scheduled block's reorder
             # record holds its emitted order.
             reorder = next((record for record in justifications_of(meta)
@@ -224,6 +227,9 @@ class CacheLoader:
         """
         new = 0
         quarantined = set(self.engine.ladder.quarantined_rules)
+        # id(insn) -> token for this save only: the TBs in the code
+        # cache keep every instruction alive until it returns.
+        tokens: Dict[int, str] = {}
         for tb in self.engine.cache.all_tbs():
             if tb.meta.get("tier") != "rules":
                 continue
@@ -239,7 +245,7 @@ class CacheLoader:
                 self.unpersistable += 1
                 continue
             try:
-                entry = serialize_tb(tb)
+                entry = serialize_tb(tb, tokens)
             except UnpersistableTB:
                 self.unpersistable += 1
                 continue

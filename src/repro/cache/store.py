@@ -23,8 +23,11 @@ Serialization notes:
   helper without a spec (e.g. one injected by the fault injector), or
   whose label or tag contains ``SEP``, is simply not persistable.
 - ``entries.json`` is compact JSON, so ``json.dumps`` runs on the C
-  encoder; the loader parses each distinct token once per run, and
-  revived TBs share the instruction of each helper-free token (see
+  encoder.  A save encodes each distinct instruction object once (a
+  translation shares its helper-free instructions with the run's other
+  TBs, see :mod:`repro.host.builder`); the loader parses each distinct
+  token and each distinct operand text once per run, and revived TBs
+  share the instruction of each helper-free token (see
   :func:`decode_code`).
 - ``meta`` is persisted as-is (it is JSON-friendly by design: the
   audit/justification records, from which the sync counts are
@@ -105,7 +108,11 @@ def _encode_text(value: str, what: str) -> str:
 
 def encode_insn(insn: X86Insn) -> str:
     """One host instruction as a token: ``op dst src cond label helper
-    args imm tag target_index``, with an empty field for a default."""
+    args imm tag target_index``, with an empty field for a default.
+
+    The token is a function of the instruction's fields alone, so the
+    instructions a run shares encode once per save
+    (:func:`serialize_tb`'s *tokens*)."""
     spec = ""
     if insn.helper is not None:
         persist = getattr(insn.helper, "persist", None)
@@ -136,9 +143,19 @@ _X86_CONDS = {cond.name: cond for cond in X86Cond}
 
 #: Parsed tokens of one run: token -> (instruction, helper spec or None).
 TokenMemo = Dict[str, Tuple[X86Insn, Optional[Tuple[Any, ...]]]]
+#: Decoded operand fields of one run: text -> operand.
+OperandMemo = Dict[str, Any]
 
 
-def _parse_token(token: str) -> Tuple[X86Insn, Optional[Tuple[Any, ...]]]:
+def _operand(text: str, operands: OperandMemo) -> Any:
+    operand = operands.get(text)
+    if operand is None:
+        operand = operands[text] = _decode_operand(text)
+    return operand
+
+
+def _parse_token(token: str, operands: OperandMemo
+                 ) -> Tuple[X86Insn, Optional[Tuple[Any, ...]]]:
     """A token's instruction (without its helper) and helper spec."""
     fields = token.split(SEP) if isinstance(token, str) else ()
     if len(fields) != 10:
@@ -148,29 +165,38 @@ def _parse_token(token: str) -> Tuple[X86Insn, Optional[Tuple[Any, ...]]]:
         kind, *numbers = spec.split(",")
         spec = (kind, *map(int, numbers))
     insn = X86Insn(
-        _X86_OPS[op], _decode_operand(dst), _decode_operand(src),
+        _X86_OPS[op], _operand(dst, operands) if dst else None,
+        _operand(src, operands) if src else None,
         _X86_CONDS[cond] if cond else None, label or None, None,
-        tuple(map(_decode_operand, args.split(";"))) if args else (),
+        tuple(_operand(arg, operands) for arg in args.split(";"))
+        if args else (),
         int(imm) if imm else 0, tag or "code",
         int(target) if target else -1)
     return insn, spec or None
 
 
 def decode_code(tokens: List[str], by_addr: Dict[int, Any],
-                memo: TokenMemo) -> List[X86Insn]:
+                memo: TokenMemo, operands: Optional[OperandMemo] = None
+                ) -> List[X86Insn]:
     """Rebuild a TB's host code from its tokens.
 
     Revived code is read-only.  Every helper-free instruction is one
     ``X86Insn`` per distinct token, shared through *memo* by every TB
     decoded with it; an instruction that calls a helper is built per
     TB, its helper resolved against the TB's decoded guest instructions
-    *by_addr*.  The one writer of host instructions after translation,
-    the fault injector, copies the instructions it edits."""
+    *by_addr*.  A token's operand fields are decoded once per distinct
+    text through *operands* (a fresh memo when None); operands are
+    interned, so every field of one text is one object whichever memo
+    decoded it.  Host instructions are read-only after emission or
+    revival: the writers that change one (the rule translator's
+    fallback splice, the fault injector) copy it first."""
+    if operands is None:
+        operands = {}
     code = []
     for token in tokens:
         parsed = memo.get(token)
         if parsed is None:
-            parsed = memo[token] = _parse_token(token)
+            parsed = memo[token] = _parse_token(token, operands)
         insn, spec = parsed
         if spec is not None:
             insn = replace(insn, helper=resolve_helper(spec, by_addr))
@@ -206,8 +232,13 @@ def resolve_helper(spec: Tuple[Any, ...], by_addr: Dict[int, Any]):
 # ---------------------------------------------------------------------------
 
 
-def serialize_tb(tb) -> Dict[str, Any]:
+def serialize_tb(tb, tokens: Optional[Dict[int, str]] = None
+                 ) -> Dict[str, Any]:
     """Serialize one rules-tier TB to a checksummed entry dict.
+
+    *tokens* memoizes :func:`encode_insn` by instruction object
+    (``id(insn)`` -> token) across the TBs of one save; it must not
+    outlive the instructions, so a caller keeps it for one save only.
 
     Raises :class:`UnpersistableTB` for blocks the store cannot
     represent (non-rules tier, injected instrumentation, helpers
@@ -229,7 +260,7 @@ def serialize_tb(tb) -> Dict[str, Any]:
         "pc": tb.pc,
         "mmu_idx": tb.mmu_idx,
         "words": words,
-        "code": [encode_insn(insn) for insn in tb.code],
+        "code": _encode_code(tb.code, {} if tokens is None else tokens),
         "jmp_pc": list(tb.jmp_pc),
     }
     meta_blob = {key: value for key, value in meta.items()
@@ -240,6 +271,16 @@ def serialize_tb(tb) -> Dict[str, Any]:
         raise UnpersistableTB(f"non-JSON meta: {error}") from None
     entry["sha256"] = entry_checksum(entry)
     return entry
+
+
+def _encode_code(code: List[X86Insn], tokens: Dict[int, str]) -> List[str]:
+    out = []
+    for insn in code:
+        token = tokens.get(id(insn))
+        if token is None:
+            token = tokens[id(insn)] = encode_insn(insn)
+        out.append(token)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +421,7 @@ def verify_store(directory: str) -> List[str]:
         problems.append(f"manifest says {manifest['entries']} entries, "
                         f"store has {len(entries)}")
     memo: TokenMemo = {}
+    operands: OperandMemo = {}
     for entry in entries:
         label = f"entry 0x{entry.get('pc', 0):08x}"
         if entry.get("sha256") != entry_checksum(entry):
@@ -395,7 +437,7 @@ def verify_store(directory: str) -> List[str]:
             by_addr[insn.addr] = insn
         else:
             try:
-                decode_code(entry.get("code", ()), by_addr, memo)
+                decode_code(entry.get("code", ()), by_addr, memo, operands)
             except (KeyError, ValueError, TypeError, IndexError) as error:
                 problems.append(f"{label}: bad host code: {error}")
     return problems

@@ -113,7 +113,8 @@ class RuleEngine(DbtEngineBase):
     def tcg_fallback(self, insn: ArmInsn, mmu_idx: int):
         """Translate one instruction through the TCG pipeline."""
         ir_insns, ended = TcgFrontend(mmu_idx).lower_body(insn)
-        code = TcgBackend(mmu_idx).lower(optimize(ir_insns), tag="fallback")
+        code = TcgBackend(mmu_idx, self.insn_memo).lower(
+            optimize(ir_insns), tag="fallback")
         return code, ended
 
     # ------------------------------------------------------------------
@@ -140,7 +141,7 @@ class RuleEngine(DbtEngineBase):
             mmu_idx, self.config,
             successor_live_in=self.successor_live_in,
             tcg_fallback=self.tcg_fallback,
-            tracer=self.machine.tracer)
+            tracer=self.machine.tracer, shared_insns=self.insn_memo)
         return translator.translate(pc, block)
 
     # ------------------------------------------------------------------

@@ -39,7 +39,7 @@ from ..analysis.justify import (AUDIT_KEY, JUSTIFY_KEY,
                                 reorder_justification, terminal_event)
 from ..common.bitops import u32
 from ..guest.isa import ArmInsn, Cond, Op, PC, ShiftKind
-from ..host.builder import CodeBuilder
+from ..host.builder import CodeBuilder, InsnMemo
 from ..host.isa import (EAX, EDX, ENV_REG, Imm, Mem, Reg, X86Cond,
                         X86Op, Xmm)
 from ..miniqemu import mmu_codegen
@@ -114,10 +114,12 @@ class RuleTranslator:
     def __init__(self, mmu_idx: int, config: OptConfig,
                  successor_live_in: Optional[Callable[[int], int]] = None,
                  tcg_fallback: Optional[Callable] = None,
-                 tracer=None):
+                 tracer=None, shared_insns: Optional[InsnMemo] = None):
         from ..observability.trace import NULL_TRACER
         self.mmu_idx = mmu_idx
         self.config = config
+        #: the engine's instruction memo, shared by every TB's builder
+        self.shared_insns = shared_insns
         self.successor_live_in = successor_live_in or (lambda pc: F_ALL)
         self.tcg_fallback = tcg_fallback
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -139,7 +141,8 @@ class RuleTranslator:
         original, insns, info = block.fetched, block.insns, block.info
         reordered = any(a is not b for a, b in zip(original, insns))
 
-        self.builder = builder = CodeBuilder(default_tag=RULE_TAG)
+        self.builder = builder = CodeBuilder(default_tag=RULE_TAG,
+                                             shared=self.shared_insns)
         self._audit = []
         self._justifications = []
         if reordered:
@@ -882,11 +885,7 @@ class RuleTranslator:
             self.flags.ensure_parsed()
         host_insns, ended = self.tcg_fallback(insn, self.mmu_idx)
         offset = len(builder.insns)
-        for host_insn in host_insns:
-            if host_insn.target_index >= 0:
-                host_insn.target_index += offset
-            host_insn.tag = "fallback"
-            builder.insns.append(host_insn)
+        builder.splice(host_insns, tag="fallback")
         if flags_written(insn):
             # The fallback wrote the per-bit fields directly: invalidate
             # the packed slot at runtime and in the static tracker.

@@ -4,16 +4,28 @@ Both code generators (the TCG backend and the rule-based translator) build
 TB bodies through this class.  ``tag`` arguments attribute instructions to
 the paper's accounting categories; the default tag of the builder can be
 temporarily overridden with :meth:`tagged`.
+
+A builder given a *shared* memo emits one ``X86Insn`` object per distinct
+helper-free instruction other than a jump, for every builder of the memo
+(an engine hands its run's memo to all of its builders).  Emitted
+instructions are therefore read-only: a writer copies one with
+``dataclasses.replace`` before it edits it (docs/internals.md,
+"Interned operands and shared instructions").
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
-from typing import Callable, Dict, List
+from dataclasses import replace
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..common.errors import TranslationError
 from .isa import (Imm, Mem, X86Cond, X86Insn, X86Op)
+
+#: Shared helper-free instructions: ``(op, dst, src, cond, imm, tag)``
+#: -> the one instruction of those fields.
+InsnMemo = Dict[Tuple[Any, ...], X86Insn]
 
 # Enum members bound once for the per-instruction code: on Python 3.10
 # and 3.11 each ``Enum.MEMBER`` lookup runs EnumType.__getattr__
@@ -61,10 +73,12 @@ _label_counter = itertools.count()
 class CodeBuilder:
     """Accumulates host instructions and resolves intra-block labels."""
 
-    def __init__(self, default_tag: str = "code"):
+    def __init__(self, default_tag: str = "code",
+                 shared: Optional[InsnMemo] = None):
         self.insns: List[X86Insn] = []
         self._labels: Dict[str, int] = {}
         self._tag = default_tag
+        self._shared = shared
 
     # -- tagging -------------------------------------------------------------
 
@@ -102,11 +116,39 @@ class CodeBuilder:
 
     def emit(self, op: X86Op, dst=None, src=None, *, cond=None, label=None,
              helper=None, helper_args=(), imm=0, tag=None) -> X86Insn:
-        insn = X86Insn(op=op, dst=dst, src=src, cond=cond, label=label,
-                       helper=helper, helper_args=tuple(helper_args),
-                       imm=imm, tag=tag or self._tag)
+        tag = tag or self._tag
+        shared = self._shared
+        if shared is None or helper is not None or op is _X86_JMP \
+                or op is _X86_JCC:
+            # finish() resolves a jump's target into it, and a helper
+            # call carries its TB's own callable: never shared.
+            insn = X86Insn(op, dst, src, cond, label, helper,
+                           tuple(helper_args), imm, tag)
+        else:
+            key = (op, dst, src, cond, imm, tag)
+            insn = shared.get(key)
+            if insn is None:
+                insn = shared[key] = X86Insn(op, dst, src, cond, None, None,
+                                             (), imm, tag)
         self.insns.append(insn)
         return insn
+
+    def splice(self, insns: List[X86Insn], tag: str) -> None:
+        """Append *insns*, another builder's finished code, as *tag*.
+
+        The instructions are read-only: each is re-emitted (a jump
+        copied with its resolved target re-based to this builder), never
+        retagged in place."""
+        offset = len(self.insns)
+        for insn in insns:
+            if insn.target_index >= 0:
+                self.insns.append(replace(
+                    insn, tag=tag, target_index=insn.target_index + offset))
+            else:
+                self.emit(insn.op, insn.dst, insn.src, cond=insn.cond,
+                          label=insn.label, helper=insn.helper,
+                          helper_args=insn.helper_args, imm=insn.imm,
+                          tag=tag)
 
     # -- convenience emitters (one host instruction each) -------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 # Host general-purpose registers.
 EAX, ECX, EDX, EBX, ESP, EBP, ESI, EDI = range(8)
@@ -104,15 +104,53 @@ class X86Cond(enum.Enum):
     G = "g"
 
 
-@dataclass(frozen=True)
+# Operands are interned: constructing one returns the one object of its
+# value, as CPython does for small ints, so a translation allocates no
+# operand it has made before.  ``__new__`` looks the value up in a
+# process-wide table whose size is the number of distinct values (eight
+# registers); ``__reduce__`` sends copy, deepcopy and pickle through it.
+# Identity is therefore value equality: the classes keep object's
+# ``__eq__`` and ``__hash__``.  No metaclass: one doubles the cost of
+# an ``isinstance`` miss (docs/internals.md, "Interned operands and
+# shared instructions").
+
+_MEMS: Dict[Tuple[Optional[int], int, Optional[int], int, int], "Mem"] = {}
+_REGS: Dict[int, "Reg"] = {}
+_IMMS: Dict[int, "Imm"] = {}
+
+
+def _intern(cls: type, table: Dict[Any, Any], key: Any,
+            **fields: Any) -> Any:
+    """Build the first operand of value *key* and enter it in *table*."""
+    self = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(self, name, value)
+    table[key] = self
+    return self
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Mem:
     """A memory operand: [base + index*scale + disp]."""
 
-    base: Optional[int] = None
-    disp: int = 0
-    index: Optional[int] = None
-    scale: int = 1
-    size: int = 4
+    base: Optional[int]
+    disp: int
+    index: Optional[int]
+    scale: int
+    size: int
+
+    def __new__(cls, base: Optional[int] = None, disp: int = 0,
+                index: Optional[int] = None, scale: int = 1,
+                size: int = 4) -> "Mem":
+        key = (base, disp, index, scale, size)
+        try:
+            return _MEMS[key]
+        except KeyError:
+            return _intern(cls, _MEMS, key, base=base, disp=disp,
+                           index=index, scale=scale, size=size)
+
+    def __reduce__(self) -> Tuple[type, Tuple[Any, ...]]:
+        return Mem, (self.base, self.disp, self.index, self.scale, self.size)
 
     def __str__(self) -> str:
         parts = []
@@ -127,17 +165,35 @@ class Mem:
 
 
 #: An operand is a register number, an immediate (int via Imm), or Mem.
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Reg:
     number: int
+
+    def __new__(cls, number: int) -> "Reg":
+        try:
+            return _REGS[number]
+        except KeyError:
+            return _intern(cls, _REGS, number, number=number)
+
+    def __reduce__(self) -> Tuple[type, Tuple[int]]:
+        return Reg, (self.number,)
 
     def __str__(self) -> str:
         return REG_NAMES[self.number]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Imm:
     value: int
+
+    def __new__(cls, value: int) -> "Imm":
+        try:
+            return _IMMS[value]
+        except KeyError:
+            return _intern(cls, _IMMS, value, value=value)
+
+    def __reduce__(self) -> Tuple[type, Tuple[int]]:
+        return Imm, (self.value,)
 
     def __str__(self) -> str:
         return f"{self.value:#x}"

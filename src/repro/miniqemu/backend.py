@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Set
 
 from ..common.errors import TranslationError
 from ..ir.ops import IRCond, IRInsn, IROp, Temp
-from ..host.builder import CodeBuilder
+from ..host.builder import CodeBuilder, InsnMemo
 from ..host.isa import (EAX, EBX, ECX, EDI, EDX, ENV_REG, ESI, ESP, Imm,
                         Mem, Reg, X86Cond, X86Op)
 from . import mmu_codegen
@@ -157,11 +157,12 @@ class RegisterAllocator:
 class TcgBackend:
     """Lowers one TB's IR to host code."""
 
-    def __init__(self, mmu_idx: int):
+    def __init__(self, mmu_idx: int, shared: Optional[InsnMemo] = None):
         self.mmu_idx = mmu_idx
+        self.shared = shared        # the engine's instruction memo
 
     def lower(self, ir_insns: List[IRInsn], tag: str = "code") -> List:
-        builder = CodeBuilder(default_tag=tag)
+        builder = CodeBuilder(default_tag=tag, shared=self.shared)
         last_use: Dict[Temp, int] = {}
         for position, insn in enumerate(ir_insns):
             for temp in insn.sources():

@@ -41,6 +41,7 @@ from ..guest.cpu import GuestCpu, MODE_IRQ, MODE_USR, VECTOR_IRQ
 from ..guest.decoder import decode
 from ..guest.interp import Interpreter
 from ..guest.isa import PC, ArmInsn
+from ..host.builder import InsnMemo
 from ..host.cpu import HostCpu
 from ..observability.stats import merge_stats
 from ..observability.trace import FLIGHT_RECORDER_EVENTS, NULL_TRACER
@@ -309,6 +310,11 @@ class DbtEngineBase:
         #: "Translation-time memo").  Decoding is a pure function of
         #: the word and its address, so an entry never goes stale.
         self._decoded: Dict[int, ArmInsn] = {}
+        #: Instruction memo: every builder of this engine emits one
+        #: shared, read-only ``X86Insn`` per distinct helper-free,
+        #: non-jump instruction (docs/internals.md, "Interned operands
+        #: and shared instructions").
+        self.insn_memo: InsnMemo = {}
 
     # -- translation (the tier ladder) -------------------------------------------
 
@@ -382,7 +388,7 @@ class DbtEngineBase:
         frontend = TcgFrontend(mmu_idx)
         ir_insns, jmp_pcs = frontend.translate(pc, insns)
         ir_insns = optimize(ir_insns)
-        backend = TcgBackend(mmu_idx)
+        backend = TcgBackend(mmu_idx, self.insn_memo)
         code = backend.lower(ir_insns)
         tb = TranslationBlock(pc=pc, mmu_idx=mmu_idx, guest_insns=insns,
                               code=code)
@@ -483,6 +489,11 @@ class DbtEngineBase:
                 self.persistent.discard(pc, mmu_idx, "check-reject")
             tb = vetted
             tb.meta.setdefault("provenance", "fresh")
+            if self.selfcheck.enabled and not self.selfcheck.should_check(tb):
+                # Code the self-check cannot check stays on the host
+                # interpreter, the semantics reference: it never runs as
+                # a generated body that nothing checks.
+                tb.compiled = False
             self.cache.insert(tb)
             host = self.machine.host
             # Loaded TBs re-charge the same modelled translation cost as
