@@ -21,7 +21,7 @@ from dataclasses import asdict
 from typing import Any, Dict
 
 #: Bump on any incompatible change to the serialized entry layout.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Store manifest schema tag.
 SCHEMA = "repro-tb-cache"

@@ -16,12 +16,13 @@ next run's load-time validation evicts entry by entry.
 
 Serialization notes:
 
-- Each host instruction is one string token of ten ``SEP``-separated
-  fields (see :func:`encode_insn`; an empty field is the default).
-  ``helper`` callables serialize as the ``persist`` spec stamped by the
-  factories in :mod:`repro.miniqemu.helpers` — a TB whose code calls a
-  helper without a spec (e.g. one injected by the fault injector), or
-  whose label or tag contains ``SEP``, is simply not persistable.
+- Each host instruction is one string token of nine ``SEP``-separated
+  fields (see :func:`encode_insn`; an empty field is the default); a
+  jump holds its target index, never a builder's label.  ``helper``
+  callables serialize as the ``persist`` spec stamped by the factories
+  in :mod:`repro.miniqemu.helpers` — a TB whose code calls a helper
+  without a spec (e.g. one injected by the fault injector), or whose
+  tag contains ``SEP``, is simply not persistable.
 - ``entries.json`` is compact JSON, so ``json.dumps`` runs on the C
   encoder.  A save encodes each distinct instruction object once (a
   translation shares its helper-free instructions with the run's other
@@ -66,7 +67,7 @@ class UnpersistableTB(Exception):
 # Host-code serialization: one token per instruction.
 # ---------------------------------------------------------------------------
 
-#: Separates the ten fields of a host-instruction token.
+#: Separates the nine fields of a host-instruction token.
 SEP = " "
 
 _OPERANDS = {"r": Reg, "i": Imm, "x": Xmm, "n": int}
@@ -99,16 +100,9 @@ def _decode_operand(text: str) -> Any:
     return _OPERANDS[text[0]](int(text[1:]))
 
 
-def _encode_text(value: str, what: str) -> str:
-    if not value or SEP in value:
-        raise UnpersistableTB(f"{what} {value!r} is empty or contains "
-                              f"{SEP!r}")
-    return value
-
-
 def encode_insn(insn: X86Insn) -> str:
-    """One host instruction as a token: ``op dst src cond label helper
-    args imm tag target_index``, with an empty field for a default.
+    """One host instruction as a token: ``op dst src cond helper args
+    imm tag target_index``, with an empty field for a default.
 
     The token is a function of the instruction's fields alone, so the
     instructions a run shares encode once per save
@@ -121,17 +115,19 @@ def encode_insn(insn: X86Insn) -> str:
                 f"helper {getattr(insn.helper, '__name__', '?')} has no "
                 f"persist spec")
         spec = ",".join([persist[0], *(str(int(v)) for v in persist[1:])])
+    if not insn.tag or SEP in insn.tag:
+        raise UnpersistableTB(f"tag {insn.tag!r} is empty or contains "
+                              f"{SEP!r}")
     args = insn.helper_args
     return SEP.join((
         insn.op._name_,
         "" if insn.dst is None else _encode_operand(insn.dst),
         "" if insn.src is None else _encode_operand(insn.src),
         "" if insn.cond is None else insn.cond._name_,
-        "" if insn.label is None else _encode_text(insn.label, "label"),
         spec,
         ";".join(map(_encode_operand, args)) if args else "",
         str(insn.imm) if insn.imm else "",
-        "" if insn.tag == "code" else _encode_text(insn.tag, "tag"),
+        "" if insn.tag == "code" else insn.tag,
         "" if insn.target_index == -1 else str(insn.target_index),
     ))
 
@@ -158,16 +154,16 @@ def _parse_token(token: str, operands: OperandMemo
                  ) -> Tuple[X86Insn, Optional[Tuple[Any, ...]]]:
     """A token's instruction (without its helper) and helper spec."""
     fields = token.split(SEP) if isinstance(token, str) else ()
-    if len(fields) != 10:
+    if len(fields) != 9:
         raise ValueError(f"bad host insn token {token!r}")
-    op, dst, src, cond, label, spec, args, imm, tag, target = fields
+    op, dst, src, cond, spec, args, imm, tag, target = fields
     if spec:
         kind, *numbers = spec.split(",")
         spec = (kind, *map(int, numbers))
     insn = X86Insn(
         _X86_OPS[op], _operand(dst, operands) if dst else None,
         _operand(src, operands) if src else None,
-        _X86_CONDS[cond] if cond else None, label or None, None,
+        _X86_CONDS[cond] if cond else None, None,
         tuple(_operand(arg, operands) for arg in args.split(";"))
         if args else (),
         int(imm) if imm else 0, tag or "code",
@@ -188,8 +184,8 @@ def decode_code(tokens: List[str], by_addr: Dict[int, Any],
     text through *operands* (a fresh memo when None); operands are
     interned, so every field of one text is one object whichever memo
     decoded it.  Host instructions are read-only after emission or
-    revival: the writers that change one (the rule translator's
-    fallback splice, the fault injector) copy it first."""
+    revival: the writers that derive changed code (the builder's
+    splice, the fault injector) build new instructions."""
     if operands is None:
         operands = {}
     code = []
@@ -422,16 +418,25 @@ def verify_store(directory: str) -> List[str]:
                         f"store has {len(entries)}")
     memo: TokenMemo = {}
     operands: OperandMemo = {}
-    for entry in entries:
-        label = f"entry 0x{entry.get('pc', 0):08x}"
+    for position, entry in enumerate(entries):
+        pc = entry.get("pc") if isinstance(entry, dict) else None
+        if type(pc) is not int or type(entry.get("mmu_idx")) is not int:
+            problems.append(f"entry #{position}: not an object with "
+                            f"integer pc and mmu_idx")
+            continue
+        label = f"entry 0x{pc:08x}"
         if entry.get("sha256") != entry_checksum(entry):
             problems.append(f"{label}: checksum mismatch")
             continue
+        words = entry.get("words")
+        if type(words) is not list:
+            problems.append(f"{label}: words are not a list")
+            continue
         by_addr = {}
-        for index, word in enumerate(entry.get("words", ())):
+        for index, word in enumerate(words):
             try:
-                insn = decode(word, int(entry["pc"]) + 4 * index)
-            except DecodingError:
+                insn = decode(word, pc + 4 * index)
+            except (DecodingError, TypeError):
                 problems.append(f"{label}: word {index} undecodable")
                 break
             by_addr[insn.addr] = insn

@@ -119,6 +119,7 @@ class RuleTranslator:
         self.mmu_idx = mmu_idx
         self.config = config
         #: the engine's instruction memo, shared by every TB's builder
+        #: (None: each builder keeps its own)
         self.shared_insns = shared_insns
         self.successor_live_in = successor_live_in or (lambda pc: F_ALL)
         self.tcg_fallback = tcg_fallback

@@ -5,26 +5,26 @@ TB bodies through this class.  ``tag`` arguments attribute instructions to
 the paper's accounting categories; the default tag of the builder can be
 temporarily overridden with :meth:`tagged`.
 
-A builder given a *shared* memo emits one ``X86Insn`` object per distinct
-helper-free instruction other than a jump, for every builder of the memo
-(an engine hands its run's memo to all of its builders).  Emitted
-instructions are therefore read-only: a writer copies one with
-``dataclasses.replace`` before it edits it (docs/internals.md,
-"Interned operands and shared instructions").
+Labels are numbered per builder and never leave it: :meth:`finish`
+replaces each jump placeholder with the jump to its label's
+``target_index``.  Every instruction that calls no helper, jumps
+included, is the one object of its fields in the builder's memo (an
+engine hands its run's memo to all of its builders), so emitted
+instructions are read-only (docs/internals.md, "Interned operands and
+shared instructions").
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
-from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..common.errors import TranslationError
 from .isa import (Imm, Mem, X86Cond, X86Insn, X86Op)
 
-#: Shared helper-free instructions: ``(op, dst, src, cond, imm, tag)``
-#: -> the one instruction of those fields.
+#: Shared helper-free instructions: ``(op, dst, src, cond, imm, tag,
+#: target_index)`` -> the one instruction of those fields.
 InsnMemo = Dict[Tuple[Any, ...], X86Insn]
 
 # Enum members bound once for the per-instruction code: on Python 3.10
@@ -59,15 +59,12 @@ _X86_RCR = X86Op.RCR
 _X86_ROR = X86Op.ROR
 _X86_SAHF = X86Op.SAHF
 _X86_SAR = X86Op.SAR
-_X86_SBB = X86Op.SBB
 _X86_SETCC = X86Op.SETCC
 _X86_SHL = X86Op.SHL
 _X86_SHR = X86Op.SHR
 _X86_SUB = X86Op.SUB
 _X86_TEST = X86Op.TEST
 _X86_XOR = X86Op.XOR
-
-_label_counter = itertools.count()
 
 
 class CodeBuilder:
@@ -77,8 +74,11 @@ class CodeBuilder:
                  shared: Optional[InsnMemo] = None):
         self.insns: List[X86Insn] = []
         self._labels: Dict[str, int] = {}
+        #: ``(index, label)`` of each jump placeholder, for finish().
+        self._jumps: List[Tuple[int, str]] = []
+        self._label_numbers = itertools.count()
         self._tag = default_tag
-        self._shared = shared
+        self._memo: InsnMemo = {} if shared is None else shared
 
     # -- tagging -------------------------------------------------------------
 
@@ -94,7 +94,7 @@ class CodeBuilder:
     # -- label handling --------------------------------------------------------
 
     def new_label(self, stem: str = "L") -> str:
-        return f"{stem}_{next(_label_counter)}"
+        return f"{stem}_{next(self._label_numbers)}"
 
     def bind(self, label: str) -> None:
         if label in self._labels:
@@ -103,52 +103,53 @@ class CodeBuilder:
 
     def finish(self) -> List[X86Insn]:
         """Resolve jump targets; returns the finished instruction list."""
-        for insn in self.insns:
-            if insn.op in (_X86_JMP, _X86_JCC) and insn.target_index < 0:
-                # Pre-resolved jumps (spliced from another builder, e.g.
-                # the rule engine's inline QEMU fallback) are left alone.
-                if insn.label not in self._labels:
-                    raise TranslationError(f"undefined label {insn.label}")
-                insn.target_index = self._labels[insn.label]
-        return self.insns
+        insns = self.insns
+        for index, label in self._jumps:
+            target = self._labels.get(label)
+            if target is None:
+                raise TranslationError(f"undefined label {label}")
+            jump = insns[index]
+            insns[index] = self._insn(jump.op, None, None, jump.cond, None,
+                                      (), jump.imm, jump.tag, target)
+        return insns
 
     # -- raw emit ---------------------------------------------------------------
 
-    def emit(self, op: X86Op, dst=None, src=None, *, cond=None, label=None,
-             helper=None, helper_args=(), imm=0, tag=None) -> X86Insn:
-        tag = tag or self._tag
-        shared = self._shared
-        if shared is None or helper is not None or op is _X86_JMP \
-                or op is _X86_JCC:
-            # finish() resolves a jump's target into it, and a helper
-            # call carries its TB's own callable: never shared.
-            insn = X86Insn(op, dst, src, cond, label, helper,
-                           tuple(helper_args), imm, tag)
-        else:
-            key = (op, dst, src, cond, imm, tag)
-            insn = shared.get(key)
-            if insn is None:
-                insn = shared[key] = X86Insn(op, dst, src, cond, None, None,
-                                             (), imm, tag)
-        self.insns.append(insn)
+    def _insn(self, op, dst, src, cond, helper, helper_args, imm, tag,
+              target_index) -> X86Insn:
+        """The memo's instruction of these fields; a helper call (it
+        carries its TB's own callable) is built fresh."""
+        if helper is not None:
+            return X86Insn(op, dst, src, cond, helper, helper_args, imm,
+                           tag, target_index)
+        key = (op, dst, src, cond, imm, tag, target_index)
+        insn = self._memo.get(key)
+        if insn is None:
+            insn = self._memo[key] = X86Insn(op, dst, src, cond, None, (),
+                                             imm, tag, target_index)
         return insn
+
+    def emit(self, op: X86Op, dst=None, src=None, *, cond=None, label=None,
+             helper=None, helper_args=(), imm=0, tag=None) -> None:
+        """Append one instruction (a jump placeholder, with *label*)."""
+        if label is not None:
+            self._jumps.append((len(self.insns), label))
+        self.insns.append(self._insn(op, dst, src, cond, helper,
+                                     tuple(helper_args), imm,
+                                     tag or self._tag, -1))
 
     def splice(self, insns: List[X86Insn], tag: str) -> None:
         """Append *insns*, another builder's finished code, as *tag*.
 
-        The instructions are read-only: each is re-emitted (a jump
-        copied with its resolved target re-based to this builder), never
-        retagged in place."""
+        Each instruction is re-emitted, its resolved jump target re-based
+        to this builder; the spliced instructions are never written."""
         offset = len(self.insns)
         for insn in insns:
-            if insn.target_index >= 0:
-                self.insns.append(replace(
-                    insn, tag=tag, target_index=insn.target_index + offset))
-            else:
-                self.emit(insn.op, insn.dst, insn.src, cond=insn.cond,
-                          label=insn.label, helper=insn.helper,
-                          helper_args=insn.helper_args, imm=insn.imm,
-                          tag=tag)
+            target = insn.target_index
+            self.insns.append(self._insn(
+                insn.op, insn.dst, insn.src, insn.cond, insn.helper,
+                insn.helper_args, insn.imm, tag,
+                target + offset if target >= 0 else -1))
 
     # -- convenience emitters (one host instruction each) -------------------------
 
@@ -175,9 +176,6 @@ class CodeBuilder:
 
     def sub(self, dst, src, **kw):
         self.emit(_X86_SUB, dst, src, **kw)
-
-    def sbb(self, dst, src, **kw):
-        self.emit(_X86_SBB, dst, src, **kw)
 
     def and_(self, dst, src, **kw):
         self.emit(_X86_AND, dst, src, **kw)

@@ -214,27 +214,27 @@ Operand = Union[Reg, Imm, Mem]
 
 @dataclass
 class X86Insn:
-    """One host instruction."""
+    """One host instruction (read-only once built)."""
 
     op: X86Op
     dst: Optional[Operand] = None
     src: Optional[Operand] = None
     cond: Optional[X86Cond] = None
-    label: Optional[str] = None            # jump target (intra-TB)
     helper: Optional[Callable] = None      # CALL_HELPER target
     helper_args: Tuple = ()                # registers passed to the helper
     imm: int = 0                           # EXIT_TB status / GOTO_TB slot
     tag: str = "code"
-    target_index: int = -1                 # resolved intra-TB jump target
+    target_index: int = -1                 # jump target: insn index in TB
 
     def __str__(self) -> str:
         name = self.op.value
-        if self.op is X86Op.JCC:
-            return f"j{self.cond.value} {self.label}"
+        if self.op is X86Op.JCC or self.op is X86Op.JMP:
+            # ``L<index>``: rule learning would read a bare index as an
+            # immediate.
+            name = "jmp" if self.cond is None else f"j{self.cond.value}"
+            return f"{name} L{self.target_index}"
         if self.op is X86Op.SETCC:
             return f"set{self.cond.value} {self.dst}"
-        if self.op is X86Op.JMP:
-            return f"jmp {self.label}"
         if self.op is X86Op.CALL_HELPER:
             helper_name = getattr(self.helper, "__name__", "helper")
             return f"call {helper_name}"

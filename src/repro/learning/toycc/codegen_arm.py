@@ -52,7 +52,7 @@ class ArmCodegen:
         self.line_table: List[int] = []
         self.homes: Dict[str, str] = {}
         self.free_scratch = list(SCRATCH_REGS)
-        self._label_counter = 0
+        self._labels_made = 0
 
     # -- emission helpers ----------------------------------------------------
 
@@ -64,8 +64,8 @@ class ArmCodegen:
         self.lines.append(f"{name}:")
 
     def new_label(self, stem: str) -> str:
-        self._label_counter += 1
-        return f".{self.function.name}_{stem}{self._label_counter}"
+        self._labels_made += 1
+        return f".{self.function.name}_{stem}{self._labels_made}"
 
     def alloc(self) -> str:
         if not self.free_scratch:

@@ -159,7 +159,8 @@ class TcgBackend:
 
     def __init__(self, mmu_idx: int, shared: Optional[InsnMemo] = None):
         self.mmu_idx = mmu_idx
-        self.shared = shared        # the engine's instruction memo
+        #: the engine's instruction memo; None: each builder keeps its own
+        self.shared = shared
 
     def lower(self, ir_insns: List[IRInsn], tag: str = "code") -> List:
         builder = CodeBuilder(default_tag=tag, shared=self.shared)

@@ -291,7 +291,6 @@ class DbtEngineBase:
     def __init__(self, machine: Machine):
         self.machine = machine
         self.cache = CodeCache()
-        self.translation_cost = 0
         #: Persistent cross-run translation cache (repro.cache); wired
         #: by attach_cache() when the run has a --cache-dir.
         self.persistent = None
@@ -506,7 +505,6 @@ class DbtEngineBase:
                 host.profiler.register(tb)
             host.charge(cost, "translate")
             host._profile_key = None
-            self.translation_cost += cost
             if self.machine.tracer.enabled:
                 self.machine.tracer.emit(
                     "tb.translate", pc=pc, tier=tb.meta.get("tier", "?"),
@@ -738,7 +736,8 @@ class DbtEngineBase:
         base = {
             "host_instructions": float(host.total),
             "host_cost": float(host.cost),
-            "translation_cost": float(self.translation_cost),
+            # get_tb is the only charger of the "translate" tag.
+            "translation_cost": float(host.by_tag.get("translate", 0)),
             "tb_count": float(len(self.cache)),
             "static_guest_insns": float(self.cache.translated_guest_insns),
             "static_host_insns": float(self.cache.translated_host_insns),

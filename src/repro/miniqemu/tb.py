@@ -87,12 +87,6 @@ class CodeCache:
         self.translated_guest_insns += tb.guest_insn_count
         self.translated_host_insns += len(tb.code)
 
-    def flush(self) -> None:
-        victims = list(self._tbs.values())
-        self._tbs.clear()
-        if victims:
-            self._notify_evict(victims)
-
     # -- invalidation (the degradation ladder's eviction path) -------------
 
     def invalidate(self, tb: TranslationBlock,

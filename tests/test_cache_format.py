@@ -1,4 +1,4 @@
-"""Store format v2: host-instruction tokens, their decode, and the
+"""Store format v3: host-instruction tokens, their decode, and the
 validation of entries that are well-checksummed but wrong.
 
 The cold/warm differential harness lives in ``test_persistent_cache``;
@@ -82,8 +82,8 @@ def test_hand_built_insns_round_trip():
                 helper_args=(Reg(2), Imm(-1))),
         X86Insn(X86Op.CALL_HELPER, helper=make_sysreg_helper(mrs),
                 tag="helper"),
-        X86Insn(X86Op.JCC, cond=X86Cond.NE, label="irq_0", tag="irqcheck",
-                target_index=5),
+        X86Insn(X86Op.JCC, cond=X86Cond.NE, tag="irqcheck", target_index=5),
+        X86Insn(X86Op.JMP, target_index=0),
         X86Insn(X86Op.SETCC, Reg(3), cond=X86Cond.L),
         X86Insn(X86Op.EXIT_TB, imm=3, tag="chain"),
     ]
@@ -91,12 +91,21 @@ def test_hand_built_insns_round_trip():
         _assert_same(original, revived)
 
 
+def test_token_has_nine_fields_and_no_label():
+    """A jump is stored as its resolved target: the token is a function
+    of the instruction's fields, never of a builder's label names."""
+    token = encode_insn(X86Insn(X86Op.JCC, cond=X86Cond.NE, tag="irqcheck",
+                                target_index=5))
+    assert token.split(SEP) == ["JCC", "", "", "NE", "", "", "", "irqcheck",
+                                "5"]
+
+
 @pytest.mark.parametrize("field,value", [
-    ("label", f"a{SEP}b"), ("label", ""),
     ("tag", f"sync{SEP}x"), ("tag", ""),
 ])
 def test_unencodable_label_or_tag_is_unpersistable(field, value):
-    insn = X86Insn(X86Op.JMP, label="out")
+    """Only the tag is free text (host instructions have no label)."""
+    insn = X86Insn(X86Op.JMP, target_index=0)
     setattr(insn, field, value)
     with pytest.raises(UnpersistableTB):
         encode_insn(insn)
@@ -235,8 +244,8 @@ def _bogus_helper_kind(entries):
     for entry in entries:
         for index, token in enumerate(entry["code"]):
             fields = token.split(SEP)
-            if fields[5]:
-                fields[5] = "bogus" + fields[5][fields[5].index(","):]
+            if fields[4]:
+                fields[4] = "bogus" + fields[4][fields[4].index(","):]
                 entry["code"][index] = SEP.join(fields)
                 return entry
     raise AssertionError("no helper call in the store")
@@ -288,42 +297,98 @@ def test_malformed_token_is_corrupt_not_executed(tmp_path, mutate):
     _assert_refused_and_identical(tmp_path, cold, cold_loader)
 
 
+def _text_pc(entries):
+    entries[0]["pc"] = f"{entries[0]['pc']:#x}"
+
+
+def _list_entry(entries):
+    entries.append(["not", "an", "entry"])
+
+
+def _text_word(entries):
+    entry = entries[0]
+    entry["words"][0] = f"{entry['words'][0]:08x}"
+    entry["sha256"] = entry_checksum(entry)
+
+
+@pytest.mark.parametrize("mutate,problem,lost", [
+    (_text_pc, "entry #0: not an object with integer pc and mmu_idx", 1),
+    (_list_entry, ": not an object with integer pc and mmu_idx", 0),
+    (_text_word, ": word 0 undecodable", 1),
+], ids=["text-pc", "list-entry", "text-word"])
+def test_verify_reports_a_malformed_entry(tmp_path, capsys, mutate,
+                                          problem, lost):
+    """verify lists a malformed entry as a problem, as the load path
+    tolerates it: no traceback, and the warm run still equals cold."""
+    cold, cold_loader = _machine(tmp_path)
+    _run(cold, cold_loader)
+    store_dir, payload = _read_store(tmp_path)
+    mutate(payload["entries"])
+    _write_store(store_dir, payload)
+
+    assert main(["cache", "verify", str(tmp_path)]) == 1
+    assert problem in capsys.readouterr().out
+    warm, warm_loader = _machine(tmp_path)
+    assert _run(warm, warm_loader) == 0
+    assert warm_loader.loaded == cold_loader.saved - lost
+    assert _final_state(warm) == _final_state(cold)
+
+
 # ---------------------------------------------------------------------------
 # Format versioning.
 # ---------------------------------------------------------------------------
 
+#: Field names of a v2 token (v3 dropped ``label``).
+_V2_FIELDS = ("op", "dst", "src", "cond", "label", "helper", "args", "imm",
+              "tag", "ti")
+
+
+def _v2_fields(token):
+    """A v3 token's fields with the v2 ``label`` field put back."""
+    fields = token.split(SEP)
+    target = fields[-1]
+    return fields[:4] + [f"L_{target}" if target else ""] + fields[4:]
+
+
 def _v1_code(token):
-    """A v2 token reshaped like v1 code: a dict of non-default fields."""
-    names = ("op", "dst", "src", "cond", "label", "helper", "args", "imm",
-             "tag", "ti")
-    return {name: value for name, value in zip(names, token.split(SEP))
+    """A v3 token reshaped like v1 code: a dict of non-default fields."""
+    return {name: value for name, value in zip(_V2_FIELDS, _v2_fields(token))
             if value}
 
 
-def test_v1_store_is_refused_and_rewritten(tmp_path, capsys):
+def _v2_code(token):
+    """A v3 token reshaped like a v2 one: ten fields, labels included."""
+    return SEP.join(_v2_fields(token))
+
+
+@pytest.mark.parametrize("version,reshape,indent", [
+    (1, _v1_code, 1), (2, _v2_code, None),
+], ids=["v1", "v2"])
+def test_older_store_is_refused_and_rewritten(tmp_path, capsys, version,
+                                              reshape, indent):
     cold, cold_loader = _machine(tmp_path)
     _run(cold, cold_loader)
-    # Rewrite the store as format v1 (indented, dict-encoded code).
+    # Rewrite the store in the older format.
     store_dir, payload = _read_store(tmp_path)
     for entry in payload["entries"]:
-        entry["code"] = [_v1_code(token) for token in entry["code"]]
+        entry["code"] = [reshape(token) for token in entry["code"]]
         entry["sha256"] = entry_checksum(entry)
-    _write_store(store_dir, payload, indent=1, version=1)
+    _write_store(store_dir, payload, indent=indent, version=version)
 
     again, loader = _machine(tmp_path)
-    assert f"format version 1 != {FORMAT_VERSION}" in loader.problems
+    assert f"format version {version} != {FORMAT_VERSION}" in loader.problems
     assert len(loader) == 0
     assert _run(again, loader) == 0
     assert loader.loaded == 0 and loader.saved == cold_loader.saved
     assert _final_state(again) == _final_state(cold)
     assert _deterministic_stats(again) == _deterministic_stats(cold)
 
-    assert FORMAT_VERSION == 2
-    assert store_info(store_dir)["format_version"] == 2
+    assert FORMAT_VERSION == 3
+    assert store_info(store_dir)["format_version"] == 3
     assert verify_store(store_dir) == []
     assert main(["cache", "info", str(tmp_path), "--format", "json"]) == 0
     stores = json.loads(capsys.readouterr().out)["stores"]
-    assert [store["format_version"] for store in stores] == [2]
+    assert [store["format_version"] for store in stores] == [3]
     warm, warm_loader = _machine(tmp_path)
     _run(warm, warm_loader)
     assert warm_loader.loaded == cold_loader.saved

@@ -1,36 +1,36 @@
 """Interned host operands and shared host instructions.
 
 Operands (``Reg``, ``Imm``, ``Mem``) are interned on construction, and
-an engine's builders emit one ``X86Insn`` per distinct helper-free,
-non-jump instruction of a run (docs/internals.md, "Interned operands and
-shared instructions").  Neither may change an emitted instruction, a
-counter or a stored byte.
+an engine's builders emit one ``X86Insn`` per distinct helper-free
+instruction of a run, jumps included (docs/internals.md, "Interned
+operands and shared instructions").  Neither may change an emitted
+instruction, a counter or a stored byte, and labels stay inside the
+builder that made them.
 """
 
 import copy
 import dataclasses
 import gc
-import itertools
 import os
 import pickle
 
 import pytest
 
-import repro.host.builder as host_builder
 from repro.harness.runner import make_machine, run_workload
 from repro.host import CodeBuilder, EAX, EBP, Imm, Mem, Reg, X86Op
-from repro.host.isa import X86Insn
+from repro.host.isa import X86Cond, X86Insn
 from repro.workloads import ALL_WORKLOADS
 
 _JUMPS = (X86Op.JMP, X86Op.JCC)
 
 
 def _fields(insn):
-    return (insn.op, insn.dst, insn.src, insn.cond, insn.imm, insn.tag)
+    return (insn.op, insn.dst, insn.src, insn.cond, insn.imm, insn.tag,
+            insn.target_index)
 
 
 def _shareable(insn):
-    return insn.helper is None and insn.op not in _JUMPS
+    return insn.helper is None
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +84,16 @@ def test_operand_classes_have_no_metaclass():
 # Instructions.
 # ---------------------------------------------------------------------------
 
-def test_builder_without_a_memo_builds_fresh_instructions():
-    builder = CodeBuilder()
-    builder.mov(Reg(EAX), Imm(1))
-    builder.mov(Reg(EAX), Imm(1))
-    first, second = builder.insns
-    assert first == second and first is not second
+def test_builder_without_a_memo_keeps_its_own():
+    codes = []
+    for _ in range(2):
+        builder = CodeBuilder()
+        builder.mov(Reg(EAX), Imm(1))
+        builder.mov(Reg(EAX), Imm(1))
+        codes.append(builder.finish())
+    (first, second), (other, _) = codes
+    assert first is second
+    assert other == first and other is not first
 
 
 def test_builders_of_one_memo_share_helper_free_instructions():
@@ -105,14 +109,50 @@ def test_builders_of_one_memo_share_helper_free_instructions():
         builder.exit_tb(0)
         codes.append(builder.finish())
     (mov, call, jmp, exit_tb), again = codes
-    assert again[0] is mov and again[3] is exit_tb
-    assert again[1] is not call and again[2] is not jmp
-    assert len(memo) == 2
+    assert again[0] is mov and again[2] is jmp and again[3] is exit_tb
+    assert again[1] is not call
+    assert jmp.target_index == 0 and str(jmp) == "jmp L0"
+
+
+def test_labels_are_numbered_per_builder():
+    labels = []
+    for _ in range(2):
+        builder = CodeBuilder()
+        labels.append((builder.new_label("irq"), builder.new_label("irq")))
+    assert labels == [("irq_0", "irq_1")] * 2
+
+
+def test_jumps_are_resolved_into_shared_instructions():
+    """Equal resolved jumps are one object, whichever label, builder or
+    splice they came from; a spliced jump's target is re-based."""
+    memo = {}
+    first = CodeBuilder(shared=memo)
+    skip = first.new_label("skip")
+    first.jcc(X86Cond.NE, skip)
+    first.mov(Reg(EAX), Imm(1))
+    first.bind(skip)
+    first.exit_tb(0)
+    (jne, _, _) = first.finish()
+    assert jne.target_index == 2
+
+    second = CodeBuilder(shared=memo)
+    second.jcc(X86Cond.NE, "elsewhere")
+    second.mov(Reg(EAX), Imm(1))
+    second.bind("elsewhere")
+    second.exit_tb(0)
+    assert second.finish()[0] is jne
+
+    spliced = CodeBuilder(shared=memo)
+    spliced.nop()
+    spliced.splice([jne, X86Insn(X86Op.EXIT_TB)], tag="code")
+    assert spliced.insns[1].target_index == 3
+    assert spliced.insns[1] is not jne and spliced.insns[1].cond is X86Cond.NE
 
 
 def _check_sharing(machine):
-    """Every memo entry holds its key, and every helper-free non-jump
-    instruction of the run's TBs is the one object of its fields."""
+    """Every memo entry holds its key, and every helper-free instruction
+    of the run's TBs, jumps included, is the one object of its
+    fields."""
     memo = machine.engine.insn_memo
     assert memo
     for key, insn in memo.items():
@@ -132,9 +172,38 @@ def test_a_run_shares_each_distinct_instruction():
     tiers = {tb.meta.get("tier") for tb in machine.engine.cache.all_tbs()}
     assert "rules" in tiers
     seen = _check_sharing(machine)
-    total = sum(_shareable(insn) for tb in machine.engine.cache.all_tbs()
-                for insn in tb.code)
-    assert len(seen) < total
+    code = [insn for tb in machine.engine.cache.all_tbs()
+            for insn in tb.code]
+    assert len(seen) < sum(map(_shareable, code))
+    jumps = [insn for insn in code if insn.op in _JUMPS]
+    assert jumps and all(jump.target_index >= 0 for jump in jumps)
+    assert len({id(jump) for jump in jumps}) < len(jumps)
+
+
+def test_no_host_instruction_is_written_after_it_is_built(monkeypatch):
+    """Emitted code is read-only: no builder (its finish() and splice
+    included), engine or fault injector assigns a field of an
+    instruction once it exists; code that changes one builds a new one."""
+    written = []
+
+    def guard(insn, name, value):
+        # Recorded, not raised: the degradation ladder would catch it.
+        if name in insn.__dict__:
+            written.append(f"{name} of {insn}")
+        object.__setattr__(insn, name, value)
+
+    monkeypatch.setattr(X86Insn, "__setattr__", guard)
+    for name, engine, inject in (
+            ("cpu-prime", "rules-full", None), ("cpu-prime", "tcg", None),
+            ("cpu-prime", "rules-full", "seed=1,extra-sync=0.5"),
+            ("fileio", "rules-full", None)):
+        workload = ALL_WORKLOADS[name]
+        machine = make_machine(workload, engine, inject=inject)
+        if name == "fileio":
+            # The quarantined rule's TBs splice in the fallback's code.
+            machine.engine.ladder.quarantine_rule("LDR", "test")
+        assert machine.run(workload.max_insns) == 0
+        assert not written, (name, engine, written[:3])
 
 
 def test_fallback_splice_leaves_memoized_instructions_as_emitted():
@@ -165,19 +234,16 @@ def _store_bytes(root):
             for file in ("entries.json", "manifest.json")}
 
 
-def test_store_does_not_depend_on_earlier_runs_in_the_process(
-        tmp_path, monkeypatch):
+def test_store_does_not_depend_on_earlier_runs_in_the_process(tmp_path):
     """The intern tables outlive a run, and a save memoizes tokens by
-    ``id(insn)``: neither may leak into a later run's store.  Labels are
-    numbered by one process-wide counter, so each run starts it over;
-    collecting between runs frees a finished run's instructions, so
-    the next run's may take their ids."""
+    ``id(insn)``: neither may leak into a later run's store, and no
+    label numbered in an earlier run may either.  Collecting between
+    runs frees a finished run's instructions, so the next run's may take
+    their ids."""
     first, other, again = (str(tmp_path / name)
                            for name in ("first", "other", "again"))
     sjeng, prime = ALL_WORKLOADS["sjeng"], ALL_WORKLOADS["cpu-prime"]
     for workload, root in ((sjeng, first), (prime, other), (sjeng, again)):
-        monkeypatch.setattr(host_builder, "_label_counter",
-                            itertools.count())
         run_workload(workload, "rules-full", cache_dir=root)
         gc.collect()
     assert _store_bytes(first) == _store_bytes(again)

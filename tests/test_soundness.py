@@ -17,9 +17,11 @@ Three claims are pinned here:
    instructions (ADC/SBC/RRX) stay architecturally exact.
 """
 
+import itertools
+
 import pytest
 
-from repro.analysis.dataflow import check_tb
+from repro.analysis.dataflow import _CLOBBERS_EFLAGS, check_tb
 from repro.analysis.findings import Report, Severity
 from repro.analysis.justify import (AUDIT_KEY, EV_FALLBACK, EV_RESTORE,
                                     EV_SAVE, J_INTER_TB, J_REORDER,
@@ -33,6 +35,10 @@ from repro.core.analysis import (F_ALL, F_C, F_N, F_V, F_Z,
 from repro.core.engine import RuleEngine
 from repro.guest.asm import assemble
 from repro.guest.decoder import decode
+from repro.host import (EAX, EBX, ECX, HostCpu, HostInterpreter,
+                        HostMemory, Imm, Mem, Reg, X86Cond, X86Insn, X86Op)
+from repro.host.interp import _COVERED
+from repro.host.isa import Xmm
 from repro.miniqemu.machine import Machine
 from repro.robustness.faultinject import FaultInjector, parse_inject_spec
 from tests.support import refutable_fixture
@@ -514,6 +520,70 @@ def test_carry_sources_verify_clean(name):
     engine = make_engine(source, OptLevel.FULL)
     tb = engine.translate(BASE_ADDR, 0)
     assert findings_of(engine, tb) == []
+
+
+# ---------------------------------------------------------------------------
+# 3c. Satellite: the checker's flag-clobber table matches host semantics.
+# ---------------------------------------------------------------------------
+
+#: Ops that transfer control: the checker models each one on its own.
+_CONTROL_OPS = {X86Op.JMP, X86Op.JCC, X86Op.CALL_HELPER, X86Op.EXIT_TB,
+                X86Op.GOTO_TB}
+_SSE_OPS = {X86Op.MOVSS, X86Op.ADDSS, X86Op.SUBSS, X86Op.MULSS}
+_VALUES = (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
+_FLAGS = ("cf", "zf", "sf", "of")
+
+
+def _insns_of(op):
+    """Instructions of *op* over the operand shapes the emitters use."""
+    if op in _SSE_OPS:
+        return [X86Insn(op, Xmm(0), Xmm(1))]
+    if op is X86Op.SETCC:
+        return [X86Insn(op, Reg(EAX), cond=cond) for cond in X86Cond]
+    if op is X86Op.LEA:
+        return [X86Insn(op, Reg(EAX), Mem(EBX, 4))]
+    if op is X86Op.PUSH:
+        return [X86Insn(op, src=Reg(EAX))]
+    if op in (X86Op.MOVZX, X86Op.MOVSX):
+        return [X86Insn(op, Reg(EAX), src)
+                for src in (Reg(EBX), Mem(disp=0x40, size=2))]
+    return [X86Insn(op, Reg(EAX), src)
+            for src in (Reg(EBX), Reg(ECX), Imm(1), Imm(4), Imm(31))]
+
+
+def _flag_changes(insn):
+    """Whether *insn* changes a condition flag from any fixed state."""
+    for value, other, flags in itertools.product(_VALUES, _VALUES, (0, 1)):
+        data = bytearray(0x100)
+        memory = HostMemory()
+        memory.map_region(0, data, "flat")
+        cpu = HostCpu(stack_top=0x80)
+        cpu.regs[EAX], cpu.regs[EBX], cpu.regs[ECX] = value, other, other
+        # The stacked word POPFD loads: every flag flipped.
+        data[0x80:0x84] = (0xFFFFFFFF * (1 - flags)).to_bytes(4, "little")
+        for flag in _FLAGS:
+            setattr(cpu, flag, flags)
+        HostInterpreter(cpu, memory)._step(insn)
+        if any(getattr(cpu, flag) != flags for flag in _FLAGS):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("op", [op for op in X86Op
+                                if op not in _CONTROL_OPS],
+                         ids=lambda op: op.name)
+def test_flag_writers_are_clobbers_for_the_checker(op):
+    """An op the host interpreter lets change CF/ZF/SF/OF must be in
+    ``_CLOBBERS_EFLAGS``, or the checker would miss a live guest CCR it
+    destroys (``lost-ccr``).  CMC is modelled as a carry-convention
+    flip instead.  The compiled-block table ``_COVERED`` must agree."""
+    writes = any(map(_flag_changes, _insns_of(op)))
+    covered = _COVERED.get(op)
+    if op is X86Op.CMC:
+        assert writes and op not in _CLOBBERS_EFLAGS
+        return
+    if writes or (covered is not None and covered[3]):
+        assert op in _CLOBBERS_EFLAGS
 
 
 # ---------------------------------------------------------------------------
