@@ -52,6 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.analysis import F_ALL
 from ..host.isa import ENV_REG, Imm, Mem, Reg, X86Cond, X86Insn, X86Op
+from ..host.ops import ROWS
 from ..miniqemu.env import (ENV_CF, ENV_NF, ENV_PACKED_FLAGS,
                             ENV_PACKED_VALID, ENV_REGS, ENV_VF, ENV_ZF)
 from ..miniqemu.tb import EXIT_PC_UPDATED
@@ -65,18 +66,13 @@ JUNK = "junk"
 DIRECT = "direct"
 INVERTED = "inverted"
 
-#: host ops that overwrite the EFLAGS condition bits
-_CLOBBERS_EFLAGS = {
-    X86Op.ADD, X86Op.ADC, X86Op.SUB, X86Op.SBB, X86Op.AND, X86Op.OR,
-    X86Op.XOR, X86Op.CMP, X86Op.TEST, X86Op.NEG, X86Op.INC, X86Op.DEC,
-    X86Op.IMUL, X86Op.SHL, X86Op.SHR, X86Op.SAR, X86Op.ROR, X86Op.ROL,
-    X86Op.RCR, X86Op.BSR, X86Op.STC, X86Op.CLC, X86Op.SAHF, X86Op.POPFD,
-}
+#: host ops that overwrite the EFLAGS condition bits (CMC's carry flip
+#: is modelled on its own)
+_CLOBBERS_EFLAGS = frozenset(op for op, row in ROWS.items()
+                             if row.writes and op is not X86Op.CMC)
 
 #: host ops whose Reg dst is (fully or partially) rewritten
-_WRITES_DST_REG = _CLOBBERS_EFLAGS | {
-    X86Op.MOV, X86Op.MOVZX, X86Op.MOVSX, X86Op.LEA, X86Op.NOT, X86Op.POP,
-}
+_WRITES_DST_REG = frozenset(op for op, row in ROWS.items() if row.writes_dst)
 
 _FLAG_FIELD_OFFSETS = frozenset(
     {ENV_NF, ENV_ZF, ENV_CF, ENV_VF, ENV_PACKED_FLAGS, ENV_PACKED_VALID})

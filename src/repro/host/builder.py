@@ -42,7 +42,6 @@ _X86_GOTO_TB = X86Op.GOTO_TB
 _X86_IMUL = X86Op.IMUL
 _X86_JCC = X86Op.JCC
 _X86_JMP = X86Op.JMP
-_X86_LAHF = X86Op.LAHF
 _X86_LEA = X86Op.LEA
 _X86_MOV = X86Op.MOV
 _X86_MOVSX = X86Op.MOVSX
@@ -57,7 +56,6 @@ _X86_PUSH = X86Op.PUSH
 _X86_PUSHFD = X86Op.PUSHFD
 _X86_RCR = X86Op.RCR
 _X86_ROR = X86Op.ROR
-_X86_SAHF = X86Op.SAHF
 _X86_SAR = X86Op.SAR
 _X86_SETCC = X86Op.SETCC
 _X86_SHL = X86Op.SHL
@@ -230,12 +228,6 @@ class CodeBuilder:
 
     def popfd(self, **kw):
         self.emit(_X86_POPFD, **kw)
-
-    def lahf(self, **kw):
-        self.emit(_X86_LAHF, **kw)
-
-    def sahf(self, **kw):
-        self.emit(_X86_SAHF, **kw)
 
     def setcc(self, cond: X86Cond, dst, **kw):
         self.emit(_X86_SETCC, dst, cond=cond, **kw)

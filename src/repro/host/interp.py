@@ -12,12 +12,15 @@ instruction), while an unpatched one exits to the cpu_exec loop.
 
 Host code runs in one of two forms.  A TB's first entries are
 interpreted one instruction at a time (:meth:`HostInterpreter._interpret`,
-the semantics reference).  From its :data:`HOT_THRESHOLD`-th entry on,
-the TB runs *compiled*: split once into basic blocks, each of which adds
-its instruction and tag counts once and runs its body as one generated
+the semantics reference), each non-control instruction by its op's step
+function.  From its :data:`HOT_THRESHOLD`-th entry on, the TB runs
+*compiled*: split once into basic blocks, each of which adds its
+instruction and tag counts once and runs its body as one generated
 Python function (:class:`_BodySource`), compiled once per distinct
 source.  Both forms leave identical counters;
-:meth:`HostInterpreter.execute` states the invariants.
+:meth:`HostInterpreter.execute` states the invariants.  Both run the
+texts of :mod:`repro.host.ops`: the step functions are compiled from
+them, and a body inlines them with the operands resolved.
 """
 
 from __future__ import annotations
@@ -27,57 +30,21 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..common.bitops import s32, u32
+from ..common.bitops import u32
 from ..common.errors import HostExecutionError, WatchdogTimeout
 from ..observability.trace import NULL_TRACER
 from .cpu import COND_EXPRS, COND_TESTS, HostCpu
-from .isa import ECX, ESP, Imm, Mem, Reg, X86Insn, X86Op, Xmm
-from ..common.f32 import f32_add, f32_mul, f32_sub
+from .isa import ESP, Imm, Mem, Reg, X86Insn, X86Op
+from .ops import MASK as _MASK, ROWS, STEPS, fill
 
 # Enum members bound once for the per-instruction code: on Python 3.10
 # and 3.11 each ``Enum.MEMBER`` lookup runs EnumType.__getattr__
 # (docs/internals.md, "Per-instruction Python costs").
-_X86_ADC = X86Op.ADC
-_X86_ADD = X86Op.ADD
-_X86_AND = X86Op.AND
-_X86_BSR = X86Op.BSR
 _X86_CALL_HELPER = X86Op.CALL_HELPER
-_X86_CLC = X86Op.CLC
-_X86_CMC = X86Op.CMC
-_X86_CMP = X86Op.CMP
-_X86_DEC = X86Op.DEC
 _X86_EXIT_TB = X86Op.EXIT_TB
 _X86_GOTO_TB = X86Op.GOTO_TB
-_X86_IMUL = X86Op.IMUL
-_X86_INC = X86Op.INC
 _X86_JCC = X86Op.JCC
 _X86_JMP = X86Op.JMP
-_X86_LAHF = X86Op.LAHF
-_X86_LEA = X86Op.LEA
-_X86_MOV = X86Op.MOV
-_X86_MOVSS = X86Op.MOVSS
-_X86_MOVSX = X86Op.MOVSX
-_X86_MOVZX = X86Op.MOVZX
-_X86_NEG = X86Op.NEG
-_X86_NOPSLOT = X86Op.NOPSLOT
-_X86_NOT = X86Op.NOT
-_X86_OR = X86Op.OR
-_X86_POP = X86Op.POP
-_X86_POPFD = X86Op.POPFD
-_X86_PUSH = X86Op.PUSH
-_X86_PUSHFD = X86Op.PUSHFD
-_X86_RCR = X86Op.RCR
-_X86_ROR = X86Op.ROR
-_X86_SAHF = X86Op.SAHF
-_X86_SAR = X86Op.SAR
-_X86_SBB = X86Op.SBB
-_X86_SETCC = X86Op.SETCC
-_X86_SHL = X86Op.SHL
-_X86_SHR = X86Op.SHR
-_X86_STC = X86Op.STC
-_X86_SUB = X86Op.SUB
-_X86_TEST = X86Op.TEST
-_X86_XOR = X86Op.XOR
 
 #: Hard cap on host instructions per execute() call (codegen-bug guard);
 #: also the watchdog's default bound (repro.robustness.guard).
@@ -91,8 +58,6 @@ RUNAWAY_LIMIT = 5_000_000
 #: TBs hundreds of times and lose nothing by the wait.
 HOT_THRESHOLD = 3
 
-_MASK = 0xFFFFFFFF
-
 # Terminator kinds of a compiled basic block.
 _NEXT = 0        # straight-line fall-through or JMP: continue at ``next``
 _JCC = 1
@@ -103,10 +68,8 @@ _EXIT = 4
 _TERMINATORS = {X86Op.JMP: _NEXT, X86Op.JCC: _JCC, X86Op.CALL_HELPER: _CALL,
                 X86Op.GOTO_TB: _GOTO, X86Op.EXIT_TB: _EXIT}
 
-_SHIFTS_AND_ROTATES = (X86Op.SHL, X86Op.SHR, X86Op.SAR, X86Op.ROR,
-                       X86Op.ROL, X86Op.RCR)
-_SSE_ARITH = {X86Op.ADDSS: f32_add, X86Op.SUBSS: f32_sub,
-              X86Op.MULSS: f32_mul}
+#: op -> its step function; None for the control ops _interpret runs.
+_DISPATCH = {**STEPS, **dict.fromkeys(_TERMINATORS)}
 
 
 @dataclass
@@ -195,28 +158,33 @@ class HostInterpreter:
 
     # -- operand access ------------------------------------------------------------
 
+    # Step functions read and write a register operand themselves, so
+    # these test for a memory operand first.
+
     def _addr(self, mem: Mem) -> int:
         addr = mem.disp
         if mem.base is not None:
             addr += self.cpu.regs[mem.base]
         if mem.index is not None:
             addr += self.cpu.regs[mem.index] * mem.scale
-        return u32(addr)
+        return addr & _MASK
 
-    def _read(self, operand, size: int = 4) -> int:
-        if isinstance(operand, Reg):
-            return self.cpu.regs[operand.number]
-        if isinstance(operand, Imm):
-            return u32(operand.value)
-        if isinstance(operand, Mem):
+    def _read(self, operand) -> int:
+        kind = type(operand)
+        if kind is Mem:
             return self.memory.read(self._addr(operand), operand.size)
+        if kind is Imm:
+            return operand.value & _MASK
+        if kind is Reg:
+            return self.cpu.regs[operand.number]
         raise HostExecutionError(f"bad operand {operand!r}")
 
     def _write(self, operand, value: int) -> None:
-        if isinstance(operand, Reg):
-            self.cpu.regs[operand.number] = u32(value)
-        elif isinstance(operand, Mem):
+        kind = type(operand)
+        if kind is Mem:
             self.memory.write(self._addr(operand), value, operand.size)
+        elif kind is Reg:
+            self.cpu.regs[operand.number] = value & _MASK
         else:
             raise HostExecutionError(f"bad destination {operand!r}")
 
@@ -299,7 +267,7 @@ class HostInterpreter:
         cpu = self.cpu
         insns = tb.code
         by_tag = self.by_tag
-        step = self._step
+        dispatch = _DISPATCH
         while True:
             if index >= len(insns):
                 raise HostExecutionError(
@@ -316,7 +284,10 @@ class HostInterpreter:
                     self.watchdog.trips += 1
                 raise WatchdogTimeout(executed, limit, tb_pc=tb.pc)
             op = insn.op
-            if op is _X86_JCC:
+            step = dispatch[op]
+            if step is not None:
+                step(self, insn)
+            elif op is _X86_JCC:
                 if COND_TESTS[insn.cond](cpu):
                     index = insn.target_index
             elif op is _X86_JMP:
@@ -333,8 +304,6 @@ class HostInterpreter:
             elif op is _X86_EXIT_TB:
                 return ExitInfo("exit", status=insn.imm, tb=tb,
                                 chain=pending_chain)
-            else:
-                step(insn)
 
     def _call_helper(self, tb, insn: X86Insn) -> None:
         if self.tracer.enabled:
@@ -345,171 +314,10 @@ class HostInterpreter:
         if result is not None:
             self.cpu.regs[0] = u32(result)
 
-    def _step(self, insn: X86Insn) -> None:  # noqa: C901 - op dispatch
-        """Execute one non-control instruction."""
-        cpu = self.cpu
-        op = insn.op
-        if op is _X86_MOV:
-            self._write(insn.dst, self._read(insn.src))
-        elif op is _X86_MOVZX:
-            if isinstance(insn.src, Reg):
-                value = cpu.regs[insn.src.number] & 0xFF
-            else:
-                value = self._read(insn.src)
-            self._write(insn.dst, value)
-        elif op is _X86_MOVSX:
-            if isinstance(insn.src, Reg):
-                value = cpu.regs[insn.src.number] & 0xFF
-                width = 8
-            else:
-                value = self._read(insn.src)
-                width = 8 * insn.src.size
-            sign = 1 << (width - 1)
-            self._write(insn.dst, (value & (sign - 1)) - (value & sign))
-        elif op is _X86_LEA:
-            self._write(insn.dst, self._addr(insn.src))
-        elif op is _X86_ADD:
-            self._write(insn.dst, cpu.flags_add(self._read(insn.dst),
-                                                self._read(insn.src)))
-        elif op is _X86_ADC:
-            self._write(insn.dst, cpu.flags_add(self._read(insn.dst),
-                                                self._read(insn.src),
-                                                cpu.cf))
-        elif op is _X86_SUB:
-            self._write(insn.dst, cpu.flags_sub(self._read(insn.dst),
-                                                self._read(insn.src)))
-        elif op is _X86_SBB:
-            self._write(insn.dst, cpu.flags_sub(self._read(insn.dst),
-                                                self._read(insn.src),
-                                                cpu.cf))
-        elif op is _X86_CMP:
-            cpu.flags_sub(self._read(insn.dst), self._read(insn.src))
-        elif op is _X86_AND:
-            self._write(insn.dst, cpu.flags_logic(self._read(insn.dst) &
-                                                  self._read(insn.src)))
-        elif op is _X86_OR:
-            self._write(insn.dst, cpu.flags_logic(self._read(insn.dst) |
-                                                  self._read(insn.src)))
-        elif op is _X86_XOR:
-            self._write(insn.dst, cpu.flags_logic(self._read(insn.dst) ^
-                                                  self._read(insn.src)))
-        elif op is _X86_TEST:
-            cpu.flags_logic(self._read(insn.dst) & self._read(insn.src))
-        elif op is _X86_NEG:
-            value = self._read(insn.dst)
-            self._write(insn.dst, cpu.flags_sub(0, value))
-        elif op is _X86_NOT:
-            self._write(insn.dst, ~self._read(insn.dst))
-        elif op is _X86_INC:
-            carry = cpu.cf
-            self._write(insn.dst, cpu.flags_add(self._read(insn.dst), 1))
-            cpu.cf = carry  # INC preserves CF
-        elif op is _X86_DEC:
-            carry = cpu.cf
-            self._write(insn.dst, cpu.flags_sub(self._read(insn.dst), 1))
-            cpu.cf = carry  # DEC preserves CF
-        elif op is _X86_IMUL:
-            # Like flags_logic, IMUL here preserves CF/OF (ARM muls
-            # leaves C/V unchanged); see DESIGN.md.
-            product = s32(self._read(insn.dst)) * s32(self._read(insn.src))
-            result = u32(product)
-            cpu.set_nz(result)
-            self._write(insn.dst, result)
-        elif op in _SHIFTS_AND_ROTATES:
-            self._shift(insn, op)
-        elif op is _X86_BSR:
-            value = self._read(insn.src)
-            cpu.zf = 1 if value == 0 else 0
-            if value:
-                self._write(insn.dst, value.bit_length() - 1)
-        elif op is _X86_PUSH:
-            cpu.regs[ESP] = u32(cpu.regs[ESP] - 4)
-            self.memory.write(cpu.regs[ESP], self._read(insn.src))
-        elif op is _X86_POP:
-            self._write(insn.dst, self.memory.read(cpu.regs[ESP], 4))
-            cpu.regs[ESP] = u32(cpu.regs[ESP] + 4)
-        elif op is _X86_PUSHFD:
-            cpu.regs[ESP] = u32(cpu.regs[ESP] - 4)
-            self.memory.write(cpu.regs[ESP], cpu.eflags)
-        elif op is _X86_POPFD:
-            cpu.eflags = self.memory.read(cpu.regs[ESP], 4)
-            cpu.regs[ESP] = u32(cpu.regs[ESP] + 4)
-        elif op is _X86_LAHF:
-            flags_byte = ((cpu.sf << 7) | (cpu.zf << 6) | 0x02 | cpu.cf)
-            cpu.regs[0] = (cpu.regs[0] & ~0xFF00 & 0xFFFFFFFF) | \
-                (flags_byte << 8)
-        elif op is _X86_SAHF:
-            byte = (cpu.regs[0] >> 8) & 0xFF
-            cpu.sf = (byte >> 7) & 1
-            cpu.zf = (byte >> 6) & 1
-            cpu.cf = byte & 1
-        elif op is _X86_SETCC:
-            bit_value = 1 if COND_TESTS[insn.cond](cpu) else 0
-            if isinstance(insn.dst, Reg):
-                number = insn.dst.number
-                cpu.regs[number] = (cpu.regs[number] & ~0xFF &
-                                    0xFFFFFFFF) | bit_value
-            else:
-                self._write(insn.dst, bit_value)
-        elif op is _X86_CMC:
-            cpu.cf ^= 1
-        elif op is _X86_STC:
-            cpu.cf = 1
-        elif op is _X86_CLC:
-            cpu.cf = 0
-        elif op is _X86_NOPSLOT:
-            pass
-        elif op is _X86_MOVSS:
-            if isinstance(insn.dst, Xmm):
-                value = cpu.xmm[insn.src.number] \
-                    if isinstance(insn.src, Xmm) \
-                    else self.memory.read(self._addr(insn.src), 4)
-                cpu.xmm[insn.dst.number] = value
-            else:
-                self.memory.write(self._addr(insn.dst),
-                                  cpu.xmm[insn.src.number])
-        elif op in _SSE_ARITH:
-            left = cpu.xmm[insn.dst.number]
-            right = cpu.xmm[insn.src.number] \
-                if isinstance(insn.src, Xmm) \
-                else self.memory.read(self._addr(insn.src), 4)
-            cpu.xmm[insn.dst.number] = _SSE_ARITH[op](left, right)
-        else:
-            raise HostExecutionError(f"unimplemented host op {op}")
-
-    def _shift(self, insn: X86Insn, op: X86Op) -> None:
-        cpu = self.cpu
-        value = self._read(insn.dst)
-        if isinstance(insn.src, Imm):
-            amount = insn.src.value & 31
-        else:
-            amount = cpu.regs[ECX] & 31
-        if op is _X86_RCR:
-            # Rotate through carry by one (used for ARM RRX).
-            result = u32((value >> 1) | (cpu.cf << 31))
-            cpu.cf = value & 1
-            self._write(insn.dst, result)
-            return
-        if amount == 0:
-            return
-        if op is _X86_SHL:
-            cpu.cf = (value >> (32 - amount)) & 1
-            result = u32(value << amount)
-        elif op is _X86_SHR:
-            cpu.cf = (value >> (amount - 1)) & 1
-            result = value >> amount
-        elif op is _X86_SAR:
-            signed = s32(value)
-            cpu.cf = (signed >> (amount - 1)) & 1
-            result = u32(signed >> amount)
-        elif op is _X86_ROR:
-            result = u32((value >> amount) | (value << (32 - amount)))
-            cpu.cf = (result >> 31) & 1
-        else:  # ROL
-            result = u32((value << amount) | (value >> (32 - amount)))
-            cpu.cf = result & 1
-        cpu.set_nz(result)
-        self._write(insn.dst, result)
+    def step(self, insn: X86Insn) -> None:
+        """Run one non-control instruction (what ``STEP`` does in
+        generated code)."""
+        STEPS[insn.op](self, insn)
 
     # -- compiled code: running it ---------------------------------------------------
 
@@ -638,7 +446,7 @@ class HostInterpreter:
         code = self._codes.get(text)
         if code is None:
             code = self._codes[text] = compile(text, "<host block>", "exec")
-        namespace = {"R": self.cpu.regs, "C": self.cpu, "STEP": self._step,
+        namespace = {"R": self.cpu.regs, "C": self.cpu, "STEP": self.step,
                      "SITE": self._site, **_STRUCT, **source.names}
         exec(code, namespace)
         return namespace["body"], lines
@@ -666,64 +474,39 @@ _STRUCT = {"U2": struct.Struct("<H").unpack_from,
 
 _ALL_FLAGS = frozenset("czso")   # cf, zf, sf, of: cpu attribute <letter>f
 
-_RM = (Reg, Mem)
-_RIM = (Reg, Imm, Mem)
-_ANY = None                     # an operand the op ignores
-
-#: The ops the generator covers: op -> (dst kinds, src kinds, flags read,
-#: flags written).  Any other op or operand kind runs ``STEP(insn)``.
-_COVERED = {
-    X86Op.MOV: (_RM, _RIM, "", ""), X86Op.MOVZX: (_RM, _RIM, "", ""),
-    X86Op.LEA: ((Reg,), (Mem,), "", ""),
-    X86Op.ADD: (_RM, _RIM, "", "czso"), X86Op.ADC: (_RM, _RIM, "c", "czso"),
-    X86Op.SUB: (_RM, _RIM, "", "czso"), X86Op.SBB: (_RM, _RIM, "c", "czso"),
-    X86Op.CMP: (_RIM, _RIM, "", "czso"), X86Op.TEST: (_RIM, _RIM, "", "zs"),
-    X86Op.AND: (_RM, _RIM, "", "zs"), X86Op.OR: (_RM, _RIM, "", "zs"),
-    X86Op.XOR: (_RM, _RIM, "", "zs"), X86Op.IMUL: (_RM, _RIM, "", "zs"),
-    X86Op.NEG: (_RM, _ANY, "", "czso"), X86Op.NOT: (_RM, _ANY, "", ""),
-    X86Op.INC: (_RM, _ANY, "", "zso"), X86Op.DEC: (_RM, _ANY, "", "zso"),
-    X86Op.SHL: (_RM, (Imm,), "", "czs"), X86Op.SHR: (_RM, (Imm,), "", "czs"),
-    X86Op.SAR: (_RM, (Imm,), "", "czs"),
-    X86Op.PUSH: (_ANY, _RIM, "", ""), X86Op.POP: (_RM, _ANY, "", ""),
-    X86Op.PUSHFD: (_ANY, _ANY, "czso", ""),
-    X86Op.POPFD: (_ANY, _ANY, "", "czso"),
-    X86Op.SETCC: (_RM, _ANY, "", ""), X86Op.CMC: (_ANY, _ANY, "c", "c"),
-    X86Op.STC: (_ANY, _ANY, "", "c"), X86Op.CLC: (_ANY, _ANY, "", "c"),
-    X86Op.NOPSLOT: (_ANY, _ANY, "", ""),
-}
-_SHIFTS = (X86Op.SHL, X86Op.SHR, X86Op.SAR)
-_LOGIC = {X86Op.AND: "&", X86Op.TEST: "&", X86Op.OR: "|", X86Op.XOR: "^"}
-_CARRY = {X86Op.CMC: "C.cf ^ 1", X86Op.STC: "1", X86Op.CLC: "0"}
-
 
 def _flag_use(insn: X86Insn):
-    """``(reads, writes, raises)`` of *insn*, or None when it is stepped."""
-    covered = _COVERED.get(insn.op)
-    if covered is None:
+    """``(reads, writes, raises)`` of *insn*, or None when it is stepped:
+    when its op has no row, or an operand is of a kind its row does not
+    inline."""
+    row = ROWS.get(insn.op)
+    if row is None:
         return None
-    dst_kinds, src_kinds, reads, writes = covered
-    for operand, kinds in ((insn.dst, dst_kinds), (insn.src, src_kinds)):
+    for operand, kinds in ((insn.dst, row.dst), (insn.src, row.src)):
         if kinds is not None and type(operand) not in kinds:
             return None
-    if insn.op is _X86_SETCC:
+    reads, writes = row.reads, row.writes
+    if "cond" in row.holes:
         expr = COND_EXPRS[insn.cond]
         reads = [flag for flag in "czso" if f"C.{flag}f" in expr]
-    elif insn.op in _SHIFTS and not insn.src.value & 31:
+    elif "n" in row.holes and not insn.src.value & 31:
         writes = ""                  # a zero count changes nothing
-    raises = insn.op in (_X86_PUSH, _X86_POP, _X86_PUSHFD, _X86_POPFD) \
-        or insn.op is not _X86_LEA and Mem in (type(insn.dst), type(insn.src))
+    raises = row.form in ("push", "pop") or row.src_as != "addr" \
+        and Mem in (type(insn.dst), type(insn.src))
     return frozenset(reads), frozenset(writes), raises
 
 
 class _BodySource:
     """Python source of one basic block's body, and the globals it names.
 
-    Operands, sizes, shift counts and conditions are resolved into the
-    text.  Immediates, displacements and stepped instructions are
-    globals ``K<n>``/``I<n>``, so bodies that differ only in them share
-    one source.  Each memory operand is a *site*: its globals ``B<n>``,
-    ``E<n>``, ``A<n>`` cache ``(base, end - size, data)`` of the region
-    it last hit, refilled through ``SITE`` on a miss.
+    Each instruction renders its op's row (:mod:`repro.host.ops`): the
+    row's texts, with operands, sizes, shift counts and conditions
+    resolved into them.  Immediates, displacements and stepped
+    instructions are globals ``K<n>``/``I<n>``, so bodies that differ
+    only in them share one source.  Each memory operand is a *site*: its
+    globals ``B<n>``, ``E<n>``, ``A<n>`` cache ``(base, end - size,
+    data)`` of the region it last hit, refilled through ``SITE`` on a
+    miss.
 
     A flag write is emitted only when the flag is live after it.  Every
     flag is live at the block's end (the watchdog may interpret the next
@@ -748,8 +531,8 @@ class _BodySource:
             if use is None:
                 self.line(f"STEP({self.name('I', insn)})")
             else:
-                emit = getattr(self, "_" + insn.op._name_.lower())
-                emit(insn, use[1] & live)
+                row = ROWS[insn.op]
+                getattr(self, "_" + row.form)(insn, row, use[1] & live)
 
     def text(self):
         """``(source, lines)``: *lines* maps a source line number to the
@@ -820,143 +603,86 @@ class _BodySource:
             mask = "" if operand.size == 4 else " & 65535"
             self.line(f"P{operand.size}(A{k}, a{k} - B{k}, ({expr}){mask})")
 
-    def flags(self, writes, **exprs) -> None:
-        """Set the flags in *writes*; Z and N default to result ``r``'s."""
-        exprs = {"z": "0 if r else 1", "s": "r >> 31", **exprs}
+    def flags(self, row, writes, holes=None) -> None:
+        """Set the flags in *writes* from *row*'s texts."""
         for flag in sorted(writes):
-            self.line(f"C.{flag}f = {exprs[flag]}")
-
-    def result(self, insn: X86Insn, writes, expr: str, k, **exprs) -> None:
-        """Set *writes* from result ``r`` = *expr*, then store it unless
-        *insn* only compares."""
-        if writes:
-            self.line(f"r = {expr}")
-            self.flags(writes, **exprs)
-            expr = "r"
-        if insn.op not in (_X86_CMP, _X86_TEST):
-            self.store(insn.dst, expr, k)
+            text = row.flag_texts[flag]
+            if holes:
+                text = fill(text, {}, holes)
+            self.line(f"C.{flag}f = {text}")
 
     def target(self, insn: X86Insn):
         """``(site or None, value)`` of *insn*'s destination."""
         k = self.sites if type(insn.dst) is Mem else None
         return k, self.value(insn.dst)
 
-    def operands(self, insn: X86Insn):
-        """``(dst site or None, dst value, src value)``."""
-        return (*self.target(insn), self.value(insn.src))
+    def source(self, insn: X86Insn, row) -> str:
+        """*insn*'s source as *row* reads it."""
+        if row.src_as == "addr":
+            return self.addr(insn.src)
+        if row.src_as == "r8" and type(insn.src) is Reg:
+            return f"R[{insn.src.number}] & 255"
+        return self.value(insn.src)
 
-    # One emitter per covered op; the op selects the variant.
+    # One emitter per row form.
 
-    def _mov(self, insn, writes):
-        self.store(insn.dst, self.value(insn.src))
-
-    def _movzx(self, insn, writes):
-        self.store(insn.dst, f"R[{insn.src.number}] & 255"
-                   if type(insn.src) is Reg else self.value(insn.src))
-
-    def _lea(self, insn, writes):
-        self.store(insn.dst, self.addr(insn.src))
-
-    def _add(self, insn, writes):
-        k, a, b = self.operands(insn)
-        carry = " + C.cf" if insn.op is _X86_ADC else ""
-        total = f"{a} + {b}{carry}"
-        if writes:
-            self.line(f"x = {a}; y = {b}; t = x + y{carry}")
-            total = "t"
-        self.result(insn, writes, f"({total}) & {_MASK}", k, c="t >> 32",
-                    o="(~(x ^ y) & (x ^ r)) >> 31")
-
-    def _sub(self, insn, writes):
-        k, a, b = self.operands(insn)
-        borrow = " + C.cf" if insn.op is _X86_SBB else ""
-        subtrahend = "t" if borrow else "y"
-        if writes:
-            self.line(f"x = {a}; y = {b}; t = y{borrow}" if borrow
-                      else f"x = {a}; y = {b}")
-            a, b, borrow = "x", subtrahend, ""
-        self.result(insn, writes, f"({a} - ({b}{borrow})) & {_MASK}", k,
-                    c=f"1 if {subtrahend} > x else 0",
-                    o="((x ^ y) & (x ^ r)) >> 31")
-
-    def _and(self, insn, writes):
-        k, a, b = self.operands(insn)
-        self.result(insn, writes, f"{a} {_LOGIC[insn.op]} {b}", k)
-
-    def _imul(self, insn, writes):
-        # u32(s32(a) * s32(b)) == u32(a * b).
-        k, a, b = self.operands(insn)
-        self.result(insn, writes, f"{a} * {b} & {_MASK}", k)
-
-    def _neg(self, insn, writes):
-        k, value = self.target(insn)
-        self.line(f"x = {value}")
-        self.result(insn, writes, f"-x & {_MASK}", k, c="1 if x else 0",
-                    o="(x & r) >> 31")
-
-    def _not(self, insn, writes):
-        k, value = self.target(insn)
-        self.store(insn.dst, f"{value} ^ {_MASK}", k)
-
-    def _inc(self, insn, writes):
-        k, value = self.target(insn)
-        step, overflow = ("+", 0x80000000) if insn.op is _X86_INC \
-            else ("-", 0x7FFFFFFF)
-        self.result(insn, writes, f"({value} {step} 1) & {_MASK}", k,
-                    o=f"1 if r == {overflow} else 0")
-
-    def _shl(self, insn, writes):
-        k, value = self.target(insn)   # read even when the count is zero
-        count = insn.src.value & 31
-        if not count:
+    def _alu(self, insn, row, writes):
+        """x and y, as far as the texts name them, are inlined into
+        ``r``, or bound first on one line when a live flag's text needs
+        them (ADD: ``x = ...; y = ...; t = x + y``).  A row's own x text
+        is bound on a line of its own."""
+        if row.result is None:
+            self.flags(row, writes)
             return
-        op = insn.op
-        self.line(f"x = ({value} ^ 2147483648) - 2147483648"
-                  if op is _X86_SAR else f"x = {value}")
-        expr = f"(x << {count}) & {_MASK}" if op is _X86_SHL \
-            else f"(x >> {count}) & {_MASK}"
-        carry = f"(x >> {32 - count}) & 1" if op is _X86_SHL \
-            else f"(x >> {count - 1}) & 1"
-        self.result(insn, writes, expr, k, c=carry)
+        k, x = self.target(insn) if "x" in row.names else (None, None)
+        values = {"x": x,
+                  "y": self.source(insn, row) if "y" in row.names else None}
+        holes = {}
+        if "n" in row.holes:
+            holes["n"] = insn.src.value & 31
+            if not holes["n"]:
+                return               # the operand is read all the same
+        if row.x is not None:
+            self.line(f"x = {fill(row.x, values, holes)}")
+            values["x"] = "x"
+        elif writes and row.binds:
+            self.line("; ".join(
+                [f"{name} = {values[name]}" for name in "xy"
+                 if name in row.names] +
+                ([] if row.t is None else [f"t = {row.t}"])))
+            values = {}
+        if row.t is not None and values:
+            values["t"] = fill(row.t, values, holes)
+        expr = fill(row.result, values, holes)
+        if writes:
+            self.line(f"r = {expr}")
+            self.flags(row, writes, holes)
+            expr = "r"
+        if row.writes_dst:
+            self.store(insn.dst, expr, k)
 
-    def _push(self, insn, writes):
-        # ESP moves first: a [esp + d] source sees the new value.
+    def _push(self, insn, row, writes):
         esp = f"R[{ESP}]"
         self.line(f"{esp} = ({esp} - 4) & {_MASK}")
-        value = self.value(insn.src) if insn.op is _X86_PUSH \
-            else "C.cf | C.zf << 6 | C.sf << 7 | C.of << 11 | 2"
+        value = fill(row.result, {"y": self.source(insn, row)
+                                  if "y" in row.names else None}, {})
         k = self.site(esp, 4)
         self.line(f"P4(A{k}, a{k} - B{k}, {value})")
 
-    def _pop(self, insn, writes):
-        # The destination is written before ESP moves (pop [esp + d]).
+    def _pop(self, insn, row, writes):
         esp = f"R[{ESP}]"
         value = self.load(self.site(esp, 4), 4)
-        if insn.op is _X86_POP:
-            self.store(insn.dst, value)
+        if row.writes_dst:
+            self.store(insn.dst, fill(row.result, {"v": value}, {}))
         else:
             self.line(f"v = {value}")
-            self.flags(writes, c="v & 1", z="v >> 6 & 1", s="v >> 7 & 1",
-                       o="v >> 11 & 1")
+            self.flags(row, writes)
         self.line(f"{esp} = ({esp} + 4) & {_MASK}")
 
-    def _setcc(self, insn, writes):
-        bit = f"(1 if {COND_EXPRS[insn.cond]} else 0)"
+    def _setcc(self, insn, row, writes):
+        bit = fill(row.result, {}, {"cond": COND_EXPRS[insn.cond]})
         if type(insn.dst) is Reg:
             reg = f"R[{insn.dst.number}]"
             self.line(f"{reg} = {reg} & 0xFFFFFF00 | {bit}")
         else:
             self.store(insn.dst, bit)
-
-    def _carry(self, insn, writes):
-        # NOPSLOT writes no flag, so it emits nothing.
-        self.flags(writes, c=_CARRY.get(insn.op))
-
-    _adc = _add
-    _sbb = _cmp = _sub
-    _or = _xor = _test = _and
-    _dec = _inc
-    _shr = _sar = _shl
-    _pushfd = _push
-    _popfd = _pop
-    _cmc = _stc = _clc = _nopslot = _carry

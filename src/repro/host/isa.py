@@ -58,15 +58,12 @@ class X86Op(enum.Enum):
     SHR = "shr"
     SAR = "sar"
     ROR = "ror"
-    ROL = "rol"
     RCR = "rcr"
     BSR = "bsr"
     PUSH = "push"
     POP = "pop"
     PUSHFD = "pushfd"
     POPFD = "popfd"
-    LAHF = "lahf"
-    SAHF = "sahf"
     SETCC = "setcc"
     CMC = "cmc"
     STC = "stc"

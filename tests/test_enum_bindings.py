@@ -26,7 +26,7 @@ ENUMS = {"X86Op": X86Op, "X86Cond": X86Cond, "Op": Op, "Cond": Cond,
 
 #: The modules whose functions run per guest or host instruction.
 MODULES = [
-    "repro.host.interp", "repro.host.builder",
+    "repro.host.interp", "repro.host.builder", "repro.host.ops",
     "repro.guest.isa", "repro.guest.decoder",
     "repro.core.analysis", "repro.core.translator", "repro.core.alu",
     "repro.core.condmap", "repro.core.rulebook",

@@ -1,5 +1,6 @@
 """Unit tests for the host x86 model: flags semantics, interpreter, builder."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.host.interp as host_interp
+import repro.host.ops as host_ops
 from repro.common.errors import HostExecutionError
 from repro.core import OptLevel, make_rule_engine
 from repro.host import (CodeBuilder, EAX, EBX, ECX, EDX, ESI, ESP, HostCpu,
@@ -14,6 +16,7 @@ from repro.host import (CodeBuilder, EAX, EBX, ECX, EDX, ESI, ESP, HostCpu,
                         X86Insn, X86Op)
 from repro.host.interp import HOT_THRESHOLD
 from repro.host.isa import REG_NAMES, Xmm
+from repro.host.ops import ROWS
 from repro.miniqemu.tb import TbExitException
 from repro.observability import Profiler
 from repro.robustness import ExecutionWatchdog
@@ -146,18 +149,6 @@ def test_pushfd_popfd_roundtrip():
     assert cpu.cf == 1 and cpu.sf == 1 and cpu.zf == 0
 
 
-def test_lahf_sahf():
-    builder = CodeBuilder()
-    builder.movi(Reg(EAX), 1)
-    builder.sub(Reg(EAX), Imm(1))      # ZF=1
-    builder.lahf()
-    builder.movi(Reg(EBX), 1)
-    builder.add(Reg(EBX), Imm(1))      # ZF=0
-    builder.sahf()
-    _, cpu, _ = run(builder)
-    assert cpu.zf == 1
-
-
 def test_setcc_writes_low_byte_only():
     builder = CodeBuilder()
     builder.movi(Reg(EBX), 0xAABBCCDD)
@@ -267,41 +258,189 @@ def test_tag_attribution():
     assert interp.by_tag["code"] == 2  # movi ecx + exit_tb
 
 
+def run_row(op, a, b):
+    """The cpu after the step of *op*'s row ran ``op eax, ebx``."""
+    interp, cpu, _ = make_host()
+    cpu.regs[EAX], cpu.regs[EBX] = a, b
+    interp.step(X86Insn(op, Reg(EAX), Reg(EBX)))
+    return cpu
+
+
+def signed(value):
+    return value - (value >> 31 << 32)
+
+
 @given(st.integers(0, 0xFFFFFFFF), st.integers(0, 0xFFFFFFFF))
 def test_flags_add_matches_python(a, b):
-    cpu = HostCpu()
-    result = cpu.flags_add(a, b)
+    cpu = run_row(X86Op.ADD, a, b)
+    result = cpu.regs[EAX]
     assert result == (a + b) & 0xFFFFFFFF
     assert cpu.cf == (1 if a + b > 0xFFFFFFFF else 0)
     assert cpu.zf == (1 if result == 0 else 0)
+    assert cpu.sf == result >> 31
+    assert cpu.of == (1 if signed(a) + signed(b) != signed(result) else 0)
 
 
 @given(st.integers(0, 0xFFFFFFFF), st.integers(0, 0xFFFFFFFF))
 def test_flags_sub_matches_python(a, b):
-    cpu = HostCpu()
-    result = cpu.flags_sub(a, b)
+    cpu = run_row(X86Op.SUB, a, b)
+    result = cpu.regs[EAX]
     assert result == (a - b) & 0xFFFFFFFF
     assert cpu.cf == (1 if b > a else 0)
+    assert cpu.zf == (1 if result == 0 else 0)
+    assert cpu.sf == result >> 31
+    assert cpu.of == (1 if signed(a) - signed(b) != signed(result) else 0)
 
 
 # ---------------------------------------------------------------------------
-# HostInterpreter._step against the x86 definition.
+# The host op rows against the x86 definition.
 #
-# Compiled code steps the ops the block generator does not cover through
-# _step itself, so the differential tests below cannot catch a wrong _step.
-# Each row gives the state an instruction starts from and the x86 result:
-# keys are register, xmm and flag names, or an address holding a u32.
-# Everything a row does not list must stay as it was.  Where the x86
-# definition leaves a flag undefined the model keeps it; where the model
-# deviates from x86 the row says so (see DESIGN.md, section 5).
+# The interpreter's step functions and the generated block bodies both
+# come from the rows in repro.host.ops, so the differential tests below
+# cannot catch a wrong row.  Each case gives the state an instruction
+# starts from and the x86 result: keys are register, xmm and flag names,
+# or an address holding a u32.  Everything a case does not list must stay
+# as it was.  Where the x86 definition leaves a flag undefined the model
+# keeps it; where the model deviates from x86 the case says so (see
+# DESIGN.md, section 5).  Each case runs interpreted and as a compiled
+# one-instruction block.
 # ---------------------------------------------------------------------------
 
 WORD = 0x100                     # a memory word the rows use
 AT_WORD = Mem(disp=WORD)
+STACK = 0x180                    # ESP of the stack cases
 ALL_FLAGS_SET = {"cf": 1, "zf": 1, "sf": 1, "of": 1}
 ONE_HALF, TWO_QUARTERS = 0x3FC00000, 0x40100000     # 1.5f, 2.25f
 
 STEP_CASES = [
+    # mov, movzx and lea write their destination only.
+    pytest.param(X86Insn(X86Op.MOV, Reg(EAX), Reg(EBX)), {"ebx": 5},
+                 {"eax": 5}, id="mov"),
+    pytest.param(X86Insn(X86Op.MOV, Reg(EAX), Imm(-1)), ALL_FLAGS_SET,
+                 {"eax": 0xFFFFFFFF}, id="mov-imm"),
+    pytest.param(X86Insn(X86Op.MOV, Mem(disp=WORD, size=1), Reg(EAX)),
+                 {"eax": 0x1234, WORD: 0xAABBCCDD}, {WORD: 0xAABBCC34},
+                 id="mov-store-byte"),
+    pytest.param(X86Insn(X86Op.MOVZX, Reg(EAX), Reg(EBX)),
+                 {"ebx": 0x12345680}, {"eax": 0x80}, id="movzx-r8"),
+    pytest.param(X86Insn(X86Op.MOVZX, Reg(EAX), Mem(disp=WORD, size=2)),
+                 {WORD: 0xFFFF8001}, {"eax": 0x8001}, id="movzx-m16"),
+    pytest.param(X86Insn(X86Op.LEA, Reg(EAX), Mem(EBX, 8, ECX, 4)),
+                 {"ebx": 0x100, "ecx": 3}, {"eax": 0x114}, id="lea"),
+    pytest.param(X86Insn(X86Op.LEA, Reg(EAX), Mem(EBX, -4)), {"ebx": 0},
+                 {"eax": 0xFFFFFFFC}, id="lea-wraps"),
+    # add/adc/sub/sbb/cmp write all four flags; cmp keeps its operands.
+    pytest.param(X86Insn(X86Op.ADD, Reg(EAX), Reg(EBX)),
+                 {"eax": 0xFFFFFFFF, "ebx": 1, "sf": 1, "of": 1},
+                 {"eax": 0, "cf": 1, "zf": 1, "sf": 0, "of": 0},
+                 id="add-carry"),
+    pytest.param(X86Insn(X86Op.ADD, Reg(EAX), Imm(1)), {"eax": 0x7FFFFFFF},
+                 {"eax": 0x80000000, "sf": 1, "of": 1}, id="add-overflow"),
+    pytest.param(X86Insn(X86Op.ADD, AT_WORD, Reg(EAX)),
+                 {"eax": 7, WORD: 5}, {WORD: 12}, id="add-mem"),
+    pytest.param(X86Insn(X86Op.ADC, Reg(EAX), Reg(EBX)),
+                 {"eax": 1, "ebx": 1, "cf": 1}, {"eax": 3, "cf": 0},
+                 id="adc-carry-in"),
+    pytest.param(X86Insn(X86Op.ADC, Reg(EAX), Imm(0)),
+                 {"eax": 0xFFFFFFFF, "cf": 1}, {"eax": 0, "zf": 1},
+                 id="adc-wraps"),
+    pytest.param(X86Insn(X86Op.SUB, Reg(EAX), Reg(EBX)),
+                 {"eax": 1, "ebx": 2},
+                 {"eax": 0xFFFFFFFF, "cf": 1, "sf": 1}, id="sub-borrow"),
+    pytest.param(X86Insn(X86Op.SUB, Reg(EAX), Imm(1)), {"eax": 0x80000000},
+                 {"eax": 0x7FFFFFFF, "of": 1}, id="sub-overflow"),
+    pytest.param(X86Insn(X86Op.SBB, Reg(EAX), Reg(EBX)),
+                 {"eax": 5, "ebx": 2, "cf": 1}, {"eax": 2, "cf": 0},
+                 id="sbb-borrow-in"),
+    pytest.param(X86Insn(X86Op.SBB, Reg(EAX), Reg(EBX)),
+                 {"eax": 0, "ebx": 0, "cf": 1}, {"eax": 0xFFFFFFFF, "sf": 1},
+                 id="sbb-wraps"),
+    pytest.param(X86Insn(X86Op.CMP, Reg(EAX), Reg(EBX)),
+                 {"eax": 3, "ebx": 3, **ALL_FLAGS_SET},
+                 {"cf": 0, "sf": 0, "of": 0}, id="cmp-equal"),
+    pytest.param(X86Insn(X86Op.CMP, AT_WORD, Imm(1)), {WORD: 0},
+                 {"cf": 1, "sf": 1}, id="cmp-below-mem"),
+    # and/or/xor/test set ZF and SF from the result.  Model: CF and OF
+    # are kept (x86 clears them).
+    pytest.param(X86Insn(X86Op.AND, Reg(EAX), Reg(EBX)),
+                 {"eax": 0xF0F0F0F0, "ebx": 0x8F000000, "cf": 1, "of": 1},
+                 {"eax": 0x80000000, "sf": 1}, id="and"),
+    pytest.param(X86Insn(X86Op.OR, Reg(EAX), Reg(EBX)),
+                 {"eax": 0, "ebx": 0}, {"zf": 1}, id="or-zero"),
+    pytest.param(X86Insn(X86Op.XOR, Reg(EAX), Reg(EAX)),
+                 {"eax": 0x80000001, "sf": 1}, {"eax": 0, "zf": 1, "sf": 0},
+                 id="xor-self"),
+    pytest.param(X86Insn(X86Op.TEST, Reg(EAX), Reg(EBX)),
+                 {"eax": 0x80000000, "ebx": 0x80000001, "zf": 1},
+                 {"zf": 0, "sf": 1}, id="test"),
+    # neg: CF says the operand was not 0; OF that it was INT_MIN.
+    pytest.param(X86Insn(X86Op.NEG, Reg(EAX)), {"eax": 1},
+                 {"eax": 0xFFFFFFFF, "cf": 1, "sf": 1}, id="neg"),
+    pytest.param(X86Insn(X86Op.NEG, Reg(EAX)), {"eax": 0, "cf": 1},
+                 {"cf": 0, "zf": 1}, id="neg-zero"),
+    pytest.param(X86Insn(X86Op.NEG, AT_WORD), {WORD: 0x80000000},
+                 {"cf": 1, "sf": 1, "of": 1}, id="neg-overflow-mem"),
+    # not writes no flag.
+    pytest.param(X86Insn(X86Op.NOT, Reg(EAX)),
+                 {"eax": 0x0F0F0F0F, **ALL_FLAGS_SET}, {"eax": 0xF0F0F0F0},
+                 id="not"),
+    # inc writes ZF, SF and OF and keeps CF.
+    pytest.param(X86Insn(X86Op.INC, Reg(EAX)), {"eax": 0x7FFFFFFF, "cf": 1},
+                 {"eax": 0x80000000, "sf": 1, "of": 1}, id="inc-overflow"),
+    pytest.param(X86Insn(X86Op.INC, Reg(EAX)), {"eax": 0xFFFFFFFF},
+                 {"eax": 0, "zf": 1}, id="inc-wraps-keeps-cf"),
+    # imul keeps the low 32 bits of the signed product.  Model: ZF and SF
+    # follow the result, CF and OF are kept (x86 sets CF and OF when the
+    # product does not fit, and leaves ZF and SF undefined).
+    pytest.param(X86Insn(X86Op.IMUL, Reg(EAX), Reg(EBX)),
+                 {"eax": 0xFFFFFFFF, "ebx": 3, "cf": 1, "of": 1},
+                 {"eax": 0xFFFFFFFD, "sf": 1}, id="imul-signed"),
+    # Shifts by an immediate: CF is the last bit shifted out and SF and
+    # ZF follow the result.  Model: OF is kept (x86 defines it for a
+    # one-bit shift).
+    pytest.param(X86Insn(X86Op.SHL, Reg(EAX), Imm(4)), {"eax": 0x18000001},
+                 {"eax": 0x80000010, "cf": 1, "sf": 1}, id="shl-imm"),
+    pytest.param(X86Insn(X86Op.SHR, Reg(EAX), Imm(1)),
+                 {"eax": 0x80000001, "sf": 1}, {"eax": 0x40000000, "cf": 1,
+                                                "sf": 0}, id="shr-imm"),
+    pytest.param(X86Insn(X86Op.SAR, AT_WORD, Imm(31)), {WORD: 0x80000000},
+                 {WORD: 0xFFFFFFFF, "sf": 1}, id="sar-imm-mem"),
+    # The count is taken mod 32, and a zero count changes no flag.
+    pytest.param(X86Insn(X86Op.SHL, Reg(EAX), Imm(0)),
+                 {"eax": 0xFFFFFFFF, "zf": 1}, {}, id="shl-imm-zero"),
+    pytest.param(X86Insn(X86Op.SHR, Reg(EAX), Imm(32)),
+                 {"eax": 0xFFFFFFFF, "zf": 1}, {}, id="shr-imm-32"),
+    # push/pop move ESP by 4 round the stack access; pushfd/popfd move
+    # CF, ZF, SF and OF as EFLAGS bits 0, 6, 7 and 11, with bit 1 set.
+    # Model: a [esp + d] push source is read after ESP moves, and a
+    # [esp + d] pop destination is written before it moves (x86 computes
+    # the first address before the push and the second after the pop).
+    pytest.param(X86Insn(X86Op.PUSH, src=Reg(EBX)),
+                 {"esp": STACK, "ebx": 0xCAFEF00D},
+                 {"esp": STACK - 4, STACK - 4: 0xCAFEF00D}, id="push"),
+    pytest.param(X86Insn(X86Op.PUSH, src=Mem(ESP, 4)),
+                 {"esp": STACK, STACK: 0x1234},
+                 {"esp": STACK - 4, STACK - 4: 0x1234},
+                 id="push-esp-relative"),
+    pytest.param(X86Insn(X86Op.POP, Reg(EAX)), {"esp": STACK, STACK: 0x55},
+                 {"eax": 0x55, "esp": STACK + 4}, id="pop"),
+    pytest.param(X86Insn(X86Op.POP, Mem(ESP, 4)), {"esp": STACK, STACK: 7},
+                 {STACK + 4: 7, "esp": STACK + 4}, id="pop-esp-relative"),
+    pytest.param(X86Insn(X86Op.PUSHFD), {"esp": STACK, "cf": 1, "of": 1},
+                 {"esp": STACK - 4, STACK - 4: 0x803}, id="pushfd"),
+    pytest.param(X86Insn(X86Op.POPFD),
+                 {"esp": STACK, STACK: 0xFFFFF7C2, "cf": 1, "of": 1},
+                 {"esp": STACK + 4, "cf": 0, "zf": 1, "sf": 1, "of": 0},
+                 id="popfd"),
+    # setcc writes 0 or 1 to a register's low byte, or to a byte.
+    pytest.param(X86Insn(X86Op.SETCC, Reg(ECX), cond=X86Cond.L), {"sf": 1},
+                 {"ecx": 0x02020201}, id="setcc-reg"),
+    pytest.param(X86Insn(X86Op.SETCC, Reg(ECX), cond=X86Cond.NE), {"zf": 1},
+                 {"ecx": 0x02020200}, id="setcc-reg-clear"),
+    pytest.param(X86Insn(X86Op.SETCC, Mem(disp=WORD, size=1),
+                         cond=X86Cond.E),
+                 {"zf": 1, WORD: 0xAABBCC00}, {WORD: 0xAABBCC01},
+                 id="setcc-mem"),
     # bsr: index of the highest set bit; ZF says whether the source is 0.
     pytest.param(X86Insn(X86Op.BSR, Reg(EAX), Reg(EBX)),
                  {"ebx": 0x00012000, **ALL_FLAGS_SET}, {"eax": 16, "zf": 0},
@@ -311,18 +450,6 @@ STEP_CASES = [
     # A zero source sets ZF and leaves the destination unchanged.
     pytest.param(X86Insn(X86Op.BSR, Reg(EAX), Reg(EBX)),
                  {"eax": 0x1234, "ebx": 0}, {"zf": 1}, id="bsr-zero"),
-    # lahf: AH = SF:ZF:0:AF:0:PF:1:CF; bit 1 is always set (AF and PF
-    # are not modelled and read 0); the rest of EAX is kept.
-    pytest.param(X86Insn(X86Op.LAHF),
-                 {"eax": 0x12345678, "sf": 1, "cf": 1, "of": 1},
-                 {"eax": 0x12348378}, id="lahf"),
-    pytest.param(X86Insn(X86Op.LAHF), {"eax": 0xFFFFFFFF, "zf": 1},
-                 {"eax": 0xFFFF42FF}, id="lahf-zf"),
-    # sahf: SF, ZF and CF from AH bits 7, 6 and 0; OF is kept.
-    pytest.param(X86Insn(X86Op.SAHF), {"eax": 0x0000C100},
-                 {"sf": 1, "zf": 1, "cf": 1}, id="sahf"),
-    pytest.param(X86Insn(X86Op.SAHF), {"eax": 0xFFFF00FF, **ALL_FLAGS_SET},
-                 {"sf": 0, "zf": 0, "cf": 0}, id="sahf-clear"),
     # rcr 1 rotates through CF; SF and ZF are kept.  Model: OF is kept
     # too (x86 sets it to MSB(dst) ^ CF for a one-bit rcr).
     pytest.param(X86Insn(X86Op.RCR, Reg(EBX), Imm(1)),
@@ -330,18 +457,16 @@ STEP_CASES = [
                  id="rcr-cf-in"),
     pytest.param(X86Insn(X86Op.RCR, Reg(EBX), Imm(1)),
                  {"ebx": 3, "zf": 1}, {"ebx": 1, "cf": 1}, id="rcr-cf-out"),
-    # rol/ror: CF is the bit that wrapped round; the count is taken mod
-    # 32 and OF is undefined for counts above 1.  Model: SF and ZF
-    # follow the result (x86 rotates keep them).
-    pytest.param(X86Insn(X86Op.ROL, Reg(EAX), Imm(4)),
-                 {"eax": 0x80000001, "zf": 1}, {"eax": 0x18, "zf": 0},
-                 id="rol"),
-    pytest.param(X86Insn(X86Op.ROL, Reg(EAX), Reg(ECX)),
-                 {"eax": 0x10000000, "ecx": 36}, {"eax": 1, "cf": 1},
-                 id="rol-cl"),
+    # ror: CF is the bit that wrapped round; the count is taken mod 32
+    # and OF is undefined for counts above 1.  Model: SF and ZF follow
+    # the result (x86 rotates keep them).
     pytest.param(X86Insn(X86Op.ROR, Reg(EAX), Imm(1)),
                  {"eax": 1}, {"eax": 0x80000000, "cf": 1, "sf": 1},
                  id="ror"),
+    pytest.param(X86Insn(X86Op.ROR, Reg(EAX), Reg(ECX)),
+                 {"eax": 0x18, "ecx": 36, "zf": 1},
+                 {"eax": 0x80000001, "cf": 1, "sf": 1, "zf": 0},
+                 id="ror-cl"),
     # Shifts by CL (compiled code steps them): count mod 32, and a zero
     # count changes no flag.
     pytest.param(X86Insn(X86Op.SHR, Reg(EAX), Reg(ECX)),
@@ -413,8 +538,8 @@ def _step_state(cpu, data: bytearray) -> dict:
     return state
 
 
-@pytest.mark.parametrize("insn, before, changes", STEP_CASES)
-def test_step_follows_the_x86_definition(insn, before, changes):
+def _step_machine(before: dict):
+    """An interpreter whose state is *before* over a distinct default."""
     data = bytearray(0x200)
     memory = HostMemory()
     memory.map_region(0, data, "flat")
@@ -431,9 +556,25 @@ def test_step_follows_the_x86_definition(insn, before, changes):
             cpu.regs[REG_NAMES.index(key)] = value
         else:
             setattr(cpu, key, value)
-    expected = {**_step_state(cpu, data), **changes}
-    HostInterpreter(cpu, memory)._step(insn)
-    assert _step_state(cpu, data) == expected
+    cpu.stack_top = cpu.regs[ESP]        # where execute() starts ESP
+    return HostInterpreter(cpu, memory), data
+
+
+@pytest.mark.parametrize("insn, before, changes", STEP_CASES)
+def test_step_follows_the_x86_definition(insn, before, changes):
+    for exec_count in (0, HOT_THRESHOLD):
+        interp, data = _step_machine(before)
+        expected = {**_step_state(interp.cpu, data), **changes}
+        tb = HotTb([insn, X86Insn(X86Op.EXIT_TB)], exec_count)
+        interp.execute(tb)
+        assert _step_state(interp.cpu, data) == expected, exec_count
+    assert tb.compiled
+
+
+def test_every_op_but_control_has_one_row():
+    ops = sorted(row.op.name for row in host_ops.TABLE)
+    assert ops == sorted(op.name for op in X86Op if op not in CONTROL_OPS)
+    assert all(ROWS[row.op] is row for row in host_ops.TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +893,8 @@ def test_selfcheck_catches_a_wrong_result_of_compiled_code(monkeypatch):
     condemns is demoted to the tcg tier, which the self-check does not
     cover, so that block must stay interpreted: the output is the
     reference interpreter's."""
-    monkeypatch.setitem(host_interp._LOGIC, X86Op.XOR, "|")
+    monkeypatch.setitem(ROWS, X86Op.XOR,
+                        dataclasses.replace(ROWS[X86Op.XOR], result="x | y"))
     code, text, machine = run_guest(EOR_LOOP, **SELFCHECKED)
     stats = machine.stats()
     assert stats["robust.selfcheck_failures"] >= 1

@@ -21,7 +21,8 @@ import itertools
 
 import pytest
 
-from repro.analysis.dataflow import _CLOBBERS_EFLAGS, check_tb
+from repro.analysis.dataflow import (_CLOBBERS_EFLAGS, _WRITES_DST_REG,
+                                     check_tb)
 from repro.analysis.findings import Report, Severity
 from repro.analysis.justify import (AUDIT_KEY, EV_FALLBACK, EV_RESTORE,
                                     EV_SAVE, J_INTER_TB, J_REORDER,
@@ -35,10 +36,11 @@ from repro.core.analysis import (F_ALL, F_C, F_N, F_V, F_Z,
 from repro.core.engine import RuleEngine
 from repro.guest.asm import assemble
 from repro.guest.decoder import decode
-from repro.host import (EAX, EBX, ECX, HostCpu, HostInterpreter,
+from repro.host import (EAX, EBX, ECX, ENV_REG, HostCpu, HostInterpreter,
                         HostMemory, Imm, Mem, Reg, X86Cond, X86Insn, X86Op)
-from repro.host.interp import _COVERED
 from repro.host.isa import Xmm
+from repro.host.ops import ROWS
+from repro.miniqemu.env import ENV_REGS
 from repro.miniqemu.machine import Machine
 from repro.robustness.faultinject import FaultInjector, parse_inject_spec
 from tests.support import refutable_fixture
@@ -523,7 +525,7 @@ def test_carry_sources_verify_clean(name):
 
 
 # ---------------------------------------------------------------------------
-# 3c. Satellite: the checker's flag-clobber table matches host semantics.
+# 3c. Satellite: the checker's op sets derive from the host op rows.
 # ---------------------------------------------------------------------------
 
 #: Ops that transfer control: the checker models each one on its own.
@@ -551,39 +553,83 @@ def _insns_of(op):
             for src in (Reg(EBX), Reg(ECX), Imm(1), Imm(4), Imm(31))]
 
 
-def _flag_changes(insn):
-    """Whether *insn* changes a condition flag from any fixed state."""
-    for value, other, flags in itertools.product(_VALUES, _VALUES, (0, 1)):
+def _dst_value(cpu, insn):
+    if isinstance(insn.dst, Reg):
+        return cpu.regs[insn.dst.number]
+    if isinstance(insn.dst, Xmm):
+        return cpu.xmm[insn.dst.number]
+    return None
+
+
+def _observed_writes(insn):
+    """``(flags, dst)``: the flags *insn* changes from some fixed state,
+    and whether it changes its destination from one."""
+    flags, dst = set(), False
+    for value, other, bit in itertools.product(_VALUES, _VALUES, (0, 1)):
         data = bytearray(0x100)
         memory = HostMemory()
         memory.map_region(0, data, "flat")
         cpu = HostCpu(stack_top=0x80)
         cpu.regs[EAX], cpu.regs[EBX], cpu.regs[ECX] = value, other, other
+        cpu.xmm[0], cpu.xmm[1] = value, other
         # The stacked word POPFD loads: every flag flipped.
-        data[0x80:0x84] = (0xFFFFFFFF * (1 - flags)).to_bytes(4, "little")
+        data[0x80:0x84] = (0xFFFFFFFF * (1 - bit)).to_bytes(4, "little")
         for flag in _FLAGS:
-            setattr(cpu, flag, flags)
-        HostInterpreter(cpu, memory)._step(insn)
-        if any(getattr(cpu, flag) != flags for flag in _FLAGS):
-            return True
-    return False
+            setattr(cpu, flag, bit)
+        before = _dst_value(cpu, insn)
+        HostInterpreter(cpu, memory).step(insn)
+        flags.update(flag[0] for flag in _FLAGS
+                     if getattr(cpu, flag) != bit)
+        dst = dst or _dst_value(cpu, insn) != before
+    return flags, dst
 
 
 @pytest.mark.parametrize("op", [op for op in X86Op
                                 if op not in _CONTROL_OPS],
                          ids=lambda op: op.name)
 def test_flag_writers_are_clobbers_for_the_checker(op):
-    """An op the host interpreter lets change CF/ZF/SF/OF must be in
-    ``_CLOBBERS_EFLAGS``, or the checker would miss a live guest CCR it
-    destroys (``lost-ccr``).  CMC is modelled as a carry-convention
-    flip instead.  The compiled-block table ``_COVERED`` must agree."""
-    writes = any(map(_flag_changes, _insns_of(op)))
-    covered = _COVERED.get(op)
-    if op is X86Op.CMC:
-        assert writes and op not in _CLOBBERS_EFLAGS
-        return
-    if writes or (covered is not None and covered[3]):
-        assert op in _CLOBBERS_EFLAGS
+    """Each op's row declares the flags it writes and whether it writes
+    its destination, and the step run from the row does just that.  The
+    checker derives from the row which ops destroy a live guest CCR
+    (``lost-ccr``; CMC is modelled as a carry-convention flip instead)
+    and which drop a host register's env mapping (``stale-writeback``)."""
+    row = ROWS[op]
+    observed = [_observed_writes(insn) for insn in _insns_of(op)]
+    assert set().union(*(flags for flags, _ in observed)) == set(row.writes)
+    assert any(dst for _, dst in observed) == row.writes_dst
+    assert (op in _CLOBBERS_EFLAGS) == (bool(row.writes)
+                                        and op is not X86Op.CMC)
+    assert (op in _WRITES_DST_REG) == row.writes_dst
+
+
+def _helper(runtime):
+    pass
+
+
+#: Host instructions between a helper call and the write-back of a
+#: register loaded from env r1 before it: a compare keeps the stale
+#: value, a partial or whole rewrite replaces it.
+_BETWEEN = {
+    "cmp": (X86Insn(X86Op.CMP, Reg(EAX), Imm(0)), {"stale-writeback"}),
+    "test": (X86Insn(X86Op.TEST, Reg(EAX), Reg(EAX)), {"stale-writeback"}),
+    "setcc": (X86Insn(X86Op.SETCC, Reg(EAX), cond=X86Cond.E), set()),
+    "add": (X86Insn(X86Op.ADD, Reg(EAX), Imm(1)), set()),
+}
+
+
+@pytest.mark.parametrize("between", _BETWEEN)
+def test_stale_writeback_after_helper(between):
+    """``mov eax, [env.r1]; call; <insn>; mov [env.r1], eax`` writes back
+    a value the helper may have made stale unless <insn> rewrote EAX."""
+    insn, expected = _BETWEEN[between]
+    slot = Mem(ENV_REG, ENV_REGS + 4)
+    code = [X86Insn(X86Op.MOV, Reg(EAX), slot),
+            X86Insn(X86Op.CALL_HELPER, helper=_helper), insn,
+            X86Insn(X86Op.MOV, slot, Reg(EAX)), X86Insn(X86Op.EXIT_TB)]
+    tb = type("Tb", (), {"code": code, "meta": {}, "pc": 0x8000,
+                         "mmu_idx": 0, "guest_insns": ()})()
+    findings = check_tb(tb, OptConfig.from_level(OptLevel.FULL))
+    assert {f.code for f in errors_of(findings)} == expected
 
 
 # ---------------------------------------------------------------------------
