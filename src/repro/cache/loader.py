@@ -15,10 +15,12 @@ handing anything back:
 3. rule health — entries built from currently-quarantined rules are
    refused, exactly as the in-memory code cache refuses them.
 
-Validation reads guest memory through the same ``bus.fetch`` path the
-translator's ``fetch_block`` uses, so a warm run touches the TLB and
-page tables identically to a cold one — the deterministic metrics stay
-bit-identical and only the (real) translation work is saved.
+Validation reads guest memory the way the translator's ``fetch_block``
+does, a page at a time with the side effects of word-by-word
+``bus.fetch`` calls (``GuestBus.code_words``), so a warm run touches
+the TLB and page tables identically to a cold one — the deterministic
+metrics stay bit-identical and only the (real) translation work is
+saved.
 
 Revived TBs are read-only views of the store.  Their guest
 instructions come from the engine's decode memo, shared with every
@@ -50,8 +52,8 @@ from ..core.rulebook import rule_key
 from ..miniqemu.tb import TranslationBlock
 from .fingerprint import (context_fingerprint, entry_checksum,
                           guest_image_digest)
-from .store import (PROVENANCE_KEY, CacheStore, OperandMemo, TokenMemo,
-                    UnpersistableTB, decode_code, serialize_tb)
+from .store import (PROVENANCE_KEY, CacheStore, EntryTexts, OperandMemo,
+                    TokenMemo, UnpersistableTB, decode_code, serialize_tb)
 
 #: Fault-injection sites consulted once per persisted-entry fetch (see
 #: repro.robustness.faultinject): ``cache-corrupt`` hands the real
@@ -127,17 +129,21 @@ class CacheLoader:
             # Simulated stale store: the recorded words no longer match
             # guest memory; the byte validation below must notice.
             words = [w ^ 0x00100000 for w in words]
-        for index, word in enumerate(words):
+        code_words = self.machine.bus.code_words
+        index = 0
+        while index < len(words):
             try:
-                current = self.machine.bus.fetch(pc + 4 * index)
+                current = code_words(pc + 4 * index, len(words) - index)
             except MemoryFault:
                 # The page is gone (or unmapped for this mode): let the
                 # fresh-translation path raise the genuine guest fault.
                 return None
-            if current != word:
-                self.stale += 1
-                self._discard(pc, mmu_idx, "stale")
-                return None
+            for word in current:
+                if word != words[index]:
+                    self.stale += 1
+                    self._discard(pc, mmu_idx, "stale")
+                    return None
+                index += 1
         tb = self._revive(entry, pc, mmu_idx, words)
         if tb is None:
             return None
@@ -230,6 +236,7 @@ class CacheLoader:
         # id(insn) -> token for this save only: the TBs in the code
         # cache keep every instruction alive until it returns.
         tokens: Dict[int, str] = {}
+        texts = EntryTexts()
         for tb in self.engine.cache.all_tbs():
             if tb.meta.get("tier") != "rules":
                 continue
@@ -245,15 +252,16 @@ class CacheLoader:
                 self.unpersistable += 1
                 continue
             try:
-                entry = serialize_tb(tb, tokens)
+                entry, text = serialize_tb(tb, tokens)
             except UnpersistableTB:
                 self.unpersistable += 1
                 continue
+            texts.add(key, text)
             self._entries[key] = entry
             new += 1
         self.saved = new
         if new or self._dirty or not os.path.isdir(self.store.directory):
-            self.store.save(self._entries)
+            self.store.save(self._entries, texts)
             self._dirty = False
         if self.machine.tracer.enabled:
             self.machine.tracer.emit("cache.save", new=new,

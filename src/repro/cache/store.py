@@ -24,12 +24,14 @@ Serialization notes:
   without a spec (e.g. one injected by the fault injector), or whose
   tag contains ``SEP``, is simply not persistable.
 - ``entries.json`` is compact JSON, so ``json.dumps`` runs on the C
-  encoder.  A save encodes each distinct instruction object once (a
-  translation shares its helper-free instructions with the run's other
-  TBs, see :mod:`repro.host.builder`); the loader parses each distinct
-  token and each distinct operand text once per run, and revived TBs
-  share the instruction of each helper-free token (see
-  :func:`decode_code`).
+  encoder.  A save encodes each entry once, and streams the texts into
+  the file and the payload checksum (:func:`serialize_tb`,
+  :class:`EntryTexts`, :meth:`CacheStore.save`).  It encodes each
+  distinct instruction object once (a translation shares its
+  helper-free instructions with the run's other TBs, see
+  :mod:`repro.host.builder`); the loader parses each distinct token and
+  each distinct operand text once per run, and revived TBs share the
+  instruction of each helper-free token (see :func:`decode_code`).
 - ``meta`` is persisted as-is (it is JSON-friendly by design: the
   audit/justification records, from which the sync counts are
   derived, are plain dicts), except the run-local ``provenance`` tag.
@@ -41,11 +43,13 @@ Serialization notes:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Tuple,
+                    Union)
 
 from ..host.isa import Imm, Mem, Reg, X86Cond, X86Insn, X86Op, Xmm
 from ..miniqemu.helpers import (make_exception_return_helper, make_ld_helper,
@@ -229,8 +233,17 @@ def resolve_helper(spec: Tuple[Any, ...], by_addr: Dict[int, Any]):
 
 
 def serialize_tb(tb, tokens: Optional[Dict[int, str]] = None
-                 ) -> Dict[str, Any]:
-    """Serialize one rules-tier TB to a checksummed entry dict.
+                 ) -> Tuple[Dict[str, Any], str]:
+    """Serialize one rules-tier TB: ``(entry, text)``, the checksummed
+    entry dict and its canonical JSON text, the one ``entries.json``
+    holds for it (what :func:`entry_text` gives for *entry*).
+
+    The entry is encoded once: one ``json.dumps`` covers the keys that
+    sort before ``sha256``, one covers ``words``; joined, they are the
+    text :func:`entry_checksum` hashes, and the checksum goes between
+    them.  ``meta`` is a top-level copy, not a JSON round trip: a
+    runtime writer replaces a top-level meta key and never edits a
+    nested record (see :mod:`repro.cache.loader`).
 
     *tokens* memoizes :func:`encode_insn` by instruction object
     (``id(insn)`` -> token) across the TBs of one save; it must not
@@ -252,21 +265,61 @@ def serialize_tb(tb, tokens: Optional[Dict[int, str]] = None
         if insn.addr != tb.pc + 4 * index:
             raise UnpersistableTB("non-contiguous guest block")
         words.append(insn.raw)
+    # Every key but ``words`` sorts before ``sha256``.
     entry: Dict[str, Any] = {
-        "pc": tb.pc,
-        "mmu_idx": tb.mmu_idx,
-        "words": words,
         "code": _encode_code(tb.code, {} if tokens is None else tokens),
         "jmp_pc": list(tb.jmp_pc),
+        "meta": {key: value for key, value in meta.items()
+                 if key != PROVENANCE_KEY},
+        "mmu_idx": tb.mmu_idx,
+        "pc": tb.pc,
     }
-    meta_blob = {key: value for key, value in meta.items()
-                 if key != PROVENANCE_KEY}
     try:
-        entry["meta"] = json.loads(json.dumps(meta_blob))
+        head = _dumps(entry)[:-1]
     except (TypeError, ValueError) as error:
         raise UnpersistableTB(f"non-JSON meta: {error}") from None
-    entry["sha256"] = entry_checksum(entry)
-    return entry
+    tail = f'"words":{_dumps(words)}}}'
+    checksum = _sha256_text(f"{head},{tail}")
+    entry["sha256"] = checksum
+    entry["words"] = words
+    return entry, f'{head},"sha256":"{checksum}",{tail}'
+
+
+class EntryTexts:
+    """The texts :func:`serialize_tb` encoded during one save, kept as
+    UTF-8 in one buffer until :meth:`CacheStore.save` writes them.
+
+    One buffer, not a string per entry: hundreds of ~3 KB strings alive
+    at once would sit on the malloc heap between the entries' own
+    lists, and the heap keeps such holes resident after the save (a
+    warm-code run's peak RSS rose by 1 MB that way)."""
+
+    def __init__(self) -> None:
+        self._data = bytearray()
+        self._spans: Dict[Tuple[int, int], Tuple[int, int]] = {}
+
+    def add(self, key: Tuple[int, int], text: str) -> None:
+        start = len(self._data)
+        self._data += text.encode("utf-8")
+        self._spans[key] = (start, len(self._data))
+
+    def view(self, key: Tuple[int, int]) -> Optional[memoryview]:
+        """*key*'s text, or None when this save encoded none for it."""
+        span = self._spans.get(key)
+        if span is None:
+            return None
+        return memoryview(self._data)[span[0]:span[1]]
+
+
+def entry_text(entry: Dict[str, Any]) -> str:
+    """An entry's canonical JSON text, as ``entries.json`` holds it."""
+    return _dumps(entry)
+
+
+def _dumps(obj: Any) -> str:
+    # Compact separators and no indent keep ``json.dumps`` on the C
+    # encoder (any ``indent`` selects the pure-Python one).
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _encode_code(code: List[X86Insn], tokens: Dict[int, str]) -> List[str]:
@@ -322,29 +375,45 @@ class CacheStore:
 
     # -- writing ------------------------------------------------------------
 
-    def save(self, entries: Dict[Tuple[int, int], Dict[str, Any]]) -> None:
-        """Atomically write the store (manifest + entries)."""
+    def save(self, entries: Dict[Tuple[int, int], Dict[str, Any]],
+             texts: Optional[EntryTexts] = None) -> None:
+        """Atomically write the store (manifest + entries).
+
+        ``entries.json`` is ``{"entries":[...]}`` in compact sorted-key
+        JSON, the entries in key order.  Each entry's text is taken from
+        *texts* (:func:`serialize_tb` made it) or encoded here
+        (:func:`entry_text`), and streamed into the file and into the
+        payload checksum."""
         os.makedirs(self.directory, exist_ok=True)
-        ordered = [entries[key] for key in sorted(entries)]
-        payload = {"entries": ordered}
-        # The trailing newline is part of the checksummed text: verify
-        # hashes the file exactly as read.
-        # Compact separators and no indent keep ``json.dumps`` on the
-        # C encoder (any ``indent`` selects the pure-Python one).
-        payload_text = json.dumps(payload, sort_keys=True,
-                                  separators=(",", ":")) + "\n"
+        if texts is None:
+            texts = EntryTexts()
+        keys = sorted(entries)
+        digest = hashlib.sha256()
+
+        def chunks() -> Iterator[Union[bytes, memoryview]]:
+            yield b'{"entries":['
+            for position, key in enumerate(keys):
+                if position:
+                    yield b","
+                text = texts.view(key)
+                yield text if text is not None \
+                    else entry_text(entries[key]).encode("utf-8")
+            # The trailing newline is part of the checksummed text:
+            # verify hashes the file exactly as read.
+            yield b"]}\n"
+
+        _write_atomic(os.path.join(self.directory, "entries.json"),
+                      chunks(), digest)
         manifest = {
             "schema": SCHEMA,
             "format_version": FORMAT_VERSION,
             "fingerprint": self.fingerprint,
-            "entries": len(ordered),
-            "payload_sha256": _sha256_text(payload_text),
+            "entries": len(keys),
+            "payload_sha256": digest.hexdigest(),
         }
-        _write_atomic(os.path.join(self.directory, "entries.json"),
-                      payload_text)
         _write_atomic(os.path.join(self.directory, "manifest.json"),
-                      json.dumps(manifest, sort_keys=True, indent=1)
-                      + "\n")
+                      [(json.dumps(manifest, sort_keys=True, indent=1)
+                        + "\n").encode("utf-8")])
 
 
 # ---------------------------------------------------------------------------
@@ -489,17 +558,21 @@ def _read_json(path: str) -> Optional[Dict[str, Any]]:
 
 
 def _sha256_text(text: str) -> str:
-    import hashlib
-
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, chunks: Iterable[Union[bytes, memoryview]],
+                  digest: Optional[Any] = None) -> None:
+    """Write the concatenated *chunks* to *path* atomically, feeding
+    each to *digest* too."""
     directory = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+                if digest is not None:
+                    digest.update(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:

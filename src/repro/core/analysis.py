@@ -91,23 +91,22 @@ def flags_read(insn: ArmInsn) -> int:
     return mask
 
 
-#: Flag-write class of each opcode, keyed by name: hashing an Op
-#: member runs the Python-level Enum.__hash__, a name hashes in C.
+#: Flag-write class of each opcode.
 _W_NONE, _W_COMPARE, _W_TEST, _W_LOGICAL, _W_ARITH, _W_MULTIPLY, \
     _W_MSR, _W_VMRS = range(8)
-_WRITE_CLASS = {op._name_: (_W_COMPARE if op in (Op.CMP, Op.CMN) else
-                            _W_TEST if op in COMPARE_OPS else
-                            _W_LOGICAL if op in _LOGICAL_DP else
-                            _W_ARITH if op in DATA_PROCESSING_OPS else
-                            _W_MULTIPLY if op in (Op.MUL, Op.MLA) else
-                            _W_MSR if op is Op.MSR else
-                            _W_VMRS if op is Op.VMRS else _W_NONE)
+_WRITE_CLASS = {op: (_W_COMPARE if op in (Op.CMP, Op.CMN) else
+                     _W_TEST if op in COMPARE_OPS else
+                     _W_LOGICAL if op in _LOGICAL_DP else
+                     _W_ARITH if op in DATA_PROCESSING_OPS else
+                     _W_MULTIPLY if op in (Op.MUL, Op.MLA) else
+                     _W_MSR if op is Op.MSR else
+                     _W_VMRS if op is Op.VMRS else _W_NONE)
                 for op in Op}
 
 
 def flags_written(insn: ArmInsn) -> int:
     """NZCV bits this instruction definitely writes (when it executes)."""
-    kind = _WRITE_CLASS[insn.op._name_]
+    kind = _WRITE_CLASS[insn.op]
     if kind == _W_NONE:
         return F_NONE
     if kind == _W_COMPARE:

@@ -25,6 +25,11 @@ from ..host.isa import X86Cond
 
 
 class CarryKind(enum.Enum):
+    # Hash by identity, in C, not by Enum.__hash__'s Python-level
+    # hash(name): members key the per-instruction dicts and memos
+    # (docs/internals.md, "Per-instruction Python costs").
+    __hash__ = object.__hash__
+
     DIRECT = "direct"      # CF == ARM C
     INVERTED = "inverted"  # CF == NOT ARM C
 

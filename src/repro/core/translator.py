@@ -87,9 +87,8 @@ _SHIFT_LSL = ShiftKind.LSL
 _X86_MOVSS = X86Op.MOVSS
 _X86_NE = X86Cond.NE
 
-#: VFP ops with a rule (arithmetic and moves), tested by identity: a
-#: frozenset test would hash through the Python-level Enum.__hash__.
-_VFP_RULE_OPS = (Op.VADD, Op.VSUB, Op.VMUL, Op.VMOVSR, Op.VMOVRS)
+#: VFP ops with a rule (arithmetic and moves).
+_VFP_RULE_OPS = frozenset({Op.VADD, Op.VSUB, Op.VMUL, Op.VMOVSR, Op.VMOVRS})
 
 RULE_TAG = "rule"
 IRQ_TAG = "irqcheck"

@@ -83,6 +83,11 @@ class Op(enum.Enum):
     ``.value`` so the encoder can emit them directly.
     """
 
+    # Hash by identity, in C, not by Enum.__hash__'s Python-level
+    # hash(name): members key the per-instruction dicts and memos
+    # (docs/internals.md, "Per-instruction Python costs").
+    __hash__ = object.__hash__
+
     # Data processing (value == A32 opcode field).
     AND = 0x0
     EOR = 0x1
@@ -148,9 +153,8 @@ class Op(enum.Enum):
     VMOVRS = "vmov_r_s"   # vmov rT, sN
 
     # Per-opcode classification, set once for every member below the
-    # operation sets.  The ArmInsn queries read these attributes instead
-    # of testing frozenset membership: hashing a plain Enum member runs
-    # the Python-level Enum.__hash__ (docs/internals.md,
+    # operation sets.  The ArmInsn queries read one attribute instead of
+    # testing membership in one or more frozensets (docs/internals.md,
     # "Translation-time memo").
     data_processing: bool    # in DATA_PROCESSING_OPS
     compare: bool            # in COMPARE_OPS

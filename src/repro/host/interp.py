@@ -16,8 +16,9 @@ the semantics reference), each non-control instruction by its op's step
 function.  From its :data:`HOT_THRESHOLD`-th entry on, the TB runs
 *compiled*: split once into basic blocks, each of which adds its
 instruction and tag counts once and runs its body as one generated
-Python function (:class:`_BodySource`), compiled once per distinct
-source.  Both forms leave identical counters;
+Python function (:class:`_BodySource`), generated when the block first
+runs, rendered once per distinct instruction tuple and compiled once
+per distinct source.  Both forms leave identical counters;
 :meth:`HostInterpreter.execute` states the invariants.  Both run the
 texts of :mod:`repro.host.ops`: the step functions are compiled from
 them, and a body inlines them with the operands resolved.
@@ -28,6 +29,7 @@ from __future__ import annotations
 import struct
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional
 
 from ..common.bitops import u32
@@ -100,7 +102,9 @@ class _Block:
         #: order the interpreter would create by_tag keys in.
         self.tags = tuple(counts.items())
         self.insn_tags = tuple(insn.tag for insn in insns)
-        self.body = None                   # generated function, if any
+        #: generated function, if any; until the block first runs, a
+        #: stub that generates it (HostInterpreter._first_run)
+        self.body = None
         self.lines: tuple = ()             # its source line -> insn index
         self.insn = insns[-1]              # the terminator, when kind != _NEXT
         self.kind = _NEXT
@@ -137,6 +141,8 @@ class HostInterpreter:
         self._profile_key = None
         #: generated block source -> its code object (see _generate)
         self._codes: dict = {}
+        #: ids of a body's instructions -> (code, lines, globals, insns)
+        self._rendered: dict = {}
 
     def note_side_effect(self, kind: str = "") -> None:
         """Mark the current execute() call as non-replayable."""
@@ -196,10 +202,10 @@ class HostInterpreter:
 
         A TB entered fewer than :data:`HOT_THRESHOLD` times is
         interpreted; a hotter one runs compiled: as basic blocks whose
-        bodies are generated functions, built once and kept on
-        ``tb.compiled``.  Both forms keep these invariants, so
-        ``total``, ``by_tag``, the profiler's tag map and the watchdog's
-        ``trips`` are identical whichever form ran:
+        bodies are generated functions, each built on its block's first
+        run and kept on ``tb.compiled``.  Both forms keep these
+        invariants, so ``total``, ``by_tag``, the profiler's tag map and
+        the watchdog's ``trips`` are identical whichever form ran:
 
         - An instruction is counted before it runs.  A compiled block
           adds its whole count when it starts.
@@ -429,7 +435,7 @@ class HostInterpreter:
                 block.kind = _TERMINATORS[last.op]
                 body = body[:-1]
             if body:
-                block.body, block.lines = self._generate(body)
+                block.body = partial(self._first_run, block, tuple(body))
             if last.op is _X86_JMP:
                 block.next = blocks.get(last.target_index)
             elif last.op is _X86_JCC:
@@ -437,17 +443,36 @@ class HostInterpreter:
                 block.pred = COND_TESTS[last.cond]
         return blocks[starts[0]]
 
-    def _generate(self, insns: List[X86Insn]):
+    def _first_run(self, block: _Block, insns: tuple) -> None:
+        """A block's body until it first runs: generate it, then run it.
+        A block that never runs costs no generation."""
+        block.body, block.lines = self._generate(insns)
+        block.body()
+
+    def _generate(self, insns: tuple):
         """``(function, lines)`` running *insns*; ``lines[n]`` is the
-        index of the instruction on source line *n*.  The code object is
-        compiled once per distinct source and kept in ``self._codes``."""
-        source = _BodySource(insns)
-        text, lines = source.text()
-        code = self._codes.get(text)
-        if code is None:
-            code = self._codes[text] = compile(text, "<host block>", "exec")
+        index of the instruction on source line *n*.
+
+        Each distinct instruction tuple is rendered once per interpreter
+        (``self._rendered``: host instructions are shared objects of the
+        run, so equal tuples render equal bodies; the entry keeps the
+        tuple, so its ids stay unique).  Each distinct source is compiled
+        once (``self._codes``).  Every body runs in globals of its own,
+        so each has its own site caches."""
+        key = tuple(map(id, insns))
+        rendered = self._rendered.get(key)
+        if rendered is None:
+            source = _BodySource(insns)
+            text, lines = source.text()
+            code = self._codes.get(text)
+            if code is None:
+                code = self._codes[text] = compile(text, "<host block>",
+                                                   "exec")
+            rendered = self._rendered[key] = (code, lines, source.names,
+                                              insns)
+        code, lines, names, _ = rendered
         namespace = {"R": self.cpu.regs, "C": self.cpu, "STEP": self.step,
-                     "SITE": self._site, **_STRUCT, **source.names}
+                     "SITE": self._site, **_STRUCT, **names}
         exec(code, namespace)
         return namespace["body"], lines
 

@@ -36,6 +36,11 @@ FLAG_OF = 11
 
 
 class X86Op(enum.Enum):
+    # Hash by identity, in C, not by Enum.__hash__'s Python-level
+    # hash(name): members key the per-instruction dicts and memos
+    # (docs/internals.md, "Per-instruction Python costs").
+    __hash__ = object.__hash__
+
     MOV = "mov"
     MOVZX = "movzx"
     MOVSX = "movsx"
@@ -84,6 +89,11 @@ class X86Op(enum.Enum):
 
 class X86Cond(enum.Enum):
     """Host condition codes for jcc/setcc."""
+
+    # Hash by identity, in C, not by Enum.__hash__'s Python-level
+    # hash(name): members key the per-instruction dicts and memos
+    # (docs/internals.md, "Per-instruction Python costs").
+    __hash__ = object.__hash__
 
     E = "e"      # ZF
     NE = "ne"

@@ -20,6 +20,11 @@ from typing import Callable, List, Optional, Tuple, Union
 
 
 class IROp(enum.Enum):
+    # Hash by identity, in C, not by Enum.__hash__'s Python-level
+    # hash(name): members key the per-instruction dicts and memos
+    # (docs/internals.md, "Per-instruction Python costs").
+    __hash__ = object.__hash__
+
     MOVI = "movi"          # dst <- imm
     MOV = "mov"            # dst <- src
     ADD = "add"
@@ -49,6 +54,11 @@ class IROp(enum.Enum):
 
 class IRCond(enum.Enum):
     """Comparison conditions (signed/unsigned split as in TCG)."""
+
+    # Hash by identity, in C, not by Enum.__hash__'s Python-level
+    # hash(name): members key the per-instruction dicts and memos
+    # (docs/internals.md, "Per-instruction Python costs").
+    __hash__ = object.__hash__
 
     EQ = "eq"
     NE = "ne"

@@ -23,7 +23,7 @@ The physical memory map::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..common.costmodel import (COST_INTERP_TIER_INSN, COST_TB_LOOKUP,
                                 COST_TRANSLATE_PER_INSN)
@@ -418,7 +418,7 @@ class DbtEngineBase:
         """Read a guest basic block's instructions at translation time."""
         machine = self.machine
         machine.injector.maybe_fault("fetch", f"pc=0x{pc:08x}")
-        insns = self._read_block(pc, machine.bus.fetch)
+        insns = self._read_block(pc, fill=True)
         if machine.tracer.enabled:
             machine.tracer.emit("decode.block", pc=pc, n_insns=len(insns))
         return insns
@@ -427,31 +427,35 @@ class DbtEngineBase:
         """The block :meth:`fetch_block` would read now, read without
         side effects: no TLB fill, no injector site, no trace event.
         Raises as :meth:`fetch_block` does."""
-        return self._read_block(pc, self.machine.bus.peek)
+        return self._read_block(pc, fill=False)
 
-    def _read_block(self, pc: int, read: Callable[[int], int]
-                    ) -> List[ArmInsn]:
+    def _read_block(self, pc: int, fill: bool) -> List[ArmInsn]:
+        """Decode the block at *pc* from the words ``bus.fetch`` (*fill*)
+        or ``bus.peek`` would read one by one, read a page at a time
+        (:meth:`GuestBus.code_words`)."""
+        code_words = self.machine.bus.code_words
         insns: List[ArmInsn] = []
         addr = pc
         while len(insns) < MAX_TB_INSNS:
             try:
-                word = read(addr)
+                words = code_words(addr, MAX_TB_INSNS - len(insns), fill)
             except MemoryFault:
                 if insns:
                     break
                 raise
-            try:
-                insn = self.decode(word, addr)
-            except DecodingError:
-                # Ran into data (e.g. a literal pool): end the block; a
-                # first-instruction failure is a genuine guest undef.
-                if insns:
-                    break
-                raise
-            insns.append(insn)
-            if insn.writes_pc() or insn.is_system():
-                break
-            addr += 4
+            for word in words:
+                try:
+                    insn = self.decode(word, addr)
+                except DecodingError:
+                    # Ran into data (e.g. a literal pool): end the block;
+                    # a first-instruction failure is a genuine guest undef.
+                    if insns:
+                        return insns
+                    raise
+                insns.append(insn)
+                if insn.writes_pc() or insn.is_system():
+                    return insns
+                addr += 4
         return insns
 
     def _vet_tb(self, tb: TranslationBlock) -> TranslationBlock:

@@ -7,6 +7,9 @@ refill for RAM pages, direct dispatch for MMIO pages.
 
 from __future__ import annotations
 
+import struct
+from typing import Sequence
+
 from ..common.errors import BusError, MemoryFault
 from ..guest.cpu import GuestCpu, MODE_USR
 from .pagetable import PAGE_SIZE, PageWalker
@@ -99,6 +102,35 @@ class GuestBus:
         if region is None or not region.is_ram:
             raise MemoryFault(vaddr, False, "bus")
         return region.read(paddr - region.base, 4)
+
+    def code_words(self, vaddr: int, limit: int,
+                   fill: bool = True) -> Sequence[int]:
+        """The code words at *vaddr* on, up to *limit* and all on its
+        page: what :meth:`fetch` (*fill*) or :meth:`peek` would return
+        word by word, with the same faults and side effects.
+
+        The page is translated once.  When that has no side effect (a
+        TLB hit, the MMU off, or a peek), the words are read straight
+        from the RAM region's bytes, as far as its page and region go:
+        a fetch of each of them would hit the same TLB entry and read
+        the same bytes.  Otherwise (a fetch that fills the TLB, a page
+        that is not RAM, a word past its region's end) only the word at
+        *vaddr* is read, by :meth:`fetch` or :meth:`peek` itself, and
+        the caller asks again for the next one.  Returns at least one
+        word; raises :class:`MemoryFault` where that word's read would.
+        """
+        paddr, walked = self._resolve(vaddr, ACCESS_CODE)
+        if walked is None or not fill:
+            region = self.memory.find(paddr)
+            if region is not None and region.is_ram:
+                offset = paddr - region.base
+                count = min(limit,
+                            (PAGE_SIZE - (vaddr & (PAGE_SIZE - 1))) >> 2,
+                            (region.size - offset) >> 2)
+                if count > 0:
+                    return struct.unpack_from(f"<{count}I", region.data,
+                                              offset)
+        return (self.fetch(vaddr) if fill else self.peek(vaddr),)
 
     def tlb_flush(self) -> None:
         self.tlb.flush()

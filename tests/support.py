@@ -3,6 +3,9 @@ workload, and hand-made candidate rules the rule verifier must refute."""
 
 from __future__ import annotations
 
+import importlib.util
+import os
+
 from repro.guest.asm import assemble
 from repro.guest.decoder import decode
 from repro.host.builder import CodeBuilder
@@ -34,6 +37,17 @@ def run_workload(user_body: str, engine: str = "interp",
     machine = boot_machine(user_body, engine=engine, **kwargs)
     code = machine.run(max_insns)
     return code, machine.uart.text, machine
+
+
+def cold_code_body(seed: int, index: int) -> str:
+    """The assembly body of the wall-clock benchmark's generated
+    cold-code program *index* for *seed* (``perfbench/gen.py``)."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "gen.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.cold_code_program(seed, index)
 
 
 def _guest_fragment(source: str):

@@ -11,12 +11,15 @@ code and class bodies run once and are exempt.
 """
 
 import dis
+import enum
 import importlib
 import inspect
+import pkgutil
 import types
 
 import pytest
 
+import repro
 from repro.core.condmap import CarryKind
 from repro.guest.isa import Cond, Op, ShiftKind
 from repro.host.isa import X86Cond, X86Op
@@ -107,3 +110,34 @@ def test_member_bindings_name_their_member(name):
         for prefix, enums in PREFIXES.items():
             if binding.startswith(prefix) and isinstance(value, enums):
                 assert value._name_ == binding[len(prefix):], binding
+
+
+def _repro_enums():
+    """Every Enum class defined in a module of the repro package."""
+    found = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if inspect.isclass(obj) and issubclass(obj, enum.Enum) \
+                    and obj.__module__ == info.name:
+                found[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return found
+
+
+def test_plain_enums_hash_in_c():
+    """A plain Enum member hashes by identity (``object.__hash__``), not
+    through the Python-level ``Enum.__hash__``; Int enums hash as ints.
+    The hash is set in the class body, so the sets and dicts of members
+    built at import use it too."""
+    enums = _repro_enums()
+    plain = sorted(name for name, cls in enums.items()
+                   if not issubclass(cls, int))
+    assert {"repro.host.isa.X86Op", "repro.guest.isa.Op",
+            "repro.ir.ops.IROp"} <= set(plain)
+    for name in plain:
+        cls = enums[name]
+        assert cls.__hash__ is object.__hash__, name
+        for member in cls:
+            assert hash(member) == object.__hash__(member), (name, member)

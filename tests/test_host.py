@@ -932,6 +932,92 @@ def test_bodies_of_one_shape_share_code_but_not_constants():
     assert len(interp._codes) == 1      # one code object for both bodies
 
 
+@pytest.fixture
+def renders(monkeypatch):
+    """The instruction tuples the interpreters render, in order."""
+    rendered = []
+
+    class Counting(host_interp._BodySource):
+        def __init__(self, insns):
+            rendered.append(insns)
+            super().__init__(insns)
+
+    monkeypatch.setattr(host_interp, "_BodySource", Counting)
+    return rendered
+
+
+def test_tbs_sharing_an_insn_tuple_render_it_once(renders):
+    """Two TBs built from one instruction memo share their body's
+    instructions: the tuple renders once, and each body keeps its own
+    site cache (here one on each of two regions)."""
+    memo: dict = {}
+    tbs = []
+    for pc in (0x10, 0x20):
+        builder = CodeBuilder(shared=memo)
+        builder.mov(Reg(EAX), Mem(base=EBX, disp=4))
+        builder.add(Reg(EAX), Imm(5))
+        builder.exit_tb(0)
+        tbs.append(HotTb(builder.finish(), HOT_THRESHOLD, pc=pc))
+    assert tbs[0].code[0] is tbs[1].code[0]
+    low, high = bytearray(range(64)), bytearray(range(64, 128))
+    memory = HostMemory()
+    memory.map_region(0, low, "low")
+    memory.map_region(HIGH_BASE, high, "high")
+    cpu = HostCpu(stack_top=0x30)
+    interp = HostInterpreter(cpu, memory)
+    for tb, base, expected in ((tbs[0], 0, 4 + 5), (tbs[1], HIGH_BASE,
+                                                     68 + 5)):
+        cpu.regs[EBX] = base
+        interp.execute(tb)
+        assert cpu.regs[EAX] & 0xFF == expected
+    assert len(renders) == 1
+    bodies = [tb.compiled.body for tb in tbs]
+    assert bodies[0].__code__ is bodies[1].__code__
+    sites = [body.__globals__["A0"] for body in bodies]
+    assert sites[0] is low and sites[1] is high
+
+
+def test_a_block_that_never_runs_is_not_generated(renders):
+    builder = CodeBuilder()
+    skip = builder.new_label()
+    builder.cmp(Reg(EAX), Imm(0))
+    builder.jcc(X86Cond.NE, skip)
+    builder.movi(Reg(EBX), 1)
+    builder.exit_tb(0)
+    builder.bind(skip)
+    builder.movi(Reg(ECX), 2)
+    builder.exit_tb(1)
+    interp, _ = make_state(flat_state())
+    tb = HotTb(builder.finish(), HOT_THRESHOLD)
+    assert interp.execute(tb).status == 0
+    assert [len(insns) for insns in renders] == [1, 1]
+    assert len(interp._codes) == 2
+    untaken = tb.compiled.taken
+    assert untaken.lines == ()          # still the generating stub
+    interp.cpu.regs[EAX] = 1
+    assert interp.execute(tb).status == 1
+    assert len(renders) == 3 and untaken.lines
+
+
+def test_a_raise_on_a_bodys_first_run_is_located_and_uncounted():
+    """The first run generates the body and then runs it; a fault in
+    it counts up to the faulting instruction, then and on later runs."""
+    builder = CodeBuilder()
+    builder.movi(Reg(EAX), 1)
+    builder.mov(Reg(EBX), Mem(base=None, disp=0x999999))
+    with builder.tagged("sync"):
+        builder.movi(Reg(ECX), 2)
+    builder.exit_tb(0)
+    interp, _ = make_state(flat_state())
+    tb = HotTb(builder.finish(), HOT_THRESHOLD)
+    for run in (1, 2):
+        with pytest.raises(HostExecutionError):
+            interp.execute(tb)
+        assert interp.total == 2 * run
+        assert list(interp.by_tag.items()) == [("code", 2 * run)]
+        assert tb.compiled.lines
+
+
 TABLE = 0x80      # low-region address table the region loop walks
 HIGH_BASE = 0x1000
 
