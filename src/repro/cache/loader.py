@@ -7,8 +7,10 @@ handing anything back:
 
 1. integrity — the per-entry checksum must match (tampered or corrupted
    entries are evicted, never executed).  This is validated once for
-   the whole store at attach (:meth:`CacheLoader.load_index`): it is a
-   per-run cost, not a per-TB one, so the per-TB warm path stays cheap;
+   the whole store at attach (:meth:`CacheLoader.load_index`), not per
+   TB: when ``entries.json`` hashes to the manifest's payload checksum
+   it is byte for byte what a save wrote, with the checksums that save
+   computed, and only a mismatch checks entry by entry;
 2. guest bytes — every recorded machine word is compared against what
    guest memory holds *now* (self-modified or relinked code is stale:
    the entry is evicted and the engine translates fresh);
@@ -97,8 +99,12 @@ class CacheLoader:
     def load_index(self) -> None:
         """Read the store's entries and validate their integrity
         checksums (called once, at attach).  Tampered or bit-rotted
-        entries are evicted here — they must never reach execution."""
+        entries are evicted here — they must never reach execution.
+        An intact payload (:attr:`CacheStore.intact`) holds the
+        checksums its save computed, so they are not recomputed."""
         self._entries, self.problems = self.store.load()
+        if self.store.intact:
+            return
         for (pc, mmu_idx), entry in list(self._entries.items()):
             if entry.get("sha256") != entry_checksum(entry):
                 self.corrupt += 1

@@ -345,6 +345,9 @@ class CacheStore:
         self.fingerprint = fingerprint
         self.key = fingerprint_key(fingerprint)
         self.directory = os.path.join(root, self.key)
+        #: whether the last :meth:`load` read ``entries.json`` exactly as
+        #: the manifest's payload checksum says a save wrote it
+        self.intact = False
 
     # -- reading ------------------------------------------------------------
 
@@ -353,8 +356,11 @@ class CacheStore:
         """Read all entries; returns ``(entries, problems)``.
 
         Unreadable or mismatched stores return no entries (the engine
-        falls back to fresh translation); per-entry integrity is
-        checked by the loader at attach (``CacheLoader.load_index``)."""
+        falls back to fresh translation).  The sha256 of the bytes read
+        is compared with the manifest's ``payload_sha256`` and the
+        answer kept in :attr:`intact`; the loader checks each entry's
+        checksum only when it is False (``CacheLoader.load_index``)."""
+        self.intact = False
         manifest = _read_json(os.path.join(self.directory,
                                            "manifest.json"))
         if manifest is None:
@@ -362,9 +368,11 @@ class CacheStore:
         problems = _check_manifest(manifest, expect_fingerprint=self.fingerprint)
         if problems:
             return {}, problems
-        payload = _read_json(os.path.join(self.directory, "entries.json"))
+        payload, digest = _read_payload(os.path.join(self.directory,
+                                                     "entries.json"))
         if payload is None or not isinstance(payload.get("entries"), list):
             return {}, ["entries.json missing or malformed"]
+        self.intact = digest == manifest.get("payload_sha256")
         entries: Dict[Tuple[int, int], Dict[str, Any]] = {}
         for entry in payload["entries"]:
             try:
@@ -555,6 +563,23 @@ def _read_json(path: str) -> Optional[Dict[str, Any]]:
     except (OSError, ValueError):
         return None
     return obj if isinstance(obj, dict) else None
+
+
+def _read_payload(path: str) -> Tuple[Optional[Dict[str, Any]],
+                                      Optional[str]]:
+    """``entries.json`` parsed, and the sha256 of its bytes."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        digest = hashlib.sha256(data).hexdigest()
+        # Drop the bytes before parsing: only the text and the parsed
+        # entries are alive together, as with json.load.
+        text = data.decode("utf-8")
+        del data
+        obj = json.loads(text)
+    except (OSError, ValueError):
+        return None, None
+    return (obj if isinstance(obj, dict) else None), digest
 
 
 def _sha256_text(text: str) -> str:

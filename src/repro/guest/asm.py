@@ -25,8 +25,42 @@ from typing import Dict, List, Optional, Tuple
 from ..common.bitops import encode_arm_imm, u32
 from ..common.errors import AssemblerError, EncodingError
 from .encoder import encode
-from .isa import (COND_BY_NAME, DATA_PROCESSING_OPS, ArmInsn, Cond, Op,
-                  Operand2, ShiftKind, SHIFT_BY_NAME, reg_number, PC, SP)
+from .isa import (COMPARE_OPS, COND_BY_NAME, DATA_PROCESSING_OPS,
+                  UNARY_DP_OPS, ArmInsn, Cond, Op, Operand2, ShiftKind,
+                  SHIFT_BY_NAME, reg_number, PC, SP)
+
+# Enum members bound once: every source line goes through the functions
+# below (docs/internals.md, "Per-instruction Python costs").
+_OP_ADD = Op.ADD
+_OP_B = Op.B
+_OP_BL = Op.BL
+_OP_BX = Op.BX
+_OP_CLZ = Op.CLZ
+_OP_CPS = Op.CPS
+_OP_LDM = Op.LDM
+_OP_LDR = Op.LDR
+_OP_MCR = Op.MCR
+_OP_MLA = Op.MLA
+_OP_MOV = Op.MOV
+_OP_MRC = Op.MRC
+_OP_MRS = Op.MRS
+_OP_MSR = Op.MSR
+_OP_MUL = Op.MUL
+_OP_MVN = Op.MVN
+_OP_NOP = Op.NOP
+_OP_STM = Op.STM
+_OP_SUB = Op.SUB
+_OP_SVC = Op.SVC
+_OP_VCMP = Op.VCMP
+_OP_VLDR = Op.VLDR
+_OP_VMOVRS = Op.VMOVRS
+_OP_VMOVSR = Op.VMOVSR
+_OP_VMRS = Op.VMRS
+_OP_VMSR = Op.VMSR
+_OP_VSTR = Op.VSTR
+_OP_WFI = Op.WFI
+_COND_AL = Cond.AL
+_SHIFT_RRX = ShiftKind.RRX
 
 # ---------------------------------------------------------------------------
 # Expression evaluation.
@@ -35,6 +69,12 @@ from .isa import (COND_BY_NAME, DATA_PROCESSING_OPS, ArmInsn, Cond, Op,
 _TOKEN_RE = re.compile(
     r"\s*(<<|>>|0x[0-9a-fA-F]+|0b[01]+|\d+|'(?:\\.|[^'])'|[A-Za-z_.$][\w.$]*"
     r"|[()+\-*&|~])")
+#: An expression that is one number or one symbol: the tokens above,
+#: one group each, so a full match reads as :class:`_ExprParser` would.
+_ATOM_RE = re.compile(
+    r"(0x[0-9a-fA-F]+)|(0b[01]+)|(\d+)|([A-Za-z_.$][\w.$]*)")
+#: The base of each number group of ``_ATOM_RE``.
+_ATOM_BASES = {1: 16, 2: 2, 3: 10}
 
 
 class _ExprParser:
@@ -214,7 +254,7 @@ def _split_mnemonic(mnemonic: str):
             if candidate == "" or candidate in COND_BY_NAME:
                 rest, set_flags = candidate, True
         if rest == "":
-            return base, Cond.AL, set_flags, mode
+            return base, _COND_AL, set_flags, mode
         if rest in COND_BY_NAME:
             return base, COND_BY_NAME[rest], set_flags, mode
         # Old-style <cond>s ordering (e.g. "addeqs").
@@ -230,6 +270,16 @@ def _split_mnemonic(mnemonic: str):
 
 _MSR_FIELD_BITS = {"c": 1, "x": 2, "s": 4, "f": 8}
 
+_MEMORY_OP_BY_NAME = {name: Op[name.upper()] for name in (
+    "ldr", "str", "ldrb", "strb", "ldrh", "strh", "ldrsb", "ldrsh")}
+_VFP_ARITH_BY_NAME = {"vadd": Op.VADD, "vsub": Op.VSUB, "vmul": Op.VMUL}
+
+_COMMENT_RE = re.compile(r"@|//")
+_LABEL_RE = re.compile(r"([A-Za-z_.$][\w.$]*):\s*")
+_STRING_RE = re.compile(r'"((?:\\.|[^"])*)"')
+_MEMORY_RE = re.compile(r"\[([^\]]*)\]\s*(!?)\s*(?:,\s*(.*))?$")
+_BRACKETS = frozenset("[{(]})")
+
 
 class Assembler:
     """Two-pass assembler producing a :class:`Program`."""
@@ -237,6 +287,9 @@ class Assembler:
     def __init__(self, base: int = 0):
         self.base = base
         self.symbols: Dict[str, int] = {}
+        #: mnemonic -> its :func:`_split_mnemonic` result, filled on
+        #: first use (a program repeats a few dozen mnemonics)
+        self._splits: Dict[str, Optional[tuple]] = {}
 
     # -- public API --------------------------------------------------------
 
@@ -268,12 +321,12 @@ class Assembler:
         self._literal_requests: List[Tuple[int, str]] = []
 
         for line_no, raw_line in enumerate(source.splitlines(), start=1):
-            line = re.split(r"@|//", raw_line, maxsplit=1)[0].strip()
+            line = _COMMENT_RE.split(raw_line, 1)[0].strip()
             if not line:
                 continue
             # Labels (possibly several on one line).
-            while True:
-                match = re.match(r"([A-Za-z_.$][\w.$]*):\s*", line)
+            while ":" in line:
+                match = _LABEL_RE.match(line)
                 if not match:
                     break
                 self.symbols[match.group(1)] = addr
@@ -327,7 +380,7 @@ class Assembler:
                                              line_no, line))
             return padded
         if name == ".asciz" or name == ".ascii":
-            match = re.match(r'"((?:\\.|[^"])*)"', rest)
+            match = _STRING_RE.match(rest)
             if not match:
                 raise AssemblerError("bad string literal", line_no, line)
             text = match.group(1).encode().decode("unicode_escape")
@@ -362,9 +415,11 @@ class Assembler:
         end = max(s.addr + s.size for s in statements)
         data = bytearray(end - self.base)
         listing: Dict[int, str] = {}
-        pool_by_expr: Dict[str, int] = {}
+        # Every slot of each literal, in address order (one per pool
+        # that requested it).
+        pool_by_expr: Dict[str, List[int]] = {}
         for expr, slot_addr in self._pool_slots:
-            pool_by_expr.setdefault(expr, slot_addr)
+            pool_by_expr.setdefault(expr, []).append(slot_addr)
 
         for statement in statements:
             offset = statement.addr - self.base
@@ -390,20 +445,30 @@ class Assembler:
         return Program(self.base, data, dict(self.symbols), listing)
 
     def _eval(self, text: str, line_no: int, source: str) -> int:
-        symbols = dict(self.symbols)
+        atom = _ATOM_RE.fullmatch(text)
+        if atom is not None:
+            number_base = _ATOM_BASES.get(atom.lastindex)
+            if number_base is not None:
+                return int(text, number_base)
+            if text in self.symbols:
+                return self.symbols[text]
         try:
-            return _ExprParser(text, symbols).parse()
+            return _ExprParser(text, self.symbols).parse()
         except ValueError as exc:
             raise AssemblerError(str(exc), line_no, source) from exc
 
     # -- instruction parsing -------------------------------------------------
 
     def _parse_insn(self, statement: _Statement,
-                    pool_by_expr: Dict[str, int]) -> ArmInsn:
+                    pool_by_expr: Dict[str, List[int]]) -> ArmInsn:
         mnemonic = statement.mnemonic
         if mnemonic.endswith(".f32"):
             statement.mnemonic = mnemonic[:-4]
-        split = _split_mnemonic(statement.mnemonic)
+        try:
+            split = self._splits[statement.mnemonic]
+        except KeyError:
+            split = self._splits[statement.mnemonic] = \
+                _split_mnemonic(statement.mnemonic)
         if split is None:
             raise AssemblerError(f"unknown mnemonic {statement.mnemonic!r}",
                                  statement.line_no, statement.source)
@@ -420,19 +485,24 @@ class Assembler:
 
     def _split_operands(self, text: str) -> List[str]:
         """Split on commas that are not inside brackets or braces."""
-        pieces, depth, current = [], 0, ""
-        for char in text:
-            if char in "[{(":
-                depth += 1
-            elif char in "]})":
-                depth -= 1
-            if char == "," and depth == 0:
-                pieces.append(current.strip())
-                current = ""
-            else:
-                current += char
-        if current.strip():
-            pieces.append(current.strip())
+        if _BRACKETS.isdisjoint(text):
+            pieces = text.split(",")
+        else:
+            pieces, depth, start = [], 0, 0
+            for index, char in enumerate(text):
+                if char in "[{(":
+                    depth += 1
+                elif char in "]})":
+                    depth -= 1
+                elif char == "," and depth == 0:
+                    pieces.append(text[start:index])
+                    start = index + 1
+            pieces.append(text[start:])
+        # An empty last piece is dropped, an empty inner one kept.
+        last = pieces.pop().strip()
+        pieces = [piece.strip() for piece in pieces]
+        if last:
+            pieces.append(last)
         return pieces
 
     def _operand2(self, pieces: List[str], line_no: int,
@@ -447,7 +517,7 @@ class Assembler:
         shift_text = pieces[1].split()
         shift_name = shift_text[0].lower()
         if shift_name == "rrx":
-            return Operand2.register(rm, ShiftKind.RRX)
+            return Operand2.register(rm, _SHIFT_RRX)
         shift = SHIFT_BY_NAME[shift_name]
         amount = shift_text[1]
         if amount.startswith("#"):
@@ -462,10 +532,10 @@ class Assembler:
 
         if base in _DP_BY_NAME:
             op = _DP_BY_NAME[base]
-            if op in (Op.TST, Op.TEQ, Op.CMP, Op.CMN):
+            if op in COMPARE_OPS:
                 return ArmInsn(op=op, rn=reg_number(ops[0]),
                                op2=self._operand2(ops[1:], line_no, source))
-            if op in (Op.MOV, Op.MVN):
+            if op in UNARY_DP_OPS:
                 return ArmInsn(op=op, set_flags=set_flags,
                                rd=reg_number(ops[0]),
                                op2=self._operand2(ops[1:], line_no, source))
@@ -473,16 +543,15 @@ class Assembler:
                            rn=reg_number(ops[1]),
                            op2=self._operand2(ops[2:], line_no, source))
         if base == "mul":
-            return ArmInsn(op=Op.MUL, set_flags=set_flags,
+            return ArmInsn(op=_OP_MUL, set_flags=set_flags,
                            rd=reg_number(ops[0]), rm=reg_number(ops[1]),
                            rs=reg_number(ops[2]))
         if base == "mla":
-            return ArmInsn(op=Op.MLA, set_flags=set_flags,
+            return ArmInsn(op=_OP_MLA, set_flags=set_flags,
                            rd=reg_number(ops[0]), rm=reg_number(ops[1]),
                            rs=reg_number(ops[2]), rn=reg_number(ops[3]))
-        if base in ("ldr", "str", "ldrb", "strb", "ldrh", "strh",
-                    "ldrsb", "ldrsh"):
-            op = Op[base.upper()]
+        if base in _MEMORY_OP_BY_NAME:
+            op = _MEMORY_OP_BY_NAME[base]
             rd = reg_number(ops[0])
             rest = statement.operands.split(",", 1)[1].strip()
             if rest.startswith("="):
@@ -490,7 +559,7 @@ class Assembler:
                                        statement, pool_by_expr)
             return self._memory_operand(op, rd, rest, line_no, source)
         if base in ("ldm", "stm"):
-            op = Op.LDM if base == "ldm" else Op.STM
+            op = _OP_LDM if base == "ldm" else _OP_STM
             rn_text = ops[0]
             writeback = rn_text.endswith("!")
             rn = reg_number(rn_text.rstrip("!"))
@@ -499,18 +568,18 @@ class Assembler:
             return ArmInsn(op=op, rn=rn, reglist=reglist, writeback=writeback,
                            before=before, increment=increment)
         if base == "push":
-            return ArmInsn(op=Op.STM, rn=SP, reglist=self._reglist(ops[0]),
+            return ArmInsn(op=_OP_STM, rn=SP, reglist=self._reglist(ops[0]),
                            writeback=True, before=True, increment=False)
         if base == "pop":
-            return ArmInsn(op=Op.LDM, rn=SP, reglist=self._reglist(ops[0]),
+            return ArmInsn(op=_OP_LDM, rn=SP, reglist=self._reglist(ops[0]),
                            writeback=True, before=False, increment=True)
         if base in ("b", "bl"):
             target = self._eval(ops[0], line_no, source)
-            return ArmInsn(op=Op.B if base == "b" else Op.BL, target=target)
+            return ArmInsn(op=_OP_B if base == "b" else _OP_BL, target=target)
         if base == "bx":
-            return ArmInsn(op=Op.BX, rm=reg_number(ops[0]))
+            return ArmInsn(op=_OP_BX, rm=reg_number(ops[0]))
         if base == "mrs":
-            return ArmInsn(op=Op.MRS, rd=reg_number(ops[0]),
+            return ArmInsn(op=_OP_MRS, rd=reg_number(ops[0]),
                            spsr=ops[1].lower().startswith("spsr"))
         if base == "msr":
             target_text = ops[0].lower()
@@ -518,11 +587,11 @@ class Assembler:
             fields = target_text.split("_", 1)[1] if "_" in target_text \
                 else "cxsf"
             mask = sum(_MSR_FIELD_BITS[c] for c in fields)
-            return ArmInsn(op=Op.MSR, rm=reg_number(ops[1]), imm=mask,
+            return ArmInsn(op=_OP_MSR, rm=reg_number(ops[1]), imm=mask,
                            spsr=spsr)
         if base in ("mcr", "mrc"):
             # mcr p15, op1, rt, crn, crm, op2
-            return ArmInsn(op=Op.MCR if base == "mcr" else Op.MRC,
+            return ArmInsn(op=_OP_MCR if base == "mcr" else _OP_MRC,
                            cp_op1=self._eval(ops[1], line_no, source),
                            rd=reg_number(ops[2]),
                            cp_crn=int(ops[3].lstrip("cC")),
@@ -530,29 +599,29 @@ class Assembler:
                            cp_op2=self._eval(ops[5], line_no, source)
                            if len(ops) > 5 else 0)
         if base == "vmrs":
-            return ArmInsn(op=Op.VMRS, rd=reg_number(ops[0]))
+            return ArmInsn(op=_OP_VMRS, rd=reg_number(ops[0]))
         if base == "vmsr":
-            return ArmInsn(op=Op.VMSR, rd=reg_number(ops[1]))
+            return ArmInsn(op=_OP_VMSR, rd=reg_number(ops[1]))
         if base in ("cpsie", "cpsid"):
-            return ArmInsn(op=Op.CPS, cps_enable=(base == "cpsie"))
+            return ArmInsn(op=_OP_CPS, cps_enable=(base == "cpsie"))
         if base == "svc":
-            return ArmInsn(op=Op.SVC,
+            return ArmInsn(op=_OP_SVC,
                            imm=self._eval(ops[0].lstrip("#"), line_no, source))
         if base == "wfi":
-            return ArmInsn(op=Op.WFI)
+            return ArmInsn(op=_OP_WFI)
         if base == "nop":
-            return ArmInsn(op=Op.NOP)
+            return ArmInsn(op=_OP_NOP)
         if base == "clz":
-            return ArmInsn(op=Op.CLZ, rd=reg_number(ops[0]),
+            return ArmInsn(op=_OP_CLZ, rd=reg_number(ops[0]),
                            rm=reg_number(ops[1]))
-        if base in ("vadd", "vsub", "vmul"):
-            op = {"vadd": Op.VADD, "vsub": Op.VSUB, "vmul": Op.VMUL}[base]
+        if base in _VFP_ARITH_BY_NAME:
+            op = _VFP_ARITH_BY_NAME[base]
             return ArmInsn(op=op, fd=_sreg(ops[0]), fn=_sreg(ops[1]),
                            fm=_sreg(ops[2]))
         if base == "vcmp":
-            return ArmInsn(op=Op.VCMP, fd=_sreg(ops[0]), fm=_sreg(ops[1]))
+            return ArmInsn(op=_OP_VCMP, fd=_sreg(ops[0]), fm=_sreg(ops[1]))
         if base in ("vldr", "vstr"):
-            op = Op.VLDR if base == "vldr" else Op.VSTR
+            op = _OP_VLDR if base == "vldr" else _OP_VSTR
             rest = statement.operands.split(",", 1)[1].strip()
             shell = self._memory_operand(op, 0, rest, line_no, source)
             return ArmInsn(op=op, fd=_sreg(ops[0]), rn=shell.rn,
@@ -560,14 +629,14 @@ class Assembler:
                            add_offset=shell.add_offset)
         if base == "vmov":
             if ops[0].lower().lstrip().startswith("s"):
-                return ArmInsn(op=Op.VMOVSR, fn=_sreg(ops[0]),
+                return ArmInsn(op=_OP_VMOVSR, fn=_sreg(ops[0]),
                                rd=reg_number(ops[1]))
-            return ArmInsn(op=Op.VMOVRS, rd=reg_number(ops[0]),
+            return ArmInsn(op=_OP_VMOVRS, rd=reg_number(ops[0]),
                            fn=_sreg(ops[1]))
         if base == "adr":
             target = self._eval(ops[1], line_no, source)
             delta = target - (statement.addr + 8)
-            op = Op.ADD if delta >= 0 else Op.SUB
+            op = _OP_ADD if delta >= 0 else _OP_SUB
             return ArmInsn(op=op, rd=reg_number(ops[0]), rn=PC,
                            op2=Operand2.immediate(abs(delta)))
         raise AssemblerError(f"unhandled mnemonic {base}", line_no, source)
@@ -576,21 +645,26 @@ class Assembler:
         value = u32(self._eval(expr, statement.line_no, statement.source))
         # Prefer a plain mov/mvn when the constant is encodable.
         if encode_arm_imm(value) is not None:
-            return ArmInsn(op=Op.MOV, rd=rd, op2=Operand2.immediate(value))
+            return ArmInsn(op=_OP_MOV, rd=rd, op2=Operand2.immediate(value))
         if encode_arm_imm(u32(~value)) is not None:
-            return ArmInsn(op=Op.MVN, rd=rd,
+            return ArmInsn(op=_OP_MVN, rd=rd,
                            op2=Operand2.immediate(u32(~value)))
-        slot = pool_by_expr.get(expr)
-        if slot is None:
+        slots = pool_by_expr.get(expr)
+        if slots is None:
             raise AssemblerError(f"no literal pool slot for ={expr}",
                                  statement.line_no, statement.source)
-        delta = slot - (statement.addr + 8)
-        return ArmInsn(op=Op.LDR, rd=rd, rn=PC,
+        pc = statement.addr + 8
+        # The earliest slot in reach; with none, the first one, and the
+        # encoder reports its offset out of range.
+        slot = next((slot for slot in slots if abs(slot - pc) <= 0xFFF),
+                    slots[0])
+        delta = slot - pc
+        return ArmInsn(op=_OP_LDR, rd=rd, rn=PC,
                        mem_offset_imm=abs(delta), add_offset=delta >= 0)
 
     def _memory_operand(self, op, rd, text, line_no, source) -> ArmInsn:
         text = text.strip()
-        match = re.match(r"\[([^\]]*)\]\s*(!?)\s*(?:,\s*(.*))?$", text)
+        match = _MEMORY_RE.match(text)
         if not match:
             raise AssemblerError(f"bad memory operand {text!r}", line_no,
                                  source)

@@ -1,9 +1,11 @@
 """Unit tests for the two-pass ARM assembler."""
 
+import re
+
 import pytest
 
 from repro.common.errors import AssemblerError
-from repro.guest.asm import assemble
+from repro.guest.asm import Assembler, _ExprParser, assemble
 from repro.guest.decoder import decode
 from repro.guest.isa import Cond, Op
 
@@ -176,3 +178,84 @@ def test_char_literals():
     assert insn.op2.imm == 65
     insn = first_insn("    mov r0, #('a' - 10)")
     assert insn.op2.imm == 87
+
+
+def test_literal_reused_after_a_later_ltorg_loads_from_a_slot_in_reach():
+    """Each pool that requests a literal holds a slot for it; a load
+    uses the earliest slot it can reach, not the first one made."""
+    program = assemble("""
+_start: ldr r0, =0x12345678
+        b skip
+        .ltorg
+        .space 8000
+skip:   ldr r1, =0x12345678
+        b done
+        .ltorg
+done:   nop
+""")
+    for addr in (0, program.symbols["skip"]):
+        insn = insn_at(program, addr)
+        assert insn.op is Op.LDR and insn.rn == 15 and insn.add_offset
+        slot = addr + 8 + insn.mem_offset_imm
+        assert program.data[slot:slot + 4] == (0x12345678).to_bytes(4,
+                                                                   "little")
+    assert insn_at(program, 0).mem_offset_imm == 0          # first pool
+    assert insn_at(program, program.symbols["skip"]).mem_offset_imm == 0
+
+
+def test_literal_out_of_reach_of_every_slot_is_rejected():
+    with pytest.raises(AssemblerError, match="offset 7992 out of range") \
+            as excinfo:
+        assemble("""
+    ldr r0, =0x12345678
+    b past
+    .space 7992
+past:
+    .ltorg
+""")
+    assert excinfo.value.line == 2
+
+
+@pytest.mark.parametrize("text", [
+    "0", "42", "0x1F", "0XFF", "0b101", "0b12", "0x", "0x1_0", "1_0",
+    "BASE", "BASE+4", " BASE", "BASE ", "(BASE)", "'A'", "-1", "~0",
+    ".L1", "$x", "nowhere", "x.y", "2BASE",
+])
+def test_expression_fast_path_reads_as_the_parser(text):
+    """A plain number or symbol skips the expression parser; the value
+    or the error is the parser's."""
+    assembler = Assembler()
+    assembler.symbols.update({"BASE": 0x1000, ".L1": 8, "$x": 3,
+                              "x.y": 5})
+    try:
+        expected = _ExprParser(text, assembler.symbols).parse()
+    except ValueError as error:
+        with pytest.raises(AssemblerError, match=re.escape(str(error))):
+            assembler._eval(text, 1, text)
+    else:
+        assert assembler._eval(text, 1, text) == expected
+
+
+def _split_by_walking(text):
+    pieces, depth, current = [], 0, ""
+    for char in text:
+        if char in "[{(":
+            depth += 1
+        elif char in "]})":
+            depth -= 1
+        if char == "," and depth == 0:
+            pieces.append(current.strip())
+            current = ""
+        else:
+            current += char
+    if current.strip():
+        pieces.append(current.strip())
+    return pieces
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "r0", "r0, r1", "r0, r1, #4", "r0,,r1", "r0, ", ",", " , r1",
+    "r0, [r1, #4]", "{r0, r1}, r2", "r0), r1", "r0, #(1, 2)",
+])
+def test_operand_split_fast_path_matches_the_walk(text):
+    assert Assembler()._split_operands(text) == _split_by_walking(text)

@@ -27,10 +27,12 @@ from repro.host.isa import X86Cond, X86Op
 ENUMS = {"X86Op": X86Op, "X86Cond": X86Cond, "Op": Op, "Cond": Cond,
          "ShiftKind": ShiftKind, "CarryKind": CarryKind}
 
-#: The modules whose functions run per guest or host instruction.
+#: The modules whose functions run per guest or host instruction, or
+#: per assembled source line.
 MODULES = [
     "repro.host.interp", "repro.host.builder", "repro.host.ops",
-    "repro.guest.isa", "repro.guest.decoder",
+    "repro.guest.isa", "repro.guest.decoder", "repro.guest.asm",
+    "repro.guest.encoder",
     "repro.core.analysis", "repro.core.translator", "repro.core.alu",
     "repro.core.condmap", "repro.core.rulebook",
     "repro.miniqemu.mmu_codegen", "repro.miniqemu.machine",

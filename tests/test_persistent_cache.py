@@ -24,6 +24,7 @@ import pytest
 from repro.analysis.dataflow import check_tb
 from repro.analysis.justify import J_REORDER, justifications_of
 from repro.cache import attach_cache, iter_store_dirs, verify_store
+from repro.cache import loader as loader_module
 from repro.core import OptLevel, make_rule_engine
 from repro.guest.asm import assemble
 from repro.harness.runner import run_workload
@@ -344,6 +345,70 @@ def test_tampered_store_is_rejected_not_executed(tmp_path):
     assert _run(warm, warm_loader) == 0
     assert warm_loader.corrupt == 1
     assert warm_loader.evicted >= 1
+    assert warm_loader.loaded == cold_loader.saved - 1
+    assert _final_state(warm) == _final_state(cold)
+    assert _deterministic_stats(warm) == _deterministic_stats(cold)
+
+
+def _count_entry_checksums(monkeypatch):
+    """Count the loader's per-entry checksum computations."""
+    calls = []
+    real = loader_module.entry_checksum
+
+    def counted(entry):
+        calls.append((entry["pc"], entry["mmu_idx"]))
+        return real(entry)
+
+    monkeypatch.setattr(loader_module, "entry_checksum", counted)
+    return calls
+
+
+def test_intact_store_attaches_without_entry_checksums(tmp_path,
+                                                        monkeypatch):
+    """A payload that hashes to the manifest's checksum is what a save
+    wrote: attach trusts the entry checksums that save computed."""
+    cold, cold_loader = _machine(tmp_path)
+    _run(cold, cold_loader)
+    calls = _count_entry_checksums(monkeypatch)
+
+    warm, warm_loader = _machine(tmp_path)
+    assert warm_loader.store.intact and calls == []
+    assert _run(warm, warm_loader) == 0
+    assert calls == []
+    assert warm_loader.loaded == cold_loader.saved > 0
+    assert warm_loader.corrupt == warm_loader.evicted == 0
+    assert _final_state(warm) == _final_state(cold)
+    assert _deterministic_stats(warm) == _deterministic_stats(cold)
+
+
+def test_one_changed_byte_evicts_only_its_entry(tmp_path, monkeypatch):
+    """A changed byte breaks the payload checksum, so attach checks
+    every entry: the one that holds the byte is evicted, the rest
+    revive."""
+    cold, cold_loader = _machine(tmp_path)
+    _run(cold, cold_loader)
+    path = os.path.join(iter_store_dirs(str(tmp_path))[0], "entries.json")
+    with open(path, "rb") as handle:
+        data = bytearray(handle.read())
+    # The last entry's first guest word: change its last digit.
+    start = data.rindex(b'"words":[') + len(b'"words":[')
+    end = start
+    while data[end:end + 1].isdigit():
+        end += 1
+    data[end - 1] = ord("0") + (data[end - 1] - ord("0") + 1) % 10
+    with open(path, "wb") as handle:
+        handle.write(data)
+    entries = json.loads(data)["entries"]
+    keys = {(entry["pc"], entry["mmu_idx"]) for entry in entries}
+    changed = (entries[-1]["pc"], entries[-1]["mmu_idx"])
+    calls = _count_entry_checksums(monkeypatch)
+
+    warm, warm_loader = _machine(tmp_path)
+    assert not warm_loader.store.intact
+    assert sorted(calls) == sorted(keys)
+    assert set(warm_loader._entries) == keys - {changed}
+    assert warm_loader.corrupt == warm_loader.evicted == 1
+    assert _run(warm, warm_loader) == 0
     assert warm_loader.loaded == cold_loader.saved - 1
     assert _final_state(warm) == _final_state(cold)
     assert _deterministic_stats(warm) == _deterministic_stats(cold)
