@@ -12,10 +12,11 @@ Run:  python examples/floating_point.py
 """
 
 from repro.analysis.justify import sync_counts
-from repro.core import OptLevel
+from repro.core.config import OptLevel
 from repro.core.engine import RuleEngine
 from repro.guest.asm import assemble
-from repro.harness import format_table, run_workload
+from repro.harness.report import format_table
+from repro.harness.runner import run_workload
 from repro.miniqemu.machine import Machine, TcgEngine
 from repro.workloads.specfp import SPECFP_WORKLOADS
 

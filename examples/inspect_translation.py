@@ -11,8 +11,8 @@ Run:  python examples/inspect_translation.py
 """
 
 from repro.analysis.justify import sync_counts
-from repro.core import OptLevel, make_rule_engine
-from repro.core.engine import RuleEngine
+from repro.core.config import OptLevel
+from repro.core.engine import RuleEngine, make_rule_engine
 from repro.guest.asm import assemble
 from repro.miniqemu.machine import Machine, TcgEngine
 

@@ -9,8 +9,9 @@ word when an interrupt actually needs the bits (Sec III-B / Fig 7).
 Run:  python examples/interrupt_latency.py
 """
 
-from repro.core import OptLevel, make_rule_engine
-from repro.harness import format_table
+from repro.core.config import OptLevel
+from repro.core.engine import make_rule_engine
+from repro.harness.report import format_table
 from repro.kernel.kernel import build_kernel, build_user_program
 from repro.miniqemu.machine import Machine
 

@@ -14,9 +14,10 @@ rule-based DBT and reports its dynamic coverage on a real workload.
 Run:  python examples/learn_rules.py
 """
 
-from repro.core import OptLevel, make_rule_engine
+from repro.core.config import OptLevel
+from repro.core.engine import make_rule_engine
 from repro.harness.runner import make_machine
-from repro.learning import learn
+from repro.learning.learn import learn
 from repro.workloads.spec import SPEC_WORKLOADS
 
 

@@ -13,8 +13,9 @@ then prints each engine's console output and cost metrics.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import OptLevel, make_rule_engine
-from repro.harness import format_table
+from repro.core.config import OptLevel
+from repro.core.engine import make_rule_engine
+from repro.harness.report import format_table
 from repro.kernel.kernel import build_kernel, build_user_program
 from repro.miniqemu.machine import Machine
 

@@ -60,8 +60,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ALL_EXPERIMENTS, ENGINE_SPECS, format_table, \
-    run_workload
+from .harness.experiments import ALL_EXPERIMENTS
+from .harness.report import format_table
+from .harness.runner import ENGINE_SPECS, run_workload
 from .workloads import ALL_WORKLOADS
 
 
@@ -139,7 +140,7 @@ def _run_and_print(workload, args) -> int:
 
     tracer = None
     if getattr(args, "trace", None):
-        from .observability import Tracer
+        from .observability.trace import Tracer
         tracer = Tracer()
     try:
         result = run_workload(workload, args.engine, inject=args.inject,
@@ -166,7 +167,7 @@ def _run_and_print(workload, args) -> int:
               f"{stats.get('engine.check_rejected', 0):.0f} rejected, "
               f"{stats.get('engine.check_findings', 0):.0f} finding(s)")
     if tracer is not None:
-        from .observability import write_chrome_trace
+        from .observability.export import write_chrome_trace
         path = write_chrome_trace(args.trace, tracer.events())
         print(f"trace written to {path} ({tracer.emitted} events, "
               f"{tracer.dropped} dropped)")
@@ -202,7 +203,7 @@ def cmd_faultsmoke(args) -> int:
     import shutil
     import tempfile
 
-    from .harness import format_table
+    from .harness.report import format_table
 
     rows = []
     failures = 0
@@ -331,10 +332,10 @@ def cmd_profile(args) -> int:
     import os
 
     from .common.errors import ReproError
-    from .observability import (Profiler, Tracer, build_profile,
-                                render_profile, write_chrome_trace,
-                                write_profile_json)
-    from .harness import make_machine
+    from .harness.runner import make_machine
+    from .observability.export import write_chrome_trace, write_profile_json
+    from .observability.profile import Profiler, build_profile, render_profile
+    from .observability.trace import Tracer
 
     workload = ALL_WORKLOADS.get(args.workload)
     if workload is None:
@@ -371,7 +372,7 @@ def cmd_profile(args) -> int:
 def cmd_validate_trace(args) -> int:
     import json
 
-    from .observability import validate_chrome_trace
+    from .observability.export import validate_chrome_trace
 
     with open(args.file) as handle:
         try:
@@ -423,8 +424,8 @@ def cmd_cache(args) -> int:
     import json
     import os
 
-    from .cache import clear_stores, iter_store_dirs, store_info, \
-        verify_store
+    from .cache.store import (clear_stores, iter_store_dirs, store_info,
+                              verify_store)
 
     root = args.dir
     if args.action == "clear":
@@ -486,7 +487,7 @@ def _report_claims(results, out=None) -> int:
 
 def _bench_experiment(args) -> int:
     """Print one paper figure (or ``all``) and check its claims."""
-    from .observability import check_claims
+    from .observability.bench import check_claims
 
     names = sorted(ALL_EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
@@ -513,12 +514,11 @@ def _bench_suite(args) -> int:
     import json
 
     from .common.errors import ReproError
-    from .observability import (IncomparableSnapshots, check_claims,
-                                compare_snapshots, load_snapshot,
-                                next_snapshot_path, render_snapshot,
-                                run_suite, validate_snapshot,
-                                write_snapshot)
-    from .observability.regress import GATE_LEVELS
+    from .observability.baseline import (load_snapshot, next_snapshot_path,
+                                         validate_snapshot, write_snapshot)
+    from .observability.bench import check_claims, render_snapshot, run_suite
+    from .observability.regress import (GATE_LEVELS, IncomparableSnapshots,
+                                        compare_snapshots)
 
     if args.fail_on not in GATE_LEVELS:
         print(f"unknown --fail-on level {args.fail_on!r} "
@@ -598,7 +598,7 @@ def _bench_suite(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    from .learning import learn
+    from .learning.learn import learn
     from .learning.serialize import save_rulebook
 
     result = learn()

@@ -26,6 +26,11 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, List
 
+from ..harness.runner import make_machine
+from ..learning.learn import learn
+from ..learning.verify import CLASS_PROVED, CLASS_REFUTED, CLASS_TESTED, verify
+from ..observability.profile import Profiler
+from ..workloads import ALL_WORKLOADS
 from .dataflow import check_tb
 from .findings import Finding, Report, Severity
 
@@ -52,10 +57,6 @@ def check_rulebook(report: Report, quarantine=None,
     verified here, then reported and quarantined like rulebook entries,
     but do not join the rulebook counts.
     """
-    from ..learning import learn
-    from ..learning.verify import (CLASS_PROVED, CLASS_REFUTED,
-                                   CLASS_TESTED, verify)
-
     result = learn()
     candidates = list(result.verified_candidates) + list(extra_candidates)
     verdicts = {c.site: result.verdicts[c.site]
@@ -147,10 +148,6 @@ def check_workloads(report: Report,
                     include_waivers: bool = False,
                     inject=None, profile: bool = False) -> None:
     """Run each (workload, engine) pair and check the resulting TBs."""
-    from ..harness.runner import make_machine
-    from ..observability import Profiler
-    from ..workloads import ALL_WORKLOADS
-
     total_tbs = 0
     pairs = 0
     for name in workloads:

@@ -60,6 +60,7 @@ from .findings import Finding, Severity
 from .justify import (EV_FALLBACK, EV_PRODUCE, EV_RESTORE, EV_SAVE,
                       EV_TERMINAL, J_ELIDE_SAVE, J_INTER_TB, J_REORDER,
                       audit_of, justifications_of)
+from .reorder import check_reorder, reorder_waivers
 
 # EFLAGS abstract locations.
 JUNK = "junk"
@@ -242,7 +243,6 @@ class TbChecker:
                                      "emitted": scheduled_addrs})
         if not reordered:
             return
-        from .reorder import check_reorder, reorder_waivers
         if not self.reorder_records:
             self._error("undeclared-reorder",
                         "block is out of address order but carries no "

@@ -22,18 +22,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .fingerprint import (FORMAT_VERSION, context_fingerprint,
-                          fingerprint_key)
 from .loader import CacheLoader
-from .store import (CacheStore, UnpersistableTB, clear_stores,
-                    iter_store_dirs, serialize_tb, store_info, verify_store)
-
-__all__ = [
-    "FORMAT_VERSION", "CacheLoader", "CacheStore", "UnpersistableTB",
-    "attach_cache", "clear_stores", "context_fingerprint",
-    "fingerprint_key", "iter_store_dirs", "serialize_tb", "store_info",
-    "verify_store",
-]
 
 
 def attach_cache(machine, cache_dir: str) -> Optional[CacheLoader]:

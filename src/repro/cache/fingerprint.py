@@ -20,6 +20,8 @@ import json
 from dataclasses import asdict
 from typing import Any, Dict
 
+from ..common import costmodel
+
 #: Bump on any incompatible change to the serialized entry layout.
 FORMAT_VERSION = 3
 
@@ -30,8 +32,6 @@ SCHEMA = "repro-tb-cache"
 def cost_model_digest() -> str:
     """Digest of every cost-model constant (persisted TBs re-charge the
     modelled translation cost, so a recalibration invalidates stores)."""
-    from ..common import costmodel
-
     constants = sorted(
         (name, value) for name, value in vars(costmodel).items()
         if name.isupper() and isinstance(value, (int, float)))

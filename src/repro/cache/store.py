@@ -46,11 +46,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 from dataclasses import replace
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Tuple,
                     Union)
 
+from ..common.errors import DecodingError
+from ..guest.decoder import decode
 from ..host.isa import Imm, Mem, Reg, X86Cond, X86Insn, X86Op, Xmm
 from ..miniqemu.helpers import (make_exception_return_helper, make_ld_helper,
                                 make_st_helper, make_svc_helper,
@@ -469,9 +472,6 @@ def verify_store(directory: str) -> List[str]:
     store is tampered or corrupt; the engine's load path independently
     refuses such entries.
     """
-    from ..common.errors import DecodingError
-    from ..guest.decoder import decode
-
     problems: List[str] = []
     manifest = _read_json(os.path.join(directory, "manifest.json"))
     if manifest is None:
@@ -486,7 +486,7 @@ def verify_store(directory: str) -> List[str]:
         return problems + [f"entries.json unreadable: {error}"]
     if manifest.get("payload_sha256") != _sha256_text(payload_text):
         problems.append("payload checksum mismatch (tampered store)")
-    entries = payload.get("entries")
+    entries = payload.get("entries") if isinstance(payload, dict) else None
     if not isinstance(entries, list):
         return problems + ["entries.json malformed"]
     if isinstance(manifest.get("entries"), int) and \
@@ -511,9 +511,15 @@ def verify_store(directory: str) -> List[str]:
             continue
         by_addr = {}
         for index, word in enumerate(words):
+            # decode() reads any int's low 32 bits (2**40 as word 0)
+            # and a bool as an int (True as word 1).
+            if type(word) is not int or not 0 <= word <= 0xFFFFFFFF:
+                problems.append(f"{label}: word {index} undecodable: "
+                                f"not a 32-bit word")
+                break
             try:
                 insn = decode(word, pc + 4 * index)
-            except (DecodingError, TypeError):
+            except DecodingError:
                 problems.append(f"{label}: word {index} undecodable")
                 break
             by_addr[insn.addr] = insn
@@ -527,8 +533,6 @@ def verify_store(directory: str) -> List[str]:
 
 def clear_stores(root: str) -> int:
     """Delete every store under *root*; returns the number removed."""
-    import shutil
-
     removed = 0
     for directory in iter_store_dirs(root):
         shutil.rmtree(directory, ignore_errors=True)

@@ -1,5 +1,1 @@
 """Shared utilities: bit manipulation, errors, the cost model."""
-
-from . import bitops, costmodel, errors  # noqa: F401
-
-__all__ = ["bitops", "costmodel", "errors"]

@@ -158,6 +158,8 @@ class RuleEngine(DbtEngineBase):
         """
         if not self.check:
             return tb
+        # Imported here: only ``--check`` runs the dataflow checker, so
+        # a run without it never loads the checker.
         from ..analysis.dataflow import check_tb
         from ..analysis.findings import Severity
 

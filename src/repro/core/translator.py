@@ -40,7 +40,7 @@ from ..analysis.justify import (AUDIT_KEY, JUSTIFY_KEY,
 from ..common.bitops import u32
 from ..guest.isa import ArmInsn, Cond, Op, PC, ShiftKind
 from ..host.builder import CodeBuilder, InsnMemo
-from ..host.isa import (EAX, EDX, ENV_REG, Imm, Mem, Reg, X86Cond,
+from ..host.isa import (EAX, EDX, ENV_REG, ESP, Imm, Mem, Reg, X86Cond,
                         X86Op, Xmm)
 from ..miniqemu import mmu_codegen
 from ..miniqemu.env import (ENV_IRQ, ENV_PACKED_VALID, env_reg,
@@ -48,10 +48,11 @@ from ..miniqemu.env import (ENV_IRQ, ENV_PACKED_VALID, env_reg,
 from ..miniqemu.helpers import (make_exception_return_helper,
                                 make_svc_helper, make_sysreg_helper)
 from ..miniqemu.tb import (EXIT_INTERRUPT, EXIT_PC_UPDATED, TranslationBlock)
+from ..observability.trace import NULL_TRACER
 from .alu import AluEmitter
 from .analysis import (AnalyzedBlock, InsnInfo, flags_read, flags_written,
-                       F_ALL)
-from .condmap import CarryKind, skip_sequence
+                       F_ALL, regs_read, regs_written)
+from .condmap import CarryKind, negate, skip_sequence
 from .config import OptConfig
 from .coordination import FlagsState
 from .regcache import RegCache
@@ -114,7 +115,6 @@ class RuleTranslator:
                  successor_live_in: Optional[Callable[[int], int]] = None,
                  tcg_fallback: Optional[Callable] = None,
                  tracer=None, shared_insns: Optional[InsnMemo] = None):
-        from ..observability.trace import NULL_TRACER
         self.mmu_idx = mmu_idx
         self.config = config
         #: the engine's instruction memo, shared by every TB's builder
@@ -458,7 +458,6 @@ class RuleTranslator:
             self._eager_restore()
 
     def _pretouch(self, insn: ArmInsn) -> None:
-        from .analysis import regs_read, regs_written
         for guest in sorted(regs_read(insn) | regs_written(insn)):
             if guest != PC:
                 self.cache.read(guest)
@@ -494,7 +493,6 @@ class RuleTranslator:
         sequence = skip_sequence(insn.cond, self.flags.kind)
         if len(sequence) == 1:
             host_cond, _ = sequence[0]
-            from .condmap import negate
             builder.jcc(negate(host_cond), taken)
         else:
             # Two-test conditions: fall into taken when not skipped.
@@ -851,7 +849,6 @@ class RuleTranslator:
             else:
                 self._emit_fallback(insn)
                 return
-            from ..host.isa import ESP
             builder.push(Reg(EAX), tag="helper")
             self._audit.append(terminal_event(len(builder.insns)))
             builder.call_helper(make_exception_return_helper(insn),

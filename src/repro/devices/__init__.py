@@ -1,15 +1,1 @@
 """Device models: interrupt controller, timer, UART, block device, NIC."""
-
-from .blockdev import SECTOR_SIZE, BlockDevice
-from .intc import (IRQ_BLOCK, IRQ_NET, IRQ_TIMER, IRQ_UART,
-                   InterruptController)
-from .nic import Nic
-from .syscon import SystemController
-from .timer import Timer
-from .uart import Uart
-
-__all__ = [
-    "BlockDevice", "IRQ_BLOCK", "IRQ_NET", "IRQ_TIMER", "IRQ_UART",
-    "InterruptController", "Nic", "SECTOR_SIZE", "SystemController",
-    "Timer", "Uart",
-]

@@ -1,14 +1,1 @@
 """ARMv7-A guest ISA: model, assembler, codecs, CPU state, interpreter."""
-
-from .asm import Assembler, Program, assemble
-from .cpu import GuestCpu
-from .decoder import decode
-from .encoder import encode
-from .interp import Interpreter, condition_passed
-from .isa import ArmInsn, Cond, Op, Operand2, ShiftKind
-
-__all__ = [
-    "ArmInsn", "Assembler", "Cond", "GuestCpu", "Interpreter", "Op",
-    "Operand2", "Program", "ShiftKind", "assemble", "condition_passed",
-    "decode", "encode",
-]

@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
+from ..core.config import OptConfig
 from ..workloads.realworld import REALWORLD_WORKLOADS
 from ..workloads.spec import SPEC_WORKLOADS
 from ..workloads.specfp import SPECFP_WORKLOADS
 from .report import format_table, geomean, percent
-from .runner import RunResult, run_cached
+from .runner import (RunResult, current_cache_inject, run_cached,
+                     run_workload)
 
 SPEC_ORDER = ["perlbench", "bzip2", "gcc", "mcf", "gobmk", "hmmer", "sjeng",
               "libquantum", "h264ref", "omnetpp", "astar", "xalancbmk"]
@@ -379,9 +381,7 @@ def footnote3() -> ExperimentResult:
 ABLATION_SUBSET = ["mcf", "xalancbmk", "bzip2", "hmmer"]
 
 
-def _ablation_configs() -> Dict[str, "OptConfig"]:
-    from ..core import OptConfig
-
+def _ablation_configs() -> Dict[str, OptConfig]:
     return {
         "base": OptConfig(),
         "packed only": OptConfig(packed_sync=True),
@@ -400,8 +400,6 @@ def _ablation_configs() -> Dict[str, "OptConfig"]:
 
 def ablation() -> ExperimentResult:
     """Per-switch ablation on a representative workload subset."""
-    from .runner import current_cache_inject, run_workload
-
     result = ExperimentResult("ablation")
     inject = current_cache_inject()
     qemu = {name: run_cached(SPEC_WORKLOADS[name], "tcg").runtime

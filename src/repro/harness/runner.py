@@ -13,11 +13,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..common.errors import ReproError
-from ..core import OptConfig, OptLevel, make_rule_engine
+from ..core.config import OptConfig, OptLevel
+from ..core.engine import make_rule_engine
 from ..kernel.kernel import build_kernel, build_user_program
 from ..miniqemu.machine import Machine
-from ..robustness import (ExecutionWatchdog, FaultInjector, FaultPlan,
-                          parse_inject_spec)
+from ..robustness.faultinject import (FaultInjector, FaultPlan,
+                                      parse_inject_spec)
+from ..robustness.guard import ExecutionWatchdog
 from ..workloads.spec import Workload
 
 #: Engine specifications accepted by :func:`run_workload`.
@@ -116,6 +118,8 @@ def make_machine(workload: Workload, engine: str,
         machine.nic.queue_rx(packet)
     if cache_dir:
         # After load_program: the store key includes the image digest.
+        # Imported here so a run without a cache directory never loads
+        # the store, and resolved by name at each call.
         from ..cache import attach_cache
         attach_cache(machine, cache_dir)
     return machine

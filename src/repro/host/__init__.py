@@ -1,14 +1,1 @@
 """x86-32 host: instruction model, CPU/memory state, interpreter, builder."""
-
-from .builder import CodeBuilder
-from .cpu import HostCpu
-from .interp import ExitInfo, HostInterpreter
-from .isa import (EAX, EBP, EBX, ECX, EDI, EDX, ENV_REG, ESI, ESP, Imm, Mem,
-                  Reg, X86Cond, X86Insn, X86Op)
-from .memory import HostMemory
-
-__all__ = [
-    "CodeBuilder", "EAX", "EBP", "EBX", "ECX", "EDI", "EDX", "ENV_REG",
-    "ESI", "ESP", "ExitInfo", "HostCpu", "HostInterpreter", "HostMemory",
-    "Imm", "Mem", "Reg", "X86Cond", "X86Insn", "X86Op",
-]

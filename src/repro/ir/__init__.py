@@ -1,9 +1,1 @@
 """TCG-like IR: instruction set, builder, optimizer."""
-
-from .ops import IRBuilder, IRCond, IRInsn, IROp, Temp
-from .opt import eliminate_dead_env_stores, eliminate_dead_temps, optimize
-
-__all__ = [
-    "IRBuilder", "IRCond", "IRInsn", "IROp", "Temp",
-    "eliminate_dead_env_stores", "eliminate_dead_temps", "optimize",
-]

@@ -1,9 +1,1 @@
 """The mini guest OS (boot, page tables, syscalls, IRQ handling)."""
-
-from .kernel import (DEFAULT_TIMER_RELOAD, KERNEL_SOURCE_TEMPLATE, Sys,
-                     USER_ENTRY, USER_HEAP, USER_PRELUDE, USER_STACK_TOP,
-                     build_kernel, build_user_program)
-
-__all__ = ["DEFAULT_TIMER_RELOAD", "KERNEL_SOURCE_TEMPLATE", "Sys",
-           "USER_ENTRY", "USER_HEAP", "USER_PRELUDE", "USER_STACK_TOP",
-           "build_kernel", "build_user_program"]

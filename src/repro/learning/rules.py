@@ -9,6 +9,10 @@ concrete instruction sequences —
   correspondence taken from the variable-location (debug) tables;
 - **immediate parameterization**: literal constants that appear on both
   sides are replaced by immediate placeholders;
+- **branch-target parameterization**: each side's branch targets (a
+  guest address, a host instruction index) become target placeholders
+  in first-use order, so a rule does not depend on where its fragment
+  sits in its function;
 - **opcode parameterization**: ALU rules that differ only in the
   (guest op, host op) pair are merged into one rule with an opcode
   class placeholder (add/add, sub/sub, and/and, orr/or, eor/xor).
@@ -22,9 +26,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..guest.isa import ArmInsn, Op, ShiftKind
+from ..host.isa import X86Insn, X86Op
 from .extract import CandidateRule
 
 #: (guest mnemonic, host mnemonic) pairs merged by opcode
@@ -85,6 +90,30 @@ def _parameterize_text(lines: List[str], shared_imms: Set[int]):
     return tuple(out)
 
 
+def _render(insns: Iterable[Any],
+            target_of: Callable[[Any], Optional[int]]) -> List[str]:
+    """Each instruction's text, with a branch target (the text's last
+    word) replaced by ``T<n>``, numbered in first-use order."""
+    names: Dict[int, str] = {}
+    lines = []
+    for insn in insns:
+        text = str(insn)
+        target = target_of(insn)
+        if target is not None:
+            name = names.setdefault(target, f"T{len(names)}")
+            text = f"{text.rsplit(' ', 1)[0]} {name}"
+        lines.append(text)
+    return lines
+
+
+def _guest_target(insn: ArmInsn) -> Optional[int]:
+    return insn.target if insn.op in (Op.B, Op.BL) else None
+
+
+def _host_target(insn: X86Insn) -> Optional[int]:
+    return insn.target_index if insn.op in (X86Op.JMP, X86Op.JCC) else None
+
+
 def _immediates(text_lines: List[str]) -> Set[int]:
     values = set()
     for line in text_lines:
@@ -94,8 +123,8 @@ def _immediates(text_lines: List[str]) -> Set[int]:
 
 
 def parameterize(candidate: CandidateRule, proved: bool) -> Rule:
-    guest_text = [str(insn) for insn in candidate.guest]
-    host_text = [str(insn) for insn in candidate.host]
+    guest_text = _render(candidate.guest, _guest_target)
+    host_text = _render(candidate.host, _host_target)
     shared = _immediates(guest_text) & _immediates(host_text)
     return Rule(
         guest_pattern=_parameterize_text(guest_text, shared),

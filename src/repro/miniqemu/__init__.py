@@ -1,18 +1,1 @@
 """MiniQEMU: the baseline system emulator (ARM -> TCG IR -> x86)."""
-
-from .env import Env, ENV_BASE, RAM_HOST_BASE, TLB_BASE, env_reg
-from .machine import (DbtEngineBase, InterpEngine, Machine, TcgEngine,
-                      UART_BASE, TIMER_BASE, INTC_BASE, BLOCK_BASE,
-                      NIC_BASE, SYSCON_BASE)
-from .tb import (CodeCache, EXIT_EXCEPTION, EXIT_HALT, EXIT_INTERRUPT,
-                 EXIT_PC_UPDATED, MAX_TB_INSNS, TbExitException,
-                 TranslationBlock)
-
-__all__ = [
-    "BLOCK_BASE", "CodeCache", "DbtEngineBase", "ENV_BASE",
-    "EXIT_EXCEPTION", "EXIT_HALT", "EXIT_INTERRUPT", "EXIT_PC_UPDATED",
-    "Env", "INTC_BASE", "InterpEngine", "MAX_TB_INSNS", "Machine",
-    "NIC_BASE", "RAM_HOST_BASE", "SYSCON_BASE", "TIMER_BASE", "TLB_BASE",
-    "TbExitException", "TcgEngine", "TranslationBlock", "UART_BASE",
-    "env_reg",
-]

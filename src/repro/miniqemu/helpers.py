@@ -18,16 +18,19 @@ from __future__ import annotations
 from ..common.bitops import u32
 from ..common.costmodel import (COST_EXCEPTION_ENTRY, COST_LAZY_FLAGS_PARSE,
                                 COST_MMIO_ACCESS, COST_PAGE_WALK,
-                                COST_SYSREG_HELPER)
+                                COST_SOFTFLOAT, COST_SYSREG_HELPER)
 from ..common.errors import MemoryFault, UndefinedInstruction
+from ..common.f32 import f32_add, f32_compare, f32_mul, f32_sub
 from ..guest.cpu import (CPSR_I, MODE_ABT, MODE_SVC, MODE_UND, MODE_USR,
                          VECTOR_DATA_ABORT, VECTOR_SVC, VECTOR_UNDEF)
+from ..guest.interp import Interpreter
 from ..guest.isa import ArmInsn, Op, PC
 from ..host.isa import FLAG_CF, FLAG_OF, FLAG_SF, FLAG_ZF
-from ..softmmu.pagetable import PAGE_SIZE
+from ..softmmu.pagetable import (PAGE_SIZE, PERM_EXEC, PERM_READ, PERM_USER,
+                                 PERM_WRITE, Translation)
 from ..softmmu.tlb import ACCESS_READ, ACCESS_WRITE, MMU_IDX_USER
-from .env import (ENV_CF, ENV_IRQ, ENV_NF, ENV_PACKED_FLAGS,
-                  ENV_PACKED_VALID, ENV_VF, ENV_ZF, Env)
+from .env import (ENV_CF, ENV_FPSCR, ENV_IRQ, ENV_NF, ENV_PACKED_FLAGS,
+                  ENV_PACKED_VALID, ENV_VF, ENV_ZF, Env, env_vfp)
 from .tb import EXIT_EXCEPTION, EXIT_HALT, TbExitException
 
 
@@ -131,8 +134,6 @@ class QemuRuntime:
         if not self.cpu.cp15.mmu_enabled:
             # MMU off: identity mapping; cache it like QEMU does so that
             # subsequent accesses hit the inline fast path.
-            from ..softmmu.pagetable import (PERM_EXEC, PERM_READ, PERM_USER,
-                                             PERM_WRITE, Translation)
             page = vaddr & ~(PAGE_SIZE - 1)
             translation = Translation(page, page,
                                       PERM_READ | PERM_WRITE | PERM_EXEC |
@@ -247,8 +248,6 @@ def make_sysreg_helper(insn: ArmInsn):
         runtime.env_to_cpu()
         # Reuse the reference interpreter's system-op semantics for exact
         # architectural behaviour.
-        from ..guest.interp import Interpreter
-
         interp = Interpreter(cpu, _HelperBus(runtime))
         saved_pc = cpu.regs[PC]
         cpu.regs[PC] = insn.addr
@@ -271,10 +270,6 @@ def make_sysreg_helper(insn: ArmInsn):
 
 def make_vfp_helper(insn: ArmInsn):
     """Softfloat-style helper for VFP arithmetic/compare (as in QEMU)."""
-    from ..common.costmodel import COST_SOFTFLOAT
-    from ..common.f32 import f32_add, f32_compare, f32_mul, f32_sub
-    from .env import ENV_FPSCR, env_vfp
-
     def helper_vfp(runtime: QemuRuntime) -> None:
         if not runtime.host.tb_side_effects:
             runtime.machine.injector.maybe_fault(

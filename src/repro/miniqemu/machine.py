@@ -7,7 +7,7 @@ and a pluggable *execution engine*:
 - :class:`InterpEngine` — the reference ARM interpreter (architectural
   ground truth; also the "native execution" cost baseline for Fig 18),
 - :class:`TcgEngine` — the MiniQEMU baseline (ARM -> IR -> x86),
-- ``repro.core.RuleEngine`` — the paper's rule-based translator, which
+- ``repro.core.engine.RuleEngine`` — the paper's rule-based translator, which
   plugs into the same socket.
 
 The physical memory map::
@@ -37,7 +37,8 @@ from ..devices.nic import Nic
 from ..devices.syscon import SystemController
 from ..devices.timer import Timer
 from ..devices.uart import Uart
-from ..guest.cpu import GuestCpu, MODE_IRQ, MODE_USR, VECTOR_IRQ
+from ..guest.cpu import (GuestCpu, MODE_ABT, MODE_IRQ, MODE_UND, MODE_USR,
+                         VECTOR_IRQ, VECTOR_PREFETCH_ABORT, VECTOR_UNDEF)
 from ..guest.decoder import decode
 from ..guest.interp import Interpreter
 from ..guest.isa import PC, ArmInsn
@@ -48,6 +49,7 @@ from ..observability.trace import FLIGHT_RECORDER_EVENTS, NULL_TRACER
 from ..host.interp import HostInterpreter
 from ..host.isa import ENV_REG
 from ..host.memory import HostMemory
+from ..ir.opt import optimize
 from ..robustness.degrade import (DegradationController, SelfCheck,
                                   tb_selfcheckable)
 from ..robustness.faultinject import NullInjector
@@ -148,7 +150,7 @@ class Machine:
         elif engine == "rules":
             if rule_engine_factory is None:
                 raise ValueError("rules engine requires a factory "
-                                 "(use repro.core.make_rule_engine)")
+                                 "(use repro.core.engine.make_rule_engine)")
             self.engine = rule_engine_factory(self)
         else:
             raise ValueError(f"unknown engine {engine!r}")
@@ -381,8 +383,6 @@ class DbtEngineBase:
     def translate_tcg(self, pc: int, mmu_idx: int) -> TranslationBlock:
         """The MiniQEMU pipeline (ARM -> TCG IR -> x86); the shared
         fallback tier below the rules engine."""
-        from ..ir.opt import optimize
-
         insns = self.fetch_block(pc)
         frontend = TcgFrontend(mmu_idx)
         ir_insns, jmp_pcs = frontend.translate(pc, insns)
@@ -537,13 +537,11 @@ class DbtEngineBase:
                 tb = self.get_tb(pc, self.mmu_idx())
             except MemoryFault:
                 # Translation-time fetch fault: a guest prefetch abort.
-                from ..guest.cpu import MODE_ABT, VECTOR_PREFETCH_ABORT
                 runtime.deliver_exception(MODE_ABT, VECTOR_PREFETCH_ABORT,
                                           pc + 4)
                 continue
             except DecodingError:
                 # The guest jumped into undecodable bytes: undef.
-                from ..guest.cpu import MODE_UND, VECTOR_UNDEF
                 runtime.deliver_exception(MODE_UND, VECTOR_UNDEF, pc + 4)
                 continue
             except InjectedFault as fault:

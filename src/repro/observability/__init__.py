@@ -33,34 +33,3 @@ on all four; the real wall-clock is ``perfbench/run.py``'s job:
   exact gating for the deterministic cost-model metrics and Sec III
   category attribution of regressions.
 """
-
-from .baseline import (iter_metrics, load_snapshot, next_snapshot_path,
-                       validate_result_payload, validate_snapshot,
-                       write_snapshot)
-from .bench import (FULL_EXPERIMENTS, QUICK_EXPERIMENTS, TIER_ENGINES,
-                    check_claims, render_claims, render_snapshot,
-                    run_suite)
-from .export import (chrome_trace, validate_chrome_trace,
-                     write_chrome_trace, write_profile_json)
-from .profile import (COORDINATION_CATEGORIES, Profiler, build_profile,
-                      coordination_breakdown, render_profile)
-from .regress import (ComparisonReport, GATE_LEVELS,
-                      IncomparableSnapshots, MetricVerdict,
-                      compare_snapshots)
-from .stats import STAT_NAMESPACES, merge_stats, namespace_group
-from .trace import (FLIGHT_RECORDER_EVENTS, NULL_TRACER, NullTracer,
-                    TraceEvent, Tracer)
-
-__all__ = [
-    "COORDINATION_CATEGORIES", "ComparisonReport", "FLIGHT_RECORDER_EVENTS",
-    "FULL_EXPERIMENTS", "GATE_LEVELS", "IncomparableSnapshots",
-    "MetricVerdict", "NULL_TRACER", "NullTracer", "Profiler",
-    "QUICK_EXPERIMENTS", "STAT_NAMESPACES", "TIER_ENGINES", "TraceEvent",
-    "Tracer", "build_profile", "check_claims", "chrome_trace",
-    "compare_snapshots", "coordination_breakdown", "iter_metrics",
-    "load_snapshot", "merge_stats", "namespace_group",
-    "next_snapshot_path", "render_claims", "render_profile",
-    "render_snapshot", "run_suite", "validate_chrome_trace",
-    "validate_result_payload", "validate_snapshot", "write_chrome_trace",
-    "write_profile_json", "write_snapshot",
-]

@@ -22,10 +22,17 @@ category).
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .baseline import SCHEMA, SCHEMA_VERSION, fingerprint
+from ..harness.experiments import ALL_EXPERIMENTS, CLAIMS, SPEC_ORDER
+from ..harness.report import format_table
+from ..harness.runner import (cached_results, run_cached, set_cache_dir,
+                              set_cache_inject)
+from ..workloads import ALL_WORKLOADS
+from .baseline import (SCHEMA, SCHEMA_VERSION, fingerprint,
+                       validate_result_payload)
 from .profile import coordination_breakdown
 
 # NOTE: the harness imports the machine, which imports this package's
@@ -79,11 +86,6 @@ def run_suite(mode: str = "full",
     accounting goes to *progress* only — never into the snapshot, whose
     deterministic metrics must be bit-identical cold vs warm.
     """
-    from ..harness.experiments import ALL_EXPERIMENTS, SPEC_ORDER
-    from ..harness.runner import (cached_results, run_cached,
-                                  set_cache_dir, set_cache_inject)
-    from ..workloads import ALL_WORKLOADS
-
     if experiments is None:
         experiments = {"full": FULL_EXPERIMENTS,
                        "quick": QUICK_EXPERIMENTS}.get(mode, ())
@@ -192,10 +194,6 @@ def run_suite(mode: str = "full",
 def _export_result(results_dir: str, name: str, result: Any) -> None:
     """Write one experiment's rendered ``<name>.txt`` table and its
     validated ``<name>.json`` metric payload."""
-    import json
-
-    from .baseline import validate_result_payload
-
     payload = {"name": name, "rows": list(result.rows),
                "summary": dict(result.summary)}
     problems = validate_result_payload(payload)
@@ -217,8 +215,6 @@ def _export_result(results_dir: str, name: str, result: Any) -> None:
 
 def render_snapshot(snapshot: Dict[str, Any]) -> str:
     """Human-readable summary of one snapshot."""
-    from ..harness.report import format_table
-
     sections = []
     tiers = snapshot.get("tiers", {})
     rows = []
@@ -294,8 +290,6 @@ def check_claims(snapshot: Dict[str, Any]) -> List[Tuple[Any, str]]:
     sweeps skip some or all of them).  Verdicts are derived, never
     stored: the snapshot's ``figures`` are the whole input.
     """
-    from ..harness.experiments import CLAIMS
-
     figures = snapshot.get("figures", {})
     results = []
     for claim in CLAIMS:
@@ -313,8 +307,6 @@ def check_claims(snapshot: Dict[str, Any]) -> List[Tuple[Any, str]]:
 def render_claims(results: List[Tuple[Any, str]]) -> str:
     """One row per claim under a held/violated/skipped count line; only
     the count line when no claim was checked."""
-    from ..harness.report import format_table
-
     counts = {verdict: sum(1 for _, v in results if v == verdict)
               for verdict in (CLAIM_HELD, CLAIM_VIOLATED, CLAIM_SKIPPED)}
     title = ("paper claims: {held} held, {violated} violated, "

@@ -20,6 +20,7 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.justify import sync_counts
+from ..harness.report import format_table
 
 #: The paper's Sec III cost accounting: tag -> category.
 #:
@@ -237,8 +238,6 @@ def build_profile(machine, workload: str = "",
 
 def render_profile(profile: Dict[str, object], top: int = 20) -> str:
     """The ``repro profile`` report: hot-TB table + cost breakdown."""
-    from ..harness import format_table  # local import: avoids a cycle
-
     totals = profile["totals"]
     host_cost = totals["host_cost"] or 1.0
     sections = []

@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..harness.report import format_table
 from .baseline import NEUTRAL, iter_metrics
 
 #: Relative drift tolerated on "exact" metrics (float-formatting head
@@ -117,8 +118,6 @@ class ComparisonReport:
         }, indent=1, sort_keys=True)
 
     def render_table(self) -> str:
-        from ..harness.report import format_table  # avoid a cycle
-
         interesting = [v for v in self.verdicts
                        if v.verdict != VERDICT_FLAT]
         rows = []

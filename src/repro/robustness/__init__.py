@@ -11,16 +11,3 @@ Three cooperating pieces (see ``docs/internals.md``):
 - :mod:`repro.robustness.guard` — the execution watchdog, the shared
   halt fast-forward, and rollback snapshots.
 """
-
-from .degrade import (DegradationController, SelfCheck, TRANSIENT_RETRY_LIMIT,
-                      tb_selfcheckable)
-from .faultinject import (FaultInjector, FaultPlan, NullInjector,
-                          parse_inject_spec)
-from .guard import (ExecutionWatchdog, MachineSnapshot, fast_forward_halt)
-
-__all__ = [
-    "DegradationController", "ExecutionWatchdog", "FaultInjector",
-    "FaultPlan", "MachineSnapshot", "NullInjector", "SelfCheck",
-    "TRANSIENT_RETRY_LIMIT", "fast_forward_halt", "parse_inject_spec",
-    "tb_selfcheckable",
-]

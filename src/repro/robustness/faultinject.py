@@ -63,7 +63,10 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Optional
 
+from ..analysis.justify import (AUDIT_KEY, EV_SAVE, JUSTIFY_KEY,
+                                elide_save_justification, shift_indices)
 from ..common.errors import InjectedFault, ReproError, RuleApplicationError
+from ..host.isa import X86Insn, X86Op
 
 #: Rate-style sites (value is a firing probability per consultation).
 RATE_SITES = ("fetch", "mem", "helper", "irq-storm", "rule-crash")
@@ -293,9 +296,6 @@ class FaultInjector(NullInjector):
 
     @staticmethod
     def _prepend(tb, helper) -> None:
-        from ..analysis.justify import AUDIT_KEY, JUSTIFY_KEY, shift_indices
-        from ..host.isa import X86Insn, X86Op
-
         # Keep the audit/justification bookkeeping aligned: the static
         # checker must see a well-formed (if doomed-at-runtime) TB, not
         # a bookkeeping mismatch.
@@ -322,9 +322,6 @@ class FaultInjector(NullInjector):
         """
         if not self.fires("extra-sync"):
             return
-        from ..analysis.justify import AUDIT_KEY, JUSTIFY_KEY, shift_indices
-        from ..host.isa import X86Insn, X86Op
-
         count = EXTRA_SYNC_INSNS
         for key in (AUDIT_KEY, JUSTIFY_KEY):
             if tb.meta.get(key):
@@ -348,8 +345,6 @@ class FaultInjector(NullInjector):
         justification record claiming the skip was legal.  Only the
         static soundness checker can notice (the guest may happen to
         survive), so these TBs are *not* entry-trapped."""
-        from ..analysis.justify import AUDIT_KEY, EV_SAVE
-
         saves = [event for event in (tb.meta.get(AUDIT_KEY) or ())
                  if event["kind"] == EV_SAVE]
         if not saves:
@@ -375,8 +370,6 @@ class FaultInjector(NullInjector):
     def _forge_elide(self, tb, event) -> None:
         """Delete a sync-save and forge the Sec III-C-2 claim that env
         already held a current copy (a lying elimination pass)."""
-        from ..analysis.justify import JUSTIFY_KEY, elide_save_justification
-
         start = event["start"]
         mode = event.get("mode", "packed")
         self._remove_range(tb, event)
@@ -389,8 +382,6 @@ class FaultInjector(NullInjector):
     def _remove_range(tb, event) -> None:
         """Remove the host instructions of one audit event, keeping the
         remaining bookkeeping (and intra-TB jumps) aligned."""
-        from ..analysis.justify import AUDIT_KEY, JUSTIFY_KEY, shift_indices
-
         start, end = event["start"], event["end"]
         delta = end - start
         # A jump past the removed range moves down with it; a jump into

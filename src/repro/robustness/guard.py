@@ -21,6 +21,7 @@ Three hang classes are converted into structured, recoverable errors:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, List, Optional, Tuple
 
 from ..common.errors import WakeupDeadlock
@@ -132,7 +133,6 @@ def _restore_cpu(cpu, state) -> None:
 
 
 def _cp15_fields(cp15) -> List[str]:
-    import dataclasses
     return [field.name for field in dataclasses.fields(cp15)]
 
 

@@ -1,15 +1,1 @@
 """Softmmu: physical memory map, TLB, page walker, guest bus."""
-
-from .bus import GuestBus
-from .memory import PhysicalMemoryMap, RamRegion
-from .pagetable import (PAGE_MASK, PAGE_SIZE, PageWalker, Translation,
-                        PERM_EXEC, PERM_READ, PERM_USER, PERM_WRITE)
-from .tlb import (ACCESS_CODE, ACCESS_READ, ACCESS_WRITE, MMU_IDX_KERNEL,
-                  MMU_IDX_USER, SoftTlb)
-
-__all__ = [
-    "ACCESS_CODE", "ACCESS_READ", "ACCESS_WRITE", "GuestBus",
-    "MMU_IDX_KERNEL", "MMU_IDX_USER", "PAGE_MASK", "PAGE_SIZE",
-    "PERM_EXEC", "PERM_READ", "PERM_USER", "PERM_WRITE",
-    "PageWalker", "PhysicalMemoryMap", "RamRegion", "SoftTlb", "Translation",
-]

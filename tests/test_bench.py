@@ -27,22 +27,21 @@ import pathlib
 import pytest
 
 from repro.__main__ import main
-from repro.harness import run_workload
 from repro.harness.experiments import CLAIMS
-from repro.observability import (QUICK_EXPERIMENTS, IncomparableSnapshots,
-                                 check_claims, compare_snapshots,
-                                 iter_metrics, load_snapshot,
-                                 next_snapshot_path, run_suite,
-                                 validate_result_payload,
-                                 validate_snapshot, write_snapshot)
-from repro.observability.baseline import DOWN, NEUTRAL, UP
+from repro.harness.runner import run_workload
+from repro.observability.baseline import (DOWN, NEUTRAL, UP, iter_metrics,
+                                          load_snapshot, next_snapshot_path,
+                                          validate_result_payload,
+                                          validate_snapshot, write_snapshot)
 from repro.observability.bench import (CLAIM_HELD, CLAIM_SKIPPED,
-                                       CLAIM_VIOLATED)
-from repro.observability.regress import (GATE_LEVELS, VERDICT_ADDED,
-                                         VERDICT_CHANGED, VERDICT_FLAT,
-                                         VERDICT_IMPROVED, VERDICT_INVALID,
-                                         VERDICT_REGRESSED, VERDICT_REMOVED,
-                                         VERDICT_SKIPPED)
+                                       CLAIM_VIOLATED, QUICK_EXPERIMENTS,
+                                       check_claims, run_suite)
+from repro.observability.regress import (GATE_LEVELS, IncomparableSnapshots,
+                                         VERDICT_ADDED, VERDICT_CHANGED,
+                                         VERDICT_FLAT, VERDICT_IMPROVED,
+                                         VERDICT_INVALID, VERDICT_REGRESSED,
+                                         VERDICT_REMOVED, VERDICT_SKIPPED,
+                                         compare_snapshots)
 from repro.workloads import ALL_WORKLOADS
 
 SWEEP = ("sjeng",)
@@ -378,9 +377,9 @@ def test_doctored_figure_violates_exactly_its_claim():
 
 def test_cli_bench_exits_one_on_a_violated_claim(tmp_path, monkeypatch,
                                                  capsys):
-    import repro.observability
+    import repro.observability.bench
 
-    monkeypatch.setattr(repro.observability, "run_suite",
+    monkeypatch.setattr(repro.observability.bench, "run_suite",
                         lambda **_kwargs: _doctored_baseline())
     assert main(["bench", "--out", str(tmp_path / "s.json")]) == 1
     # A violated claim fails the command whatever --fail-on says.

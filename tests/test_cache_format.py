@@ -15,17 +15,15 @@ import os
 import pytest
 
 from repro.__main__ import main
-from repro.cache import FORMAT_VERSION, iter_store_dirs, store_info, \
-    verify_store
-from repro.cache.fingerprint import entry_checksum
-from repro.cache.store import (SEP, UnpersistableTB, decode_code,
-                               encode_insn)
+from repro.cache.fingerprint import FORMAT_VERSION, entry_checksum
+from repro.cache.store import (SEP, UnpersistableTB, decode_code, encode_insn,
+                               iter_store_dirs, store_info, verify_store)
 from repro.guest.decoder import decode
 from repro.harness.runner import make_machine
 from repro.host.isa import Imm, Mem, Reg, X86Cond, X86Insn, X86Op, Xmm
 from repro.miniqemu.helpers import (make_ld_helper, make_st_helper,
                                     make_sysreg_helper)
-from repro.observability import Profiler
+from repro.observability.profile import Profiler
 from repro.workloads import ALL_WORKLOADS
 from tests.test_persistent_cache import (_deterministic_stats, _final_state,
                                          _machine, _run)
@@ -305,17 +303,22 @@ def _list_entry(entries):
     entries.append(["not", "an", "entry"])
 
 
-def _text_word(entries):
-    entry = entries[0]
-    entry["words"][0] = f"{entry['words'][0]:08x}"
-    entry["sha256"] = entry_checksum(entry)
+def _word(value):
+    def mutate(entries):
+        entry = entries[0]
+        entry["words"][0] = value(entry["words"][0])
+        entry["sha256"] = entry_checksum(entry)
+    return mutate
 
 
 @pytest.mark.parametrize("mutate,problem,lost", [
     (_text_pc, "entry #0: not an object with integer pc and mmu_idx", 1),
     (_list_entry, ": not an object with integer pc and mmu_idx", 0),
-    (_text_word, ": word 0 undecodable", 1),
-], ids=["text-pc", "list-entry", "text-word"])
+    (_word(lambda word: f"{word:08x}"), ": word 0 undecodable", 1),
+    (_word(lambda word: word + 2 ** 40),
+     ": word 0 undecodable: not a 32-bit word", 1),
+    (_word(lambda word: True), ": word 0 undecodable: not a 32-bit word", 1),
+], ids=["text-pc", "list-entry", "text-word", "wide-word", "bool-word"])
 def test_verify_reports_a_malformed_entry(tmp_path, capsys, mutate,
                                           problem, lost):
     """verify lists a malformed entry as a problem, as the load path
@@ -331,6 +334,23 @@ def test_verify_reports_a_malformed_entry(tmp_path, capsys, mutate,
     warm, warm_loader = _machine(tmp_path)
     assert _run(warm, warm_loader) == 0
     assert warm_loader.loaded == cold_loader.saved - lost
+    assert _final_state(warm) == _final_state(cold)
+
+
+def test_verify_reports_a_payload_that_is_not_an_object(tmp_path, capsys):
+    """An ``entries.json`` holding a list, with a manifest whose payload
+    checksum matches it, is a problem to report, not a traceback."""
+    cold, cold_loader = _machine(tmp_path)
+    _run(cold, cold_loader)
+    store_dir, _ = _read_store(tmp_path)
+    _write_store(store_dir, [])
+
+    assert verify_store(store_dir) == ["entries.json malformed"]
+    assert main(["cache", "verify", str(tmp_path)]) == 1
+    assert "entries.json malformed" in capsys.readouterr().out
+    warm, warm_loader = _machine(tmp_path)
+    assert _run(warm, warm_loader) == 0
+    assert warm_loader.loaded == 0
     assert _final_state(warm) == _final_state(cold)
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.learning import learn
+from repro.learning.learn import learn
 from repro.learning.serialize import (load_rulebook, rulebook_from_dict,
                                       rulebook_to_dict, save_rulebook)
 
@@ -123,7 +123,7 @@ def test_cli_cache_lifecycle(tmp_path, capsys):
     """Populate via --cache-dir, then info -> verify -> tamper -> clear."""
     import os
 
-    from repro.cache import iter_store_dirs
+    from repro.cache.store import iter_store_dirs
 
     root = tmp_path / "tc"
     assert main(["run", "sjeng", "--engine", "rules-full",

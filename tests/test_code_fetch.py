@@ -14,7 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import DecodingError, MemoryFault
-from repro.core import OptLevel, make_rule_engine
+from repro.core.config import OptLevel
+from repro.core.engine import make_rule_engine
 from repro.guest.cpu import MODE_SVC, MODE_USR
 from repro.harness.runner import make_machine
 from repro.kernel.kernel import DEMAND_BASE, USER_HEAP
@@ -22,7 +23,7 @@ from repro.miniqemu.machine import Machine
 from repro.miniqemu.tb import MAX_TB_INSNS
 from repro.softmmu.pagetable import PAGE_SIZE
 from repro.softmmu.tlb import MMU_IDX_USER
-from repro.workloads import Workload
+from repro.workloads.spec import Workload
 from tests.support import cold_code_body
 
 NOP = 0xE1A00000        # mov r0, r0

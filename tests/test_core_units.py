@@ -5,14 +5,14 @@ from dataclasses import fields
 
 import pytest
 
-from repro.core import (CarryKind, EmptyRulebook, MatureRulebook, OptConfig,
-                        OptLevel, StructuralFilter, analyze_block,
-                        flags_read, flags_written)
-from repro.core.analysis import (F_ALL, F_C, F_N, F_V, F_Z,
+from repro.core.analysis import (F_ALL, F_C, F_N, F_V, F_Z, analyze_block,
+                                 flags_read, flags_written,
                                  schedule_define_before_use)
-from repro.core.condmap import map_condition, negate, skip_sequence
+from repro.core.condmap import CarryKind, map_condition, negate, skip_sequence
+from repro.core.config import OptConfig, OptLevel
 from repro.core.coordination import FlagsState
 from repro.core.regcache import CACHE_REGS, RegCache
+from repro.core.rulebook import EmptyRulebook, MatureRulebook, StructuralFilter
 from repro.guest.asm import assemble
 from repro.guest.decoder import decode
 from repro.guest.isa import Cond, Op

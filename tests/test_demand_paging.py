@@ -10,7 +10,8 @@ potentially-faulting access.
 
 import pytest
 
-from repro.core import OptLevel, make_rule_engine
+from repro.core.config import OptLevel
+from repro.core.engine import make_rule_engine
 from tests.support import run_workload
 
 TOUCH_MANY = r"""

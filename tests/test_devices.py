@@ -3,11 +3,14 @@
 import pytest
 
 from repro.common.errors import GuestHalt
-from repro.devices import (BlockDevice, IRQ_BLOCK, IRQ_TIMER,
-                           InterruptController, Nic, SECTOR_SIZE,
-                           SystemController, Timer, Uart)
+from repro.devices.blockdev import BlockDevice, SECTOR_SIZE
+from repro.devices.intc import IRQ_BLOCK, IRQ_TIMER, InterruptController
+from repro.devices.nic import Nic
+from repro.devices.syscon import SystemController
+from repro.devices.timer import Timer
+from repro.devices.uart import Uart
 from repro.guest.cpu import GuestCpu
-from repro.softmmu import PhysicalMemoryMap
+from repro.softmmu.memory import PhysicalMemoryMap
 
 
 @pytest.fixture

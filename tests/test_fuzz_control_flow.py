@@ -9,7 +9,8 @@ sync elimination (flags live across chained block boundaries).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import OptLevel, make_rule_engine
+from repro.core.config import OptLevel
+from repro.core.engine import make_rule_engine
 from tests.test_fuzz_differential import FOOTER, HEADER, run_engine
 
 _REGS = [f"r{i}" for i in range(6)]  # r6 is the loop counter

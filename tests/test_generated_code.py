@@ -10,9 +10,9 @@ hot path and must be deliberate.
 
 import pytest
 
-from repro.host import (EAX, EBP, EBX, ECX, EDX, ESP, Imm, Mem, Reg, X86Cond,
-                        X86Insn, X86Op)
 from repro.host.interp import _BodySource
+from repro.host.isa import (EAX, EBP, EBX, ECX, EDX, ESP, Imm, Mem, Reg,
+                            X86Cond, X86Insn, X86Op)
 
 
 def I(op, dst=None, src=None, cond=None):

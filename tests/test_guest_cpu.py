@@ -3,10 +3,10 @@
 import pytest
 
 from repro.common.errors import MemoryFault
-from repro.guest import GuestCpu, Interpreter, assemble
-from repro.guest.cpu import (CPSR_I, MODE_ABT, MODE_IRQ, MODE_SVC, MODE_USR,
-                             VECTOR_IRQ, VECTOR_SVC)
-from repro.guest.interp import condition_passed
+from repro.guest.asm import assemble
+from repro.guest.cpu import (CPSR_I, GuestCpu, MODE_ABT, MODE_IRQ, MODE_SVC,
+                             MODE_USR, VECTOR_IRQ, VECTOR_SVC)
+from repro.guest.interp import Interpreter, condition_passed
 from repro.guest.isa import Cond
 
 

@@ -4,9 +4,9 @@ import pytest
 
 from repro.common import costmodel
 from repro.common.errors import ReproError
-from repro.harness import (ENGINE_SPECS, format_table, geomean, percent,
-                           run_cached, run_workload)
-from repro.harness.runner import clear_cache, make_machine
+from repro.harness.report import format_table, geomean, percent
+from repro.harness.runner import (ENGINE_SPECS, clear_cache, make_machine,
+                                  run_cached, run_workload)
 from repro.workloads import ALL_WORKLOADS
 from repro.workloads.spec import Workload
 

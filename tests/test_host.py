@@ -10,16 +10,18 @@ from hypothesis import strategies as st
 import repro.host.interp as host_interp
 import repro.host.ops as host_ops
 from repro.common.errors import HostExecutionError
-from repro.core import OptLevel, make_rule_engine
-from repro.host import (CodeBuilder, EAX, EBX, ECX, EDX, ESI, ESP, HostCpu,
-                        HostInterpreter, HostMemory, Imm, Mem, Reg, X86Cond,
-                        X86Insn, X86Op)
-from repro.host.interp import HOT_THRESHOLD
-from repro.host.isa import REG_NAMES, Xmm
+from repro.core.config import OptLevel
+from repro.core.engine import make_rule_engine
+from repro.host.builder import CodeBuilder
+from repro.host.cpu import HostCpu
+from repro.host.interp import HOT_THRESHOLD, HostInterpreter
+from repro.host.isa import (EAX, EBX, ECX, EDX, ESI, ESP, Imm, Mem, REG_NAMES,
+                            Reg, X86Cond, X86Insn, X86Op, Xmm)
+from repro.host.memory import HostMemory
 from repro.host.ops import ROWS
 from repro.miniqemu.tb import TbExitException
-from repro.observability import Profiler
-from repro.robustness import ExecutionWatchdog
+from repro.observability.profile import Profiler
+from repro.robustness.guard import ExecutionWatchdog
 from tests.support import run_workload as run_guest
 
 STACK_TOP = 0x2000

@@ -17,8 +17,8 @@ import pickle
 import pytest
 
 from repro.harness.runner import make_machine, run_workload
-from repro.host import CodeBuilder, EAX, EBP, Imm, Mem, Reg, X86Op
-from repro.host.isa import X86Cond, X86Insn
+from repro.host.builder import CodeBuilder
+from repro.host.isa import EAX, EBP, Imm, Mem, Reg, X86Cond, X86Insn, X86Op
 from repro.workloads import ALL_WORKLOADS
 
 _JUMPS = (X86Op.JMP, X86Op.JCC)

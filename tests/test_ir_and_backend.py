@@ -1,9 +1,10 @@
 """Unit tests for the TCG-like IR, its optimizer, and the backend."""
 
-from repro.ir import (IRBuilder, IRCond, IROp, eliminate_dead_env_stores,
-                      eliminate_dead_temps, optimize)
-from repro.miniqemu.backend import TcgBackend
 from repro.host.isa import X86Op
+from repro.ir.ops import IRBuilder, IRCond, IROp
+from repro.ir.opt import (eliminate_dead_env_stores, eliminate_dead_temps,
+                          optimize)
+from repro.miniqemu.backend import TcgBackend
 
 
 def test_builder_temps_are_fresh():

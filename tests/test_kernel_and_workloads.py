@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import OptLevel, make_rule_engine
+from repro.core.config import OptLevel
+from repro.core.engine import make_rule_engine
 from repro.harness.runner import make_machine, run_workload
 from repro.workloads.realworld import REALWORLD_WORKLOADS
 from repro.workloads.spec import SPEC_WORKLOADS

@@ -9,17 +9,19 @@ from repro.host.cpu import HostCpu
 from repro.host.interp import HostInterpreter
 from repro.host.isa import EAX, EBX, ESI, REG_NAMES
 from repro.host.memory import HostMemory
-from repro.learning import (LearnedRulebook, TRAINING_SOURCE, extract_all,
-                            learn, verify)
+from repro.learning.corpus import TRAINING_SOURCE
+from repro.learning.extract import extract_all
+from repro.learning.learn import learn
+from repro.learning.rules import LearnedRulebook, merge_rules, parameterize
 from repro.learning.symexec.arm_exec import ArmSymExec
 from repro.learning.symexec.expr import (App, Const, Sym, const, evaluate,
                                          normalize, proved_equal)
 from repro.learning.symexec.x86_exec import X86SymExec
-from repro.learning.verify import (CLASS_PROVED, CLASS_REFUTED,
-                                   CLASS_TESTED, classify_equiv)
 from repro.learning.toycc.codegen_arm import compile_arm
 from repro.learning.toycc.codegen_x86 import compile_x86
 from repro.learning.toycc.parser import ParseError, parse
+from repro.learning.verify import (CLASS_PROVED, CLASS_REFUTED, CLASS_TESTED,
+                                   classify_equiv, verify)
 from tests.support import ALTERNATING_WITNESS, alternating_mask_fixture
 
 
@@ -281,6 +283,34 @@ def test_learn_end_to_end():
     assert any(rule.opcode_class for rule in result.rules)
 
 
+def test_one_statement_at_two_offsets_is_one_rule():
+    """Branch targets are placeholders on both sides, so a ``return``
+    at different offsets of two functions (``b 0xc`` and ``jmp L2``
+    against ``b 0x28`` and ``jmp L8``) makes one rule."""
+    candidates = extract_all(parse("""
+func short(a) {
+    return a;
+}
+
+func long(a, b) {
+    var x;
+    x = a + b;
+    x = x ^ a;
+    return x;
+}
+"""))
+    returns = [candidate for candidate in candidates
+               if candidate.guest[-1].is_branch()]
+    assert [candidate.site for candidate in returns] == \
+        ["short:3", "long:10"]
+    assert returns[0].guest[-1].target != returns[1].guest[-1].target
+    rules = merge_rules([parameterize(candidate, proved=True)
+                         for candidate in returns])
+    assert [str(rule) for rule in rules] == \
+        ["mov R0, R1; b T0  =>  mov R0, R1; jmp T0"]
+    assert rules[0].origins == [("short", 3), ("long", 10)]
+
+
 def test_learned_rulebook_covers_common_instructions():
     from repro.guest.asm import assemble as asm
     from repro.guest.decoder import decode as dec
@@ -307,7 +337,8 @@ def test_learned_rulebook_dynamic_coverage():
     """The learned rules cover the bulk of user-level execution on SPEC
     analogs even though the training corpus is small (the paper's
     framework reaches higher coverage with a much larger corpus)."""
-    from repro.core import OptLevel, make_rule_engine
+    from repro.core.config import OptLevel
+    from repro.core.engine import make_rule_engine
     from repro.kernel.kernel import build_kernel, build_user_program
     from repro.miniqemu.machine import Machine
     from repro.workloads.spec import SPEC_WORKLOADS

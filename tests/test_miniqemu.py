@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.core import OptLevel, make_rule_engine
+from repro.core.config import OptLevel
+from repro.core.engine import make_rule_engine
 from repro.guest.asm import assemble
 from repro.host.isa import ESP
-from repro.miniqemu import Machine
 from repro.miniqemu.env import (ENV_CF, ENV_NF, ENV_PACKED_FLAGS,
                                 ENV_PACKED_VALID, ENV_VF, ENV_ZF,
                                 STACK_BASE, STACK_SIZE)
+from repro.miniqemu.machine import Machine
 from tests.support import run_workload
 
 

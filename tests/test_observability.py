@@ -19,15 +19,14 @@ import re
 import pytest
 
 from repro.common.errors import ReproError
-from repro.harness import run_workload
-from repro.harness.runner import make_machine
-from repro.observability import (COORDINATION_CATEGORIES, NULL_TRACER,
-                                 STAT_NAMESPACES, Profiler, Tracer,
-                                 build_profile, chrome_trace,
-                                 coordination_breakdown, merge_stats,
-                                 namespace_group, render_profile,
-                                 validate_chrome_trace)
-from repro.observability.trace import TraceEvent
+from repro.harness.runner import make_machine, run_workload
+from repro.observability.export import chrome_trace, validate_chrome_trace
+from repro.observability.profile import (COORDINATION_CATEGORIES, Profiler,
+                                         build_profile, coordination_breakdown,
+                                         render_profile)
+from repro.observability.stats import (STAT_NAMESPACES, merge_stats,
+                                       namespace_group)
+from repro.observability.trace import NULL_TRACER, TraceEvent, Tracer
 from repro.workloads import ALL_WORKLOADS
 
 WORKLOAD = ALL_WORKLOADS["sjeng"]  # the smallest SPEC analog

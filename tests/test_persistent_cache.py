@@ -23,14 +23,15 @@ import pytest
 
 from repro.analysis.dataflow import check_tb
 from repro.analysis.justify import J_REORDER, justifications_of
-from repro.cache import attach_cache, iter_store_dirs, verify_store
-from repro.cache import loader as loader_module
-from repro.core import OptLevel, make_rule_engine
+from repro.cache import attach_cache, loader as loader_module
+from repro.cache.store import iter_store_dirs, verify_store
+from repro.core.config import OptLevel
+from repro.core.engine import make_rule_engine
 from repro.guest.asm import assemble
 from repro.harness.runner import run_workload
 from repro.miniqemu.machine import Machine
 from repro.miniqemu.tb import TranslationBlock
-from repro.robustness import FaultInjector, parse_inject_spec
+from repro.robustness.faultinject import FaultInjector, parse_inject_spec
 from repro.workloads import ALL_WORKLOADS
 
 BASE = 0x1000

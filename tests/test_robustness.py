@@ -12,7 +12,8 @@ import pytest
 from repro.common.errors import (DiagContext, InjectedFault, ReproError,
                                  RuleApplicationError, WakeupDeadlock,
                                  WatchdogTimeout)
-from repro.core import OptLevel, make_rule_engine
+from repro.core.config import OptLevel
+from repro.core.engine import make_rule_engine
 from repro.core.rulebook import (EmptyRulebook, MatureRulebook,
                                  QuarantineFilter, rule_key)
 from repro.guest.cpu import MODE_USR
@@ -21,9 +22,11 @@ from repro.host.isa import X86Insn, X86Op
 from repro.kernel.kernel import USER_ENTRY
 from repro.miniqemu.env import ENV_CPSR_REST, Env
 from repro.miniqemu.tb import CodeCache, TranslationBlock
-from repro.robustness import (ExecutionWatchdog, FaultInjector, FaultPlan,
-                              MachineSnapshot, NullInjector, SelfCheck,
-                              fast_forward_halt, parse_inject_spec)
+from repro.robustness.degrade import SelfCheck
+from repro.robustness.faultinject import (FaultInjector, FaultPlan,
+                                          NullInjector, parse_inject_spec)
+from repro.robustness.guard import (ExecutionWatchdog, MachineSnapshot,
+                                    fast_forward_halt)
 from tests.support import boot_machine, run_workload
 
 RULES_KW = {"engine": "rules",

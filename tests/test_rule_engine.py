@@ -7,7 +7,9 @@ optimization level — the master invariant of the reproduction.
 
 import pytest
 
-from repro.core import EmptyRulebook, OptLevel, make_rule_engine
+from repro.core.config import OptLevel
+from repro.core.engine import make_rule_engine
+from repro.core.rulebook import EmptyRulebook
 from tests.support import run_workload
 
 LEVELS = [OptLevel.BASE, OptLevel.REDUCTION, OptLevel.ELIMINATION,

@@ -4,11 +4,13 @@ import pytest
 
 from repro.common.errors import BusError, MemoryFault
 from repro.guest.cpu import GuestCpu, MODE_SVC, MODE_USR
-from repro.softmmu import (ACCESS_CODE, ACCESS_READ, ACCESS_WRITE, GuestBus,
-                           MMU_IDX_KERNEL, MMU_IDX_USER, PAGE_SIZE,
-                           PageWalker, PhysicalMemoryMap, SoftTlb)
-from repro.softmmu.pagetable import (PERM_EXEC, PERM_READ, PERM_USER,
-                                     PERM_WRITE, Translation)
+from repro.softmmu.bus import GuestBus
+from repro.softmmu.memory import PhysicalMemoryMap
+from repro.softmmu.pagetable import (PAGE_SIZE, PERM_EXEC, PERM_READ,
+                                     PERM_USER, PERM_WRITE, PageWalker,
+                                     Translation)
+from repro.softmmu.tlb import (ACCESS_CODE, ACCESS_READ, ACCESS_WRITE,
+                               MMU_IDX_KERNEL, MMU_IDX_USER, SoftTlb)
 
 RAM_HOST_BASE = 0x40000000
 

@@ -30,15 +30,17 @@ from repro.analysis.justify import (AUDIT_KEY, EV_FALLBACK, EV_RESTORE,
                                     inter_tb_justification,
                                     justifications_of, shift_indices,
                                     sync_counts)
-from repro.core import OptConfig, OptLevel, make_rule_engine
 from repro.core.analysis import (F_ALL, F_C, F_N, F_V, F_Z,
                                  flags_written_definite, flags_written_may)
-from repro.core.engine import RuleEngine
+from repro.core.config import OptConfig, OptLevel
+from repro.core.engine import RuleEngine, make_rule_engine
 from repro.guest.asm import assemble
 from repro.guest.decoder import decode
-from repro.host import (EAX, EBX, ECX, ENV_REG, HostCpu, HostInterpreter,
-                        HostMemory, Imm, Mem, Reg, X86Cond, X86Insn, X86Op)
-from repro.host.isa import Xmm
+from repro.host.cpu import HostCpu
+from repro.host.interp import HostInterpreter
+from repro.host.isa import (EAX, EBX, ECX, ENV_REG, Imm, Mem, Reg, X86Cond,
+                            X86Insn, X86Op, Xmm)
+from repro.host.memory import HostMemory
 from repro.host.ops import ROWS
 from repro.miniqemu.env import ENV_REGS
 from repro.miniqemu.machine import Machine

@@ -20,7 +20,8 @@ from repro.cache.fingerprint import entry_checksum
 from repro.cache.store import (PROVENANCE_KEY, UnpersistableTB, encode_insn,
                                entry_text, serialize_tb, verify_store)
 from repro.harness.runner import make_machine
-from repro.workloads import ALL_WORKLOADS, Workload
+from repro.workloads import ALL_WORKLOADS
+from repro.workloads.spec import Workload
 from tests.support import cold_code_body
 
 

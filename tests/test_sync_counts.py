@@ -13,11 +13,11 @@ import os
 import pytest
 
 from repro.analysis.justify import sync_counts
-from repro.cache import iter_store_dirs
 from repro.cache.fingerprint import entry_checksum
-from repro.core import OptLevel
+from repro.cache.store import iter_store_dirs
+from repro.core.config import OptLevel
 from repro.harness.runner import make_machine
-from repro.observability import Tracer
+from repro.observability.trace import Tracer
 from repro.workloads import ALL_WORKLOADS
 from tests.test_cache_format import _write_store
 from tests.test_persistent_cache import (PROGRAM, SCHEDULED_PROGRAM,

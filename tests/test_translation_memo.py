@@ -17,20 +17,21 @@ from repro.analysis.dataflow import check_tb
 from repro.analysis.findings import Severity
 from repro.analysis.justify import J_INTER_TB, justifications_of
 from repro.common.errors import InjectedFault
-from repro.core import OptLevel, make_rule_engine
 from repro.core.analysis import (F_ALL, _LOGICAL_DP, _shifter_touches_carry,
                                  analyze_block, flags_written)
+from repro.core.config import OptLevel
+from repro.core.engine import make_rule_engine
 from repro.guest.asm import assemble
 from repro.guest.decoder import decode
 from repro.guest.encoder import encode
-from repro.guest.isa import (BRANCH_OPS, COMPARE_OPS, DATA_PROCESSING_OPS,
-                             LOAD_OPS, MEMORY_OPS, PC, STORE_OPS,
-                             SYSTEM_OPS, ArmInsn, Cond, Op, Operand2,
-                             ShiftKind)
-from repro.harness.runner import make_machine, run_workload
+from repro.guest.isa import (ArmInsn, BRANCH_OPS, COMPARE_OPS, Cond,
+                             DATA_PROCESSING_OPS, LOAD_OPS, MEMORY_OPS, Op,
+                             Operand2, PC, STORE_OPS, SYSTEM_OPS, ShiftKind)
+from repro.harness.runner import ENGINE_SPECS, make_machine, run_workload
 from repro.kernel.kernel import USER_ENTRY
 from repro.miniqemu.machine import Machine
-from repro.workloads import ALL_WORKLOADS, Workload
+from repro.workloads import ALL_WORKLOADS
+from repro.workloads.spec import Workload
 
 BASE = 0x2000
 
@@ -148,6 +149,40 @@ def test_successor_patched_after_predecessor_translation(engine):
     result = run_workload(Workload("smc-before", body=SMC_BEFORE_PATCH),
                           engine)
     assert result.output == "1\n"
+
+
+# The direct case: succ runs, is overwritten in place, and runs again.
+# An engine that keeps succ's first translation prints 1 twice.
+SMC_DIRECT_PATCH = r"""
+main:
+    push {lr}
+    bl succ
+    bl updec
+    ldr r6, =succ
+    ldr r7, =0xE3A00002     @ mov r0, #2
+    str r7, [r6]
+    bl succ
+    bl updec
+    mov r0, #0
+    bl uexit
+succ:
+    mov r0, #1
+    bx lr
+    .ltorg
+"""
+
+
+@pytest.mark.parametrize("engine", [
+    engine if engine == "interp" else pytest.param(
+        engine, marks=pytest.mark.xfail(
+            strict=True, reason="no engine invalidates translated code "
+                                "on a code write"))
+    for engine in ENGINE_SPECS])
+def test_code_patched_after_it_ran(engine):
+    result = run_workload(Workload("smc-direct", body=SMC_DIRECT_PATCH),
+                          engine)
+    assert result.exit_code == 0
+    assert result.output == "1\n2\n"
 
 
 def test_peek_reads_without_filling_the_tlb():

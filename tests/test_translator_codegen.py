@@ -8,7 +8,7 @@ Fig 9 (redundant restores), Fig 10 (consecutive memory ops), Fig 11
 import pytest
 
 from repro.analysis.justify import sync_counts
-from repro.core import OptConfig, OptLevel
+from repro.core.config import OptConfig, OptLevel
 from repro.core.engine import RuleEngine
 from repro.guest.asm import assemble
 from repro.host.isa import X86Op
@@ -151,7 +151,7 @@ def test_scheduling_reorders_the_load_above_the_producer():
 
 def test_scheduling_reduces_dynamic_sync_cost():
     """Dynamically (one path executes), scheduling strictly wins."""
-    from repro.core import make_rule_engine
+    from repro.core.engine import make_rule_engine
     from tests.support import run_workload
 
     body = """

@@ -6,7 +6,8 @@ import pytest
 
 from repro.common.f32 import (f32_add, f32_compare, f32_mul, f32_sub,
                               from_float, to_float)
-from repro.core import OptLevel, make_rule_engine
+from repro.core.config import OptLevel
+from repro.core.engine import make_rule_engine
 from repro.guest.decoder import decode
 from repro.guest.encoder import encode
 from repro.guest.isa import ArmInsn, Op
