@@ -60,13 +60,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness.experiments import ALL_EXPERIMENTS
-from .harness.report import format_table
 from .harness.runner import ENGINE_SPECS, run_workload
 from .workloads import ALL_WORKLOADS
 
 
 def cmd_list(_args) -> int:
+    from .harness.experiments import ALL_EXPERIMENTS
+
     print("workloads:")
     for name, workload in sorted(ALL_WORKLOADS.items()):
         print(f"  {name:12s} [{workload.category}]")
@@ -392,6 +392,8 @@ def cmd_validate_trace(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .harness.report import format_table
+
     workload = ALL_WORKLOADS.get(args.workload)
     if workload is None:
         print(f"unknown workload {args.workload!r}", file=sys.stderr)
@@ -426,6 +428,7 @@ def cmd_cache(args) -> int:
 
     from .cache.store import (clear_stores, iter_store_dirs, store_info,
                               verify_store)
+    from .harness.report import format_table
 
     root = args.dir
     if args.action == "clear":
@@ -487,6 +490,7 @@ def _report_claims(results, out=None) -> int:
 
 def _bench_experiment(args) -> int:
     """Print one paper figure (or ``all``) and check its claims."""
+    from .harness.experiments import ALL_EXPERIMENTS
     from .observability.bench import check_claims
 
     names = sorted(ALL_EXPERIMENTS) if args.experiment == "all" \
@@ -543,7 +547,6 @@ def _bench_suite(args) -> int:
     try:
         snapshot = run_suite(
             mode=mode, sweep_workloads=sweep, inject=args.inject,
-            results_dir=RESULTS_DIR if args.export_results else None,
             cache_dir=args.cache_dir,
             progress=progress)
     except (ReproError, ValueError) as error:
@@ -752,9 +755,6 @@ def main(argv=None) -> int:
                                    "(default regressed)")
     bench_parser.add_argument("--format", choices=("table", "json"),
                               default="table")
-    bench_parser.add_argument("--export-results", action="store_true",
-                              help="also write benchmarks/results/"
-                                   "<name>.{txt,json} companions")
     bench_parser.add_argument("--cache-dir", metavar="DIR", default=None,
                               help="persistent translation cache threaded "
                                    "through the whole sweep (warm-start "

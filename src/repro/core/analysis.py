@@ -16,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Set
 
-from ..guest.isa import (ArmInsn, COMPARE_OPS, Cond, DATA_PROCESSING_OPS, Op,
-                         PC, ShiftKind)
+from ..guest.isa import ArmInsn, Cond, Op, PC, ShiftKind
+from ..guest.ops import COND_TEXTS, DP_ROWS, names
 
 # Enum members bound once for the per-instruction code: on Python 3.10
 # and 3.11 each ``Enum.MEMBER`` lookup runs EnumType.__getattr__
 # (docs/internals.md, "Per-instruction Python costs").
-_OP_ADC = Op.ADC
 _OP_BL = Op.BL
 _OP_BX = Op.BX
 _OP_CLZ = Op.CLZ
@@ -40,8 +39,6 @@ _OP_MRS = Op.MRS
 _OP_MSR = Op.MSR
 _OP_MUL = Op.MUL
 _OP_MVN = Op.MVN
-_OP_RSC = Op.RSC
-_OP_SBC = Op.SBC
 _OP_STM = Op.STM
 _OP_STR = Op.STR
 _OP_STRB = Op.STRB
@@ -63,25 +60,20 @@ F_V = 8
 F_ALL = F_N | F_Z | F_C | F_V
 F_NONE = 0
 
-_COND_READS = {
-    Cond.EQ: F_Z, Cond.NE: F_Z,
-    Cond.CS: F_C, Cond.CC: F_C,
-    Cond.MI: F_N, Cond.PL: F_N,
-    Cond.VS: F_V, Cond.VC: F_V,
-    Cond.HI: F_C | F_Z, Cond.LS: F_C | F_Z,
-    Cond.GE: F_N | F_V, Cond.LT: F_N | F_V,
-    Cond.GT: F_N | F_Z | F_V, Cond.LE: F_N | F_Z | F_V,
-    Cond.AL: F_NONE,
-}
+_FLAG_BITS = {"n": F_N, "z": F_Z, "c": F_C, "v": F_V}
 
-_LOGICAL_DP = frozenset({Op.AND, Op.EOR, Op.TST, Op.TEQ, Op.ORR, Op.MOV,
-                         Op.BIC, Op.MVN})
+#: Condition -> the NZCV bits it reads.
+_COND_FLAGS = {cond: sum(_FLAG_BITS[name] for name in names(text))
+               for cond, text in COND_TEXTS.items()}
+
+#: Data-processing ops that read the C flag (ADC, SBC, RSC).
+_READS_CARRY = frozenset(op for op, row in DP_ROWS.items() if row.reads_c)
 
 
 def flags_read(insn: ArmInsn) -> int:
     """NZCV bits this instruction reads."""
-    mask = _COND_READS[insn.cond]
-    if insn.op in (_OP_ADC, _OP_SBC, _OP_RSC):
+    mask = _COND_FLAGS[insn.cond]
+    if insn.op in _READS_CARRY:
         mask |= F_C
     if insn.op2 is not None and not insn.op2.is_imm and \
             insn.op2.shift == _SHIFT_RRX:
@@ -94,14 +86,14 @@ def flags_read(insn: ArmInsn) -> int:
 #: Flag-write class of each opcode.
 _W_NONE, _W_COMPARE, _W_TEST, _W_LOGICAL, _W_ARITH, _W_MULTIPLY, \
     _W_MSR, _W_VMRS = range(8)
-_WRITE_CLASS = {op: (_W_COMPARE if op in (Op.CMP, Op.CMN) else
-                     _W_TEST if op in COMPARE_OPS else
-                     _W_LOGICAL if op in _LOGICAL_DP else
-                     _W_ARITH if op in DATA_PROCESSING_OPS else
-                     _W_MULTIPLY if op in (Op.MUL, Op.MLA) else
+_WRITE_CLASS = {op: (_W_MULTIPLY if op in (Op.MUL, Op.MLA) else
                      _W_MSR if op is Op.MSR else
                      _W_VMRS if op is Op.VMRS else _W_NONE)
                 for op in Op}
+_WRITE_CLASS.update({op: ((_W_LOGICAL if row.logical else _W_ARITH)
+                          if row.writes_rd else
+                          _W_TEST if row.logical else _W_COMPARE)
+                     for op, row in DP_ROWS.items()})
 
 
 def flags_written(insn: ArmInsn) -> int:

@@ -38,7 +38,7 @@ from ..analysis.justify import (AUDIT_KEY, JUSTIFY_KEY,
                                 inter_tb_justification, produce_event,
                                 reorder_justification, terminal_event)
 from ..common.bitops import u32
-from ..guest.isa import ArmInsn, Cond, Op, PC, ShiftKind
+from ..guest.isa import ACCESS_SIZE, ArmInsn, Cond, Op, PC, ShiftKind
 from ..host.builder import CodeBuilder, InsnMemo
 from ..host.isa import (EAX, EDX, ENV_REG, ESP, Imm, Mem, Reg, X86Cond,
                         X86Op, Xmm)
@@ -555,9 +555,6 @@ class RuleTranslator:
                 return reg
         return self.cache.scratch(set(forbidden))
 
-    _SIZES = {Op.LDR: 4, Op.STR: 4, Op.LDRB: 1, Op.STRB: 1, Op.LDRH: 2,
-              Op.STRH: 2, Op.LDRSB: 1, Op.LDRSH: 2}
-
     def _emit_memory(self, item: InsnInfo) -> None:
         insn = item.insn
         # The softmmu probe clobbers EFLAGS: coordinate first (Sec II-C).
@@ -618,7 +615,7 @@ class RuleTranslator:
     def _emit_single_memory(self, insn: ArmInsn) -> None:
         builder = self.builder
         cache = self.cache
-        size = self._SIZES[insn.op]
+        size = ACCESS_SIZE[insn.op]
         signed = insn.op in (_OP_LDRSB, _OP_LDRSH)
         is_store = insn.op in (_OP_STR, _OP_STRB, _OP_STRH)
 

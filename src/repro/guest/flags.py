@@ -1,7 +1,9 @@
-"""ARM condition-code arithmetic, shared by the reference interpreter.
+"""ARM condition-code arithmetic as the ARMv7 pseudo-code states it.
 
-These helpers implement the ARMv7 pseudo-code ``AddWithCarry`` and the
-barrel-shifter carry-out rules.  Note the ARM carry convention for
+``shift_with_carry`` (``Shift_C``) is the reference interpreter's
+barrel shifter; ``add_with_carry`` (``AddWithCarry``) is the definition
+the data-processing table (:mod:`repro.guest.ops`) is tested against.
+Note the ARM carry convention for
 subtraction: C is *NOT borrow* (1 when no borrow occurred), which is the
 inverse of the x86 CF convention — the rule-based DBT's carry-tag machinery
 in :mod:`repro.core.coordination` exists precisely because of this.
@@ -22,12 +24,6 @@ def add_with_carry(a: int, b: int, carry_in: int) -> Tuple[int, int, int]:
     carry_out = 1 if unsigned_sum > MASK32 else 0
     overflow = 1 if (~(a ^ b) & (a ^ result)) & SIGN_BIT else 0
     return result, carry_out, overflow
-
-
-def nz(result: int) -> Tuple[int, int]:
-    """N and Z flags of a 32-bit result."""
-    result = u32(result)
-    return bit(result, 31), 1 if result == 0 else 0
 
 
 def shift_with_carry(value: int, kind: ShiftKind, amount: int,

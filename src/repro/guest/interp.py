@@ -29,30 +29,17 @@ from .cpu import (CPSR_C, CPSR_I, CPSR_V, GuestCpu, MODE_ABT, MODE_IRQ,
                   VECTOR_IRQ, VECTOR_PREFETCH_ABORT, VECTOR_SVC,
                   VECTOR_UNDEF)
 from .decoder import decode
-from .flags import add_with_carry, nz, shift_with_carry
-from .isa import (COMPARE_OPS, DATA_PROCESSING_OPS, VFP_OPS, ArmInsn,
-                  Cond, Op, Operand2, PC, LR, ShiftKind)
+from .flags import shift_with_carry
+from .isa import (ACCESS_SIZE, DATA_PROCESSING_OPS, VFP_OPS, ArmInsn, Cond,
+                  Op, Operand2, PC, LR)
+from .ops import COND_TESTS, STEPS
 from ..common.f32 import f32_add, f32_compare, f32_mul, f32_sub
 
 
 def condition_passed(cond: Cond, cpsr: int) -> bool:
     """Evaluate an ARM condition code against CPSR NZCV."""
-    n = (cpsr >> 31) & 1
-    z = (cpsr >> 30) & 1
-    c = (cpsr >> 29) & 1
-    v = (cpsr >> 28) & 1
-    if cond == Cond.AL:
-        return True
-    table = {
-        Cond.EQ: z == 1, Cond.NE: z == 0,
-        Cond.CS: c == 1, Cond.CC: c == 0,
-        Cond.MI: n == 1, Cond.PL: n == 0,
-        Cond.VS: v == 1, Cond.VC: v == 0,
-        Cond.HI: c == 1 and z == 0, Cond.LS: c == 0 or z == 1,
-        Cond.GE: n == v, Cond.LT: n != v,
-        Cond.GT: z == 0 and n == v, Cond.LE: z == 1 or n != v,
-    }
-    return table[cond]
+    return COND_TESTS[cond](cpsr >> 31, cpsr >> 30 & 1, cpsr >> 29 & 1,
+                            cpsr >> 28 & 1)
 
 
 class Interpreter:
@@ -150,8 +137,7 @@ class Interpreter:
             self._exec_data_processing(insn)
         elif op in (Op.MUL, Op.MLA):
             self._exec_multiply(insn)
-        elif op in (Op.LDR, Op.LDRB, Op.LDRH, Op.LDRSB, Op.LDRSH,
-                    Op.STR, Op.STRB, Op.STRH):
+        elif op in ACCESS_SIZE:
             self._exec_single_transfer(insn)
         elif op in (Op.LDM, Op.STM):
             self._exec_block_transfer(insn)
@@ -169,49 +155,16 @@ class Interpreter:
 
     def _exec_data_processing(self, insn: ArmInsn) -> None:
         cpu = self.cpu
-        op = insn.op
-        carry_in = cpu.flag(CPSR_C)
+        cpsr = cpu.cpsr
         operand2, shifter_carry = self._operand2(insn.op2)
-        operand1 = self._reg(insn.rn)
-        result, carry, overflow = 0, shifter_carry, cpu.flag(CPSR_V)
+        result, n, z, carry, overflow = STEPS[insn.op](
+            self._reg(insn.rn), operand2, cpsr >> 29 & 1, shifter_carry,
+            cpsr >> 28 & 1)
 
-        if op in (Op.AND, Op.TST):
-            result = operand1 & operand2
-        elif op in (Op.EOR, Op.TEQ):
-            result = operand1 ^ operand2
-        elif op in (Op.SUB, Op.CMP):
-            result, carry, overflow = add_with_carry(
-                operand1, ~operand2, 1)
-        elif op is Op.RSB:
-            result, carry, overflow = add_with_carry(
-                operand2, ~operand1, 1)
-        elif op in (Op.ADD, Op.CMN):
-            result, carry, overflow = add_with_carry(operand1, operand2, 0)
-        elif op is Op.ADC:
-            result, carry, overflow = add_with_carry(operand1, operand2,
-                                                     carry_in)
-        elif op is Op.SBC:
-            result, carry, overflow = add_with_carry(operand1, ~operand2,
-                                                     carry_in)
-        elif op is Op.RSC:
-            result, carry, overflow = add_with_carry(operand2, ~operand1,
-                                                     carry_in)
-        elif op is Op.ORR:
-            result = operand1 | operand2
-        elif op is Op.MOV:
-            result = operand2
-        elif op is Op.BIC:
-            result = operand1 & ~operand2
-        elif op is Op.MVN:
-            result = ~operand2
-        result = u32(result)
-
-        if op in COMPARE_OPS:
-            n, z = nz(result)
+        if not insn.op.writes_rd:
             cpu.set_nzcv(n, z, carry, overflow)
             self._advance()
             return
-
         if insn.rd == PC:
             if insn.set_flags:
                 # Exception return: CPSR <- SPSR (privileged only).
@@ -224,7 +177,6 @@ class Interpreter:
 
         cpu.regs[insn.rd] = result
         if insn.set_flags:
-            n, z = nz(result)
             cpu.set_nzcv(n, z, carry, overflow)
         self._advance()
 
@@ -236,8 +188,8 @@ class Interpreter:
         result = u32(result)
         cpu.regs[insn.rd] = result
         if insn.set_flags:
-            n, z = nz(result)
-            cpu.set_nzcv(n, z, cpu.flag(CPSR_C), cpu.flag(CPSR_V))
+            cpu.set_nzcv(result >> 31, result == 0, cpu.flag(CPSR_C),
+                         cpu.flag(CPSR_V))
         self._advance()
 
     def _mem_offset(self, insn: ArmInsn) -> int:
@@ -256,8 +208,7 @@ class Interpreter:
         offset = self._mem_offset(insn)
         address = u32(base + offset) if insn.pre_indexed else u32(base)
 
-        size = {Op.LDR: 4, Op.STR: 4, Op.LDRB: 1, Op.STRB: 1, Op.LDRH: 2,
-                Op.STRH: 2, Op.LDRSB: 1, Op.LDRSH: 2}[insn.op]
+        size = ACCESS_SIZE[insn.op]
         if insn.op in (Op.STR, Op.STRB, Op.STRH):
             value = self._reg(insn.rd) & ((1 << (8 * size)) - 1)
             self.bus.store(address, size, value)

@@ -177,6 +177,9 @@ UNARY_DP_OPS = frozenset({Op.MOV, Op.MVN})
 
 LOAD_OPS = frozenset({Op.LDR, Op.LDRB, Op.LDRH, Op.LDRSB, Op.LDRSH})
 STORE_OPS = frozenset({Op.STR, Op.STRB, Op.STRH})
+#: Access size in bytes of each single load and store.
+ACCESS_SIZE = {Op.LDR: 4, Op.STR: 4, Op.LDRB: 1, Op.STRB: 1, Op.LDRH: 2,
+               Op.STRH: 2, Op.LDRSB: 1, Op.LDRSH: 2}
 MEMORY_OPS = LOAD_OPS | STORE_OPS | {Op.LDM, Op.STM, Op.VLDR, Op.VSTR}
 
 #: VFP data-processing ops (single precision).

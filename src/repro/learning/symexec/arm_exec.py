@@ -1,97 +1,64 @@
-"""Symbolic executor for straight-line ARM fragments (toycc output)."""
+"""Symbolic executor for straight-line ARM fragments (toycc output).
+
+A data-processing instruction runs its ``guest/ops.py`` row over
+:mod:`.exact` Values; N, Z, C and V are its flag texts, evaluated when
+a later instruction reads them.  A conditional branch evaluates its
+condition's text over those flags.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ...common.errors import RuleVerificationError
-from ...guest.isa import (ArmInsn, COMPARE_OPS, Cond, DATA_PROCESSING_OPS,
-                          Op, Operand2, ShiftKind)
-from .expr import App, Sym, const
+from ...guest.isa import ArmInsn, Cond, Op, Operand2, ShiftKind
+from ...guest.ops import COND_TEXTS, DP_ROWS, N_TEXT, Z_TEXT, DpRow, names
+from .exact import SymExec, Value, value_of, word
+from .expr import App, const
 
-#: canonical comparison names keyed by the *false-branch* condition the
-#: toycc back ends emit (both sides branch when the condition fails).
-_FALSE_COND_NAME = {
-    Cond.NE: "eq", Cond.EQ: "ne", Cond.GE: "lt", Cond.LE: "gt",
-    Cond.GT: "le", Cond.LT: "ge", Cond.CS: "ltu", Cond.CC: "geu",
-    Cond.HI: "leu", Cond.LS: "gtu",
-}
+Thunk = Callable[[], Value]
+
+_SHIFTS = {ShiftKind.LSL: "shl", ShiftKind.LSR: "shr", ShiftKind.ASR: "sar",
+           ShiftKind.ROR: "ror"}
 
 
-@dataclass
-class SymState:
-    """Final symbolic state of a fragment."""
-
-    regs: Dict[str, object] = field(default_factory=dict)
-    stores: List[Tuple[object, int, object]] = field(default_factory=list)
-    #: (canonical comparison, lhs, rhs) when the fragment ends in a
-    #: compare + conditional branch (an if/while condition line)
-    branch: Optional[Tuple[str, object, object]] = None
-    #: True when the fragment ends with an unconditional jump (return)
-    jumps: bool = False
+def _refuse(reason: str) -> Value:
+    raise RuleVerificationError(reason)
 
 
-class ArmSymExec:
-    """Executes a fragment over symbolic register contents."""
+class ArmSymExec(SymExec):
+    """Executes an ARM fragment over symbolic register contents."""
 
-    def __init__(self, initial: Dict[str, object]):
-        self.regs: Dict[str, object] = dict(initial)
-        self.stores: List[Tuple[object, int, object]] = []
-        self.branch = None
-        self.jumps = False
-        self._compare: Optional[Tuple[object, object]] = None
-        self._load_counter = 0
+    REG_NAMES = [f"r{number}" for number in range(16)]
+    PREFIX = "arm_"
 
-    def _reg(self, number: int):
-        name = f"r{number}"
-        if name not in self.regs:
-            self.regs[name] = Sym(f"arm_{name}")
-        return self.regs[name]
-
-    def _set_reg(self, number: int, value) -> None:
-        self.regs[f"r{number}"] = value
-
-    def _operand2(self, op2: Operand2):
+    def _operand2(self, op2: Operand2) -> Tuple[Value, Optional[Thunk]]:
+        """``(value, carry)``: the shifter operand, and the shifter's
+        carry-out as a flag definition, None when it keeps C."""
         if op2.is_imm:
-            return const(op2.imm)
+            if op2.imm > 0xFF:
+                return Value(const(op2.imm)), lambda: Value(
+                    const(op2.imm >> 31), 0, 1)
+            return Value(const(op2.imm)), None
         value = self._reg(op2.rm)
         if op2.rs is not None:
             raise RuleVerificationError("register-shifted operands are "
                                         "not rule-learnable fragments")
         if op2.shift == ShiftKind.LSL and op2.shift_imm == 0:
-            return value
-        op_name = {ShiftKind.LSL: "shl", ShiftKind.LSR: "shr",
-                   ShiftKind.ASR: "sar", ShiftKind.ROR: "ror"}[op2.shift]
-        return App(op_name, (value, const(op2.shift_imm)))
-
-    def execute(self, insns: List[ArmInsn]) -> SymState:
-        for insn in insns:
-            self._insn(insn)
-        return SymState(regs=dict(self.regs), stores=list(self.stores),
-                        branch=self.branch, jumps=self.jumps)
+            return Value(value), None
+        if op2.shift not in _SHIFTS or not 0 < op2.shift_imm < 32:
+            raise RuleVerificationError(f"shift {op2}")
+        shifted = App(_SHIFTS[op2.shift], (value, const(op2.shift_imm)))
+        return Value(shifted), lambda: _refuse(f"carry out of {op2}")
 
     def _insn(self, insn: ArmInsn) -> None:  # noqa: C901
         op = insn.op
         if insn.cond != Cond.AL and op is not Op.B:
             raise RuleVerificationError(
                 "conditional bodies are not extracted as fragments")
-        if op in COMPARE_OPS:
-            if op is not Op.CMP:
-                raise RuleVerificationError(f"unsupported compare {op}")
-            self._compare = (self._reg(insn.rn),
-                             self._operand2(insn.op2))
-            return
-        if op in DATA_PROCESSING_OPS:
-            operand2 = self._operand2(insn.op2)
-            if op is Op.MOV:
-                result = operand2
-            elif op is Op.MVN:
-                result = App("not", (operand2,))
-            else:
-                operand1 = self._reg(insn.rn)
-                result = _dp_expr(op, operand1, operand2)
-            self._set_reg(insn.rd, result)
+        row = DP_ROWS.get(op)
+        if row is not None:
+            self._data_processing(insn, row)
             return
         if op is Op.MUL:
             self._set_reg(insn.rd, App("mulv", (self._reg(insn.rm),
@@ -99,7 +66,6 @@ class ArmSymExec:
             return
         if op in (Op.LDR, Op.LDRB):
             address = self._address(insn)
-            self._load_counter += 1
             size = 4 if op is Op.LDR else 1
             self._set_reg(insn.rd, App("load", (address, const(size))))
             return
@@ -114,21 +80,38 @@ class ArmSymExec:
             if insn.cond == Cond.AL:
                 self.jumps = True
                 return
-            if self._compare is None:
-                raise RuleVerificationError("conditional branch without "
-                                            "a preceding compare")
-            name = _FALSE_COND_NAME.get(insn.cond)
-            if name is None:
-                raise RuleVerificationError(f"condition {insn.cond}")
-            lhs, rhs = self._compare
-            self.branch = (name, lhs, rhs)
+            text = COND_TEXTS[insn.cond]
+            self.branch = word(value_of(text, {
+                flag: self.flags.read(flag) for flag in names(text)}))
             return
         if op is Op.BX:
             self.jumps = True
             return
         raise RuleVerificationError(f"unsupported instruction {insn}")
 
-    def _address(self, insn: ArmInsn):
+    def _data_processing(self, insn: ArmInsn, row: DpRow) -> None:
+        operand2, shifter_carry = self._operand2(insn.op2)
+        bound: Dict[str, object] = {"b": operand2}
+        if row.reads_a:
+            bound["a"] = Value(self._reg(insn.rn))
+        if row.reads_c:
+            bound["c"] = self.flags.read("c")
+        if row.t is not None:
+            bound["t"] = value_of(row.t, bound)
+        bound["r"] = result = value_of(row.result, bound)
+        if insn.set_flags or not row.writes_rd:
+            texts = {"n": N_TEXT, "z": Z_TEXT}
+            if not row.logical:
+                texts.update(c=row.carry, v=row.overflow)
+            defs = {flag: (lambda text=text: value_of(text, bound))
+                    for flag, text in texts.items()}
+            if row.logical and shifter_carry is not None:
+                defs["c"] = shifter_carry
+            self.flags = self.flags.define(defs)
+        if row.writes_rd:
+            self._set_reg(insn.rd, word(result))
+
+    def _address(self, insn: ArmInsn) -> Any:
         base = self._reg(insn.rn)
         if insn.mem_offset_reg is not None:
             offset = self._reg(insn.mem_offset_reg)
@@ -138,21 +121,3 @@ class ArmSymExec:
         if insn.mem_offset_imm:
             return App("add", (base, const(insn.mem_offset_imm)))
         return base
-
-
-def _dp_expr(op: Op, a, b):
-    if op is Op.ADD:
-        return App("add", (a, b))
-    if op is Op.SUB:
-        return App("add", (a, App("mulv", (const(0xFFFFFFFF), b))))
-    if op is Op.RSB:
-        return App("add", (b, App("mulv", (const(0xFFFFFFFF), a))))
-    if op is Op.AND:
-        return App("and", (a, b))
-    if op is Op.ORR:
-        return App("or", (a, b))
-    if op is Op.EOR:
-        return App("xor", (a, b))
-    if op is Op.BIC:
-        return App("and", (a, App("not", (b,))))
-    raise RuleVerificationError(f"unsupported data-processing op {op}")

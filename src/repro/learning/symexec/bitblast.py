@@ -199,6 +199,11 @@ class BitBlaster:
 
     def _mul_const(self, a: BitVec, value: int) -> BitVec:
         value &= MASK
+        if bin(-value & MASK).count("1") < bin(value).count("1"):
+            # a * value == -(a * -value): one add for a negation.
+            product = self._mul_const(a, -value)
+            return self._add([self.bdd.not_(bit) for bit in product],
+                             self.const_vec(1))
         acc = self.const_vec(0)
         for bit in range(WIDTH):
             if (value >> bit) & 1:
@@ -222,6 +227,9 @@ class BitBlaster:
             acc = [bdd.ite(b[bit], added[i], acc[i]) for i in range(WIDTH)]
         return acc
 
+    def _flag_vec(self, bit: int) -> BitVec:
+        return [bit] + [self.bdd.FALSE] * (WIDTH - 1)
+
     def _as_const(self, a: BitVec) -> Optional[int]:
         value = 0
         for bit in range(WIDTH):
@@ -244,28 +252,6 @@ class BitBlaster:
     def _rotate_right_const(self, a: BitVec, amount: int) -> BitVec:
         amount &= 31
         return a[amount:] + a[:amount]
-
-    def _shift_var(self, a: BitVec, amount: BitVec, kind: str) -> BitVec:
-        """Symbolic shift amount: mux over the 32 cases of amount & 31
-        (mirroring evaluate()'s 5-bit mask)."""
-        bdd = self.bdd
-        out = self.const_vec(0)
-        for k in range(32):
-            if kind == "shl":
-                case = self._shift_left_const(a, k)
-            elif kind == "shr":
-                case = self._shift_right_const(a, k, arithmetic=False)
-            elif kind == "sar":
-                case = self._shift_right_const(a, k, arithmetic=True)
-            else:  # ror
-                case = self._rotate_right_const(a, k)
-            sel = bdd.TRUE
-            for bit in range(5):
-                lit = amount[bit]
-                sel = bdd.and_(sel, lit if (k >> bit) & 1
-                               else bdd.not_(lit))
-            out = [bdd.ite(sel, case[i], out[i]) for i in range(WIDTH)]
-        return out
 
     # -- expression compilation ----------------------------------------------
 
@@ -316,18 +302,32 @@ class BitBlaster:
         if op == "not":
             return [bdd.not_(bit) for bit in args[0]]
         if op in ("shl", "shr", "sar", "ror"):
-            amount_const = self._as_const(args[1])
-            if amount_const is not None:
-                if op == "shl":
-                    return self._shift_left_const(args[0], amount_const)
-                if op == "shr":
-                    return self._shift_right_const(args[0], amount_const,
-                                                   arithmetic=False)
-                if op == "sar":
-                    return self._shift_right_const(args[0], amount_const,
-                                                   arithmetic=True)
-                return self._rotate_right_const(args[0], amount_const)
-            return self._shift_var(args[0], args[1], op)
+            # The executors shift by constants only.
+            amount = self._as_const(args[1])
+            if amount is None:
+                raise Unsupported(f"{op} by a symbolic amount")
+            if op == "shl":
+                return self._shift_left_const(args[0], amount)
+            if op == "ror":
+                return self._rotate_right_const(args[0], amount)
+            return self._shift_right_const(args[0], amount,
+                                           arithmetic=op == "sar")
+        if op == "ult":
+            # LSB first: below bit i, a < b as bit i decides or defers.
+            below = bdd.FALSE
+            for a_bit, b_bit in zip(*args):
+                below = bdd.ite(bdd.xor_(a_bit, b_bit), b_bit, below)
+            return self._flag_vec(below)
+        if op == "eq":
+            same = bdd.TRUE
+            for a_bit, b_bit in zip(*args):
+                same = bdd.and_(same, bdd.not_(bdd.xor_(a_bit, b_bit)))
+            return self._flag_vec(same)
+        if op == "ite":
+            test = bdd.FALSE
+            for bit in args[0]:
+                test = bdd.or_(test, bit)
+            return [bdd.ite(test, x, y) for x, y in zip(args[1], args[2])]
         if op == "load":
             return self._load_vec(args[0], args[1])
         raise Unsupported(f"cannot bit-blast operator {op!r}")

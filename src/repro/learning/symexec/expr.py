@@ -1,12 +1,16 @@
 """Symbolic expression engine for translation-rule verification.
 
 Expressions are 32-bit values over symbolic variables, with concrete
-semantics given by :func:`evaluate`.  :func:`normalize` is the first
+semantics given by :func:`evaluate`.  Besides the arithmetic, bitwise
+and shift operators, ``ult`` and ``eq`` compare two words (1 or 0) and
+``ite`` selects by a test word, so a flag, and whether a branch is
+taken, is one expression.  :func:`normalize` is the first
 rung of the verifier's decision ladder
 (:func:`repro.learning.verify.classify_equiv`): constant folding, a
 linear normal form over + / - / << / *constant (so ``x << 2`` and
 ``x * 4`` canonicalize identically), and flattening/sorting of
-commutative bitwise operators.  Structurally equal normal forms are
+commutative bitwise operators; a comparison or ``ite`` stays an opaque
+term.  Structurally equal normal forms are
 *proved* equivalent (:func:`proved_equal`).  Pairs the normalizer cannot
 align go on to BDD bit-blasting (:mod:`.bitblast`), which decides the
 same semantics for all inputs, and past its node budget to a seeded
@@ -102,6 +106,12 @@ def evaluate(expr, env: Dict[str, int]) -> int:
         amount = args[1] & 31
         value = args[0] & MASK
         return ((value >> amount) | (value << (32 - amount))) & MASK
+    if op == "ult":
+        return 1 if args[0] < args[1] else 0
+    if op == "eq":
+        return 1 if args[0] == args[1] else 0
+    if op == "ite":
+        return args[1] if args[0] else args[2]
     if op == "load":
         # Uninterpreted memory read: hash the address deterministically.
         return (args[0] * 2654435761 + args[1]) & MASK

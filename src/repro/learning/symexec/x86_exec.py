@@ -1,53 +1,45 @@
-"""Symbolic executor for straight-line x86 fragments (toycc output)."""
+"""Symbolic executor for straight-line x86 fragments (toycc output).
+
+An instruction runs its ``host/ops.py`` row: the row's ``x``, ``t`` and
+result texts, over :mod:`.exact` Values, and its flag texts, evaluated
+when a later instruction reads them.  A ``jcc`` evaluates its
+condition's text (``host/cpu.py: COND_EXPRS``) over those flags.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict
 
 from ...common.errors import RuleVerificationError
-from ...host.isa import (Imm, Mem, Reg, REG_NAMES, X86Cond, X86Insn, X86Op)
-from .arm_exec import SymState
-from .expr import App, Sym, const
-
-#: canonical comparison names keyed by the false-branch host condition.
-_FALSE_COND_NAME = {
-    X86Cond.NE: "eq", X86Cond.E: "ne", X86Cond.GE: "lt", X86Cond.LE: "gt",
-    X86Cond.G: "le", X86Cond.L: "ge", X86Cond.AE: "ltu", X86Cond.B: "geu",
-    X86Cond.A: "leu", X86Cond.BE: "gtu",
-}
-
-_BIN_EXPR = {X86Op.ADD: "add", X86Op.AND: "and", X86Op.OR: "or",
-             X86Op.XOR: "xor", X86Op.IMUL: "mulv"}
+from ...host.cpu import COND_EXPRS
+from ...host.isa import Imm, Mem, Reg, REG_NAMES, X86Insn, X86Op
+from ...host.ops import ROWS, fill
+from .exact import SymExec, Value, lift, value_of, word
+from .expr import MASK, App, const
 
 
-class X86SymExec:
-    def __init__(self, initial: Dict[str, object]):
-        self.regs: Dict[str, object] = dict(initial)
-        self.stores: List[Tuple[object, int, object]] = []
-        self.branch: Optional[Tuple[str, object, object]] = None
-        self.jumps = False
-        self._compare: Optional[Tuple[object, object]] = None
+class X86SymExec(SymExec):
+    """Executes an x86 fragment over symbolic register contents."""
 
-    def _reg(self, number: int):
-        name = REG_NAMES[number]
-        if name not in self.regs:
-            self.regs[name] = Sym(f"x86_{name}")
-        return self.regs[name]
+    REG_NAMES = REG_NAMES
+    PREFIX = "x86_"
 
-    def _set_reg(self, number: int, value) -> None:
-        self.regs[REG_NAMES[number]] = value
-
-    def _value(self, operand):
+    def _value(self, operand: Any, read_as: str = "") -> Value:
         if isinstance(operand, Imm):
-            return const(operand.value)
+            return lift(operand.value & MASK)
         if isinstance(operand, Reg):
-            return self._reg(operand.number)
+            value = Value(self._reg(operand.number))
+            if read_as == "r8":
+                return Value(App("and", (value.node, const(0xFF))), 0, 0xFF)
+            return value
         if isinstance(operand, Mem):
-            return App("load", (self._address(operand),
-                                const(operand.size)))
+            address = self._address(operand)
+            if read_as == "addr":
+                return Value(address)
+            return Value(App("load", (address, const(operand.size))))
         raise RuleVerificationError(f"bad operand {operand}")
 
-    def _address(self, mem: Mem):
+    def _address(self, mem: Mem) -> Any:
         parts = []
         if mem.base is not None:
             parts.append(self._reg(mem.base))
@@ -64,68 +56,51 @@ class X86SymExec:
             return parts[0]
         return App("add", tuple(parts))
 
-    def execute(self, insns: List[X86Insn]) -> SymState:
-        for insn in insns:
-            self._insn(insn)
-        return SymState(regs=dict(self.regs), stores=list(self.stores),
-                        branch=self.branch, jumps=self.jumps)
+    def _write(self, dst: Any, node: Any) -> None:
+        if isinstance(dst, Reg):
+            self._set_reg(dst.number, node)
+            return
+        if dst.size < 4:
+            node = App("and", (node, const(MASK >> (32 - 8 * dst.size))))
+        self.stores.append((self._address(dst), dst.size, node))
 
-    def _insn(self, insn: X86Insn) -> None:  # noqa: C901
+    def _insn(self, insn: X86Insn) -> None:
         op = insn.op
-        if op is X86Op.MOV:
-            value = self._value(insn.src)
-            if isinstance(insn.dst, Mem):
-                if insn.dst.size == 1:
-                    value = App("and", (value, const(0xFF)))
-                self.stores.append((self._address(insn.dst), insn.dst.size,
-                                    value))
-            else:
-                self._set_reg(insn.dst.number, value)
-            return
-        if op is X86Op.MOVZX:
-            # toycc only uses movzx for byte loads from memory.
-            value = self._value(insn.src)
-            self._set_reg(insn.dst.number, value)
-            return
-        if op in _BIN_EXPR:
-            value = App(_BIN_EXPR[op],
-                        (self._value(insn.dst), self._value(insn.src)))
-            self._set_reg(insn.dst.number, value)
-            return
-        if op is X86Op.SUB:
-            value = App("add", (self._value(insn.dst),
-                                App("mulv", (const(0xFFFFFFFF),
-                                             self._value(insn.src)))))
-            self._set_reg(insn.dst.number, value)
-            return
-        if op in (X86Op.SHL, X86Op.SHR, X86Op.SAR):
-            name = {X86Op.SHL: "shl", X86Op.SHR: "shr",
-                    X86Op.SAR: "sar"}[op]
-            value = App(name, (self._value(insn.dst),
-                               self._value(insn.src)))
-            self._set_reg(insn.dst.number, value)
-            return
-        if op is X86Op.NEG:
-            value = App("mulv", (const(0xFFFFFFFF), self._value(insn.dst)))
-            self._set_reg(insn.dst.number, value)
-            return
-        if op is X86Op.NOT:
-            self._set_reg(insn.dst.number,
-                          App("not", (self._value(insn.dst),)))
-            return
-        if op is X86Op.CMP:
-            self._compare = (self._value(insn.dst), self._value(insn.src))
-            return
         if op is X86Op.JCC:
-            if self._compare is None:
-                raise RuleVerificationError("jcc without compare")
-            name = _FALSE_COND_NAME.get(insn.cond)
-            if name is None:
-                raise RuleVerificationError(f"condition {insn.cond}")
-            lhs, rhs = self._compare
-            self.branch = (name, lhs, rhs)
+            self.branch = word(value_of(COND_EXPRS[insn.cond],
+                                        {"C": self.flags}))
             return
         if op in (X86Op.JMP, X86Op.EXIT_TB):
             self.jumps = True
             return
-        raise RuleVerificationError(f"unsupported host instruction {insn}")
+        row = ROWS.get(op)
+        if row is None or row.form != "alu" or row.step is not None:
+            raise RuleVerificationError(
+                f"unsupported host instruction {insn}")
+        holes: Dict[str, int] = {}
+        if "n" in row.holes:
+            if not isinstance(insn.src, Imm):
+                raise RuleVerificationError(f"shift count of {insn}")
+            holes["n"] = insn.src.value & 31
+            if not holes["n"]:          # a zero count changes nothing
+                return
+        names: Dict[str, object] = {"C": self.flags}
+        if "x" in row.names:
+            names["x"] = self._value(insn.dst)
+        if "y" in row.names:
+            names["y"] = self._value(insn.src, row.src_as)
+
+        def value(text: str) -> Value:
+            return value_of(fill(text, {}, holes), names)
+
+        if row.x not in (None, "x"):
+            names["x"] = value(row.x)
+        if row.t is not None:
+            names["t"] = value(row.t)
+        if row.result is not None:
+            names["r"] = value(row.result)
+        self.flags = self.flags.define(
+            {letter + "f": (lambda text=text: value(text))
+             for letter, text in row.flag_texts.items()})
+        if row.writes_dst:
+            self._write(insn.dst, word(names["r"]))

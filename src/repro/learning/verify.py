@@ -6,7 +6,9 @@ candidate and check that they compute the same observable state:
 - final values of every source variable's home register,
 - the return value (r0 <-> eax) of fragments that jump to the epilogue,
 - memory stores (address, size, value — in order),
-- the branch condition, when the fragment is an if/while condition.
+- whether the closing branch is taken, when the fragment is an if/while
+  condition: one 0/1 expression per side, over the flags each side's
+  compare set.
 
 Every compared pair climbs one decision ladder (:func:`classify_equiv`):
 
@@ -202,14 +204,7 @@ def verify(candidate: CandidateRule) -> RuleVerdict:
     if (guest_state.branch is None) != (host_state.branch is None):
         return refute_structural("branch structure differs")
     if guest_state.branch is not None:
-        guest_cond, guest_lhs, guest_rhs = guest_state.branch
-        host_cond, host_lhs, host_rhs = host_state.branch
-        if guest_cond != host_cond:
-            return refute_structural(
-                f"conditions differ: {guest_cond} vs {host_cond}")
-        if not compare("branch lhs", guest_lhs, host_lhs):
-            return verdict
-        if not compare("branch rhs", guest_rhs, host_rhs):
+        if not compare("branch", guest_state.branch, host_state.branch):
             return verdict
     if guest_state.jumps != host_state.jumps:
         return refute_structural("jump structure differs")

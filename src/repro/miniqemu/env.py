@@ -56,7 +56,8 @@ def env_vfp(index: int) -> int:
     return ENV_VFP + 4 * index
 
 
-ENV_FLAG_OFFSETS = {"N": ENV_NF, "Z": ENV_ZF, "C": ENV_CF, "V": ENV_VF}
+#: Flag field by the flag's name in the condition texts (guest/ops.py).
+ENV_FLAG_OFFSETS = {"n": ENV_NF, "z": ENV_ZF, "c": ENV_CF, "v": ENV_VF}
 
 #: One env word, r0..r15 and s0..s31, packed and unpacked in place.
 _WORD = struct.Struct("<I")

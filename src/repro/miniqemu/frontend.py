@@ -10,33 +10,74 @@ calls; loads/stores become ``QEMU_LD``/``QEMU_ST`` (softmmu).
 
 from __future__ import annotations
 
-from typing import List, Optional
+import ast
+import functools
+from typing import List, Optional, Tuple
 
-from ..common.bitops import u32
-from ..guest.isa import (COMPARE_OPS, DATA_PROCESSING_OPS, VFP_ARITH_OPS,
+from ..common.bitops import MASK32, u32
+from ..common.texts import evaluate_text
+from ..guest.isa import (ACCESS_SIZE, DATA_PROCESSING_OPS, VFP_ARITH_OPS,
                          ArmInsn, Cond, Op, Operand2, PC, ShiftKind)
-from ..ir.ops import IRBuilder, IRCond, Temp
-from .env import (ENV_CF, ENV_IRQ, ENV_NF, ENV_VF, ENV_ZF, env_reg,
-                  env_vfp)
+from ..guest.ops import COND_TEXTS, DP_ROWS, N_TEXT, Z_TEXT
+from ..ir.ops import IRBuilder, IRCond, Src, Temp
+from .env import (ENV_CF, ENV_FLAG_OFFSETS, ENV_IRQ, ENV_NF, ENV_VF, ENV_ZF,
+                  env_reg, env_vfp)
 from .helpers import (make_exception_return_helper, make_svc_helper,
                       make_sysreg_helper, make_undef_helper,
                       make_vfp_helper)
 from .tb import EXIT_INTERRUPT, EXIT_PC_UPDATED
 
-#: condition -> list of (env_offset_a, env_offset_b_or_None, IRCond) tests
-#: that, when *true*, mean the condition FAILS (branch to skip).  For the
-#: OR-style conditions a second structure is used (see _emit_cond_skip).
+#: The N and Z texts by the env field they set.
+_NZ = {ENV_NF: N_TEXT, ENV_ZF: Z_TEXT}
 
-_SIMPLE_SKIP = {
-    Cond.EQ: (ENV_ZF, IRCond.EQ),    # execute if Z==1 -> skip if Z==0
-    Cond.NE: (ENV_ZF, IRCond.NE),
-    Cond.CS: (ENV_CF, IRCond.EQ),
-    Cond.CC: (ENV_CF, IRCond.NE),
-    Cond.MI: (ENV_NF, IRCond.EQ),
-    Cond.PL: (ENV_NF, IRCond.NE),
-    Cond.VS: (ENV_VF, IRCond.EQ),
-    Cond.VC: (ENV_VF, IRCond.NE),
-}
+
+@functools.lru_cache(maxsize=None)
+def _cond_tests(cond: Cond) -> Tuple[bool, List[Tuple[str, Optional[str],
+                                                      bool]]]:
+    """*cond*'s text (``guest/ops.py``) as ``(either, tests)``: its
+    tests, joined by ``or`` when *either* else by ``and``, each
+    ``(flag, other flag or None for 0, holds when the two are equal)``."""
+    tree = ast.parse(COND_TEXTS[cond], mode="eval").body
+    tests = []
+    for test in tree.values if isinstance(tree, ast.BoolOp) else [tree]:
+        if isinstance(test, ast.Compare):           # n == v, n != v
+            tests.append((test.left.id, test.comparators[0].id,
+                          isinstance(test.ops[0], ast.Eq)))
+        elif isinstance(test, ast.UnaryOp):         # not f
+            tests.append((test.operand.id, None, True))
+        else:                                       # f
+            tests.append((test.id, None, False))
+    return isinstance(getattr(tree, "op", None), ast.Or), tests
+
+
+class _IRTexts:
+    """The operators of the ARM texts (``guest/ops.py``) as IR.  Temps
+    are 32 bits wide, so ``& 0xFFFFFFFF`` is the identity."""
+
+    def __init__(self, build: IRBuilder):
+        self.build = build
+        self.add, self.sub, self.or_, self.xor, self.rshift = \
+            build.add, build.sub, build.or_, build.xor, build.shr
+        self.both, self.either = build.and_, build.or_
+
+    def and_(self, a: Src, b: Src) -> Src:
+        return a if b == MASK32 else self.build.and_(a, b)
+
+    def invert(self, a: Src) -> Temp:
+        return self.build.not_(a if isinstance(a, Temp)
+                               else self.build.movi(a))
+
+    def lt(self, a: Src, b: Src) -> Temp:
+        return self.build.setcond(IRCond.LTU, a, b)
+
+    def gt(self, a: Src, b: Src) -> Temp:
+        return self.build.setcond(IRCond.GTU, a, b)
+
+    def ge(self, a: Src, b: Src) -> Temp:
+        return self.build.setcond(IRCond.GEU, a, b)
+
+    def eq(self, a: Src, b: Src) -> Temp:
+        return self.build.setcond(IRCond.EQ, a, b)
 
 
 class TcgFrontend:
@@ -120,8 +161,7 @@ class TcgFrontend:
             self._data_processing(insn)
         elif op in (Op.MUL, Op.MLA):
             self._multiply(insn)
-        elif op in (Op.LDR, Op.LDRB, Op.LDRH, Op.LDRSB, Op.LDRSH, Op.STR,
-                    Op.STRB, Op.STRH):
+        elif op in ACCESS_SIZE:
             self._single_transfer(insn)
         elif op in (Op.LDM, Op.STM):
             self._block_transfer(insn)
@@ -153,45 +193,27 @@ class TcgFrontend:
     # -- conditions --------------------------------------------------------
 
     def _emit_cond_skip(self, cond: Cond, skip_label: str) -> None:
-        """Branch to *skip_label* when *cond* fails (QEMU-style)."""
+        """Branch to *skip_label* when *cond* fails (QEMU-style): on the
+        first ``and`` test that fails, or past the skip on the first
+        ``or`` test that holds.  A one-flag test's flag loads before any
+        branch, a comparison's flags just before its own."""
         build = self.builder
-        if cond in _SIMPLE_SKIP:
-            offset, ircond = _SIMPLE_SKIP[cond]
-            flag = build.ld_env(offset)
-            build.brcond(ircond, flag, 0, skip_label)
-            return
-        if cond == Cond.GE:
-            n, v = build.ld_env(ENV_NF), build.ld_env(ENV_VF)
-            build.brcond(IRCond.NE, n, v, skip_label)
-        elif cond == Cond.LT:
-            n, v = build.ld_env(ENV_NF), build.ld_env(ENV_VF)
-            build.brcond(IRCond.EQ, n, v, skip_label)
-        elif cond == Cond.HI:  # C==1 && Z==0
-            c, z = build.ld_env(ENV_CF), build.ld_env(ENV_ZF)
-            build.brcond(IRCond.EQ, c, 0, skip_label)
-            build.brcond(IRCond.NE, z, 0, skip_label)
-        elif cond == Cond.LS:  # C==0 || Z==1; skip when C==1 && Z==0
-            c, z = build.ld_env(ENV_CF), build.ld_env(ENV_ZF)
-            execute = build.new_label("exec")
-            build.brcond(IRCond.EQ, c, 0, execute)
-            build.brcond(IRCond.NE, z, 0, execute)
+        either, tests = _cond_tests(cond)
+
+        def load(flag: str) -> Temp:
+            return build.ld_env(ENV_FLAG_OFFSETS[flag])
+
+        flags = {flag: load(flag) for flag, other, _ in tests
+                 if other is None}
+        target = build.new_label("exec") if either else skip_label
+        for flag, other, holds_equal in tests:
+            left, right = (flags[flag], 0) if other is None else (
+                load(flag), load(other))
+            build.brcond(IRCond.EQ if holds_equal == either else IRCond.NE,
+                         left, right, target)
+        if either:
             build.br(skip_label)
-            build.label(execute)
-        elif cond == Cond.GT:  # Z==0 && N==V
-            z = build.ld_env(ENV_ZF)
-            build.brcond(IRCond.NE, z, 0, skip_label)
-            n, v = build.ld_env(ENV_NF), build.ld_env(ENV_VF)
-            build.brcond(IRCond.NE, n, v, skip_label)
-        elif cond == Cond.LE:  # Z==1 || N!=V; skip when Z==0 && N==V
-            z = build.ld_env(ENV_ZF)
-            execute = build.new_label("exec")
-            build.brcond(IRCond.NE, z, 0, execute)
-            n, v = build.ld_env(ENV_NF), build.ld_env(ENV_VF)
-            build.brcond(IRCond.NE, n, v, execute)
-            build.br(skip_label)
-            build.label(execute)
-        else:
-            raise ValueError(f"unexpected condition {cond}")
+            build.label(target)
 
     # -- operand helpers ------------------------------------------------------
 
@@ -235,10 +257,8 @@ class TcgFrontend:
             return build.shr(value, amount), carry
         if kind == ShiftKind.ASR:
             if want_carry:
-                carry = build.and_(build.shr(value, min(amount, 31)
-                                             if amount != 32 else 31), 1) \
-                    if amount == 32 else \
-                    build.and_(build.shr(value, amount - 1), 1)
+                carry = build.and_(build.shr(value, amount - 1
+                                             if amount < 32 else 31), 1)
             if amount == 32:
                 return build.sar(value, 31), carry
             return build.sar(value, amount), carry
@@ -292,118 +312,52 @@ class TcgFrontend:
         carry = build.and_(build.shr(result, 31), 1) if want_carry else None
         return result, carry
 
-    # -- flag stores ---------------------------------------------------------------
+    # -- data processing -------------------------------------------------
 
-    def _store_nz(self, result: Temp) -> None:
-        build = self.builder
-        build.st_env(build.and_(build.shr(result, 31), 1), ENV_NF)
-        build.st_env(build.setcond(IRCond.EQ, result, 0), ENV_ZF)
+    def _store_flags(self, texts, names) -> None:
+        """Store each flag text of *texts* (env offset -> text) over
+        *names*, in order."""
+        algebra = _IRTexts(self.builder)
+        for offset, text in texts.items():
+            self.builder.st_env(evaluate_text(text, algebra, names), offset)
 
-    def _store_add_cv(self, a, b, result) -> None:
-        build = self.builder
-        build.st_env(build.setcond(IRCond.LTU, result, a), ENV_CF)
-        overflow = build.and_(build.xor(a, result),
-                              build.not_(build.xor(a, b)))
-        build.st_env(build.and_(build.shr(overflow, 31), 1), ENV_VF)
-
-    def _store_sub_cv(self, a, b, result) -> None:
-        build = self.builder
-        build.st_env(build.setcond(IRCond.GEU, a, b), ENV_CF)
-        overflow = build.and_(build.xor(a, result), build.xor(a, b))
-        build.st_env(build.and_(build.shr(overflow, 31), 1), ENV_VF)
-
-    # -- instruction families ---------------------------------------------------------
-
-    def _data_processing(self, insn: ArmInsn) -> None:  # noqa: C901
-        build = self.builder
-        op = insn.op
-        logical = op in (Op.AND, Op.EOR, Op.TST, Op.TEQ, Op.ORR, Op.MOV,
-                         Op.BIC, Op.MVN)
-        want_carry = logical and (insn.set_flags or op in COMPARE_OPS)
+    def _dp_result(self, insn: ArmInsn, want_carry: bool):
+        """Lower *insn*'s row up to its result: ``(result, names,
+        shifter carry)``, *names* binding the row's text names to IR."""
+        row = DP_ROWS[insn.op]
         operand2, shifter_carry = self._shifter(insn.op2, insn, want_carry)
-        needs_rn = op not in (Op.MOV, Op.MVN)
-        operand1 = self._read_reg(insn.rn, insn) if needs_rn else None
+        names = {"b": operand2}
+        if row.reads_a:
+            names["a"] = self._read_reg(insn.rn, insn)
+        if row.reads_c:
+            names["c"] = self.builder.ld_env(ENV_CF)
+        algebra = _IRTexts(self.builder)
+        if row.t is not None:
+            names["t"] = evaluate_text(row.t, algebra, names)
+        result = evaluate_text(row.result, algebra, names)
+        if not isinstance(result, Temp):
+            result = self.builder.movi(result)
+        names["r"] = result
+        return result, names, shifter_carry
 
-        carry_in = None
-        if op in (Op.ADC, Op.SBC, Op.RSC):
-            carry_in = build.ld_env(ENV_CF)
-
-        if op in (Op.AND, Op.TST):
-            result = build.and_(operand1, operand2)
-        elif op in (Op.EOR, Op.TEQ):
-            result = build.xor(operand1, operand2)
-        elif op in (Op.SUB, Op.CMP):
-            result = build.sub(operand1, operand2)
-        elif op is Op.RSB:
-            result = build.sub(operand2, operand1)
-        elif op in (Op.ADD, Op.CMN):
-            result = build.add(operand1, operand2)
-        elif op is Op.ADC:
-            result = build.add(build.add(operand1, operand2), carry_in)
-        elif op is Op.SBC:
-            borrow = build.xor(carry_in, 1)
-            result = build.sub(build.sub(operand1, operand2), borrow)
-        elif op is Op.RSC:
-            borrow = build.xor(carry_in, 1)
-            result = build.sub(build.sub(operand2, operand1), borrow)
-        elif op is Op.ORR:
-            result = build.or_(operand1, operand2)
-        elif op is Op.MOV:
-            result = operand2 if isinstance(operand2, Temp) \
-                else build.movi(operand2)
-        elif op is Op.BIC:
-            result = build.and_(operand1, build.not_(
-                operand2 if isinstance(operand2, Temp)
-                else build.movi(operand2)))
-        else:  # MVN
-            result = build.not_(operand2 if isinstance(operand2, Temp)
-                                else build.movi(operand2))
-
-        if insn.set_flags or op in COMPARE_OPS:
-            self._store_nz(result)
-            if logical:
-                if shifter_carry is not None:
-                    build.st_env(shifter_carry, ENV_CF)
-            elif op in (Op.ADD, Op.CMN):
-                self._store_add_cv(operand1, operand2, result)
-            elif op in (Op.SUB, Op.CMP):
-                self._store_sub_cv(operand1, operand2, result)
-            elif op is Op.RSB:
-                self._store_sub_cv(operand2, operand1, result)
-            else:
-                # ADC/SBC/RSC: full AddWithCarry flag semantics.
-                self._store_carry_chain(op, operand1, operand2, carry_in,
-                                        result)
-
-        if op in COMPARE_OPS:
+    def _data_processing(self, insn: ArmInsn) -> None:
+        build = self.builder
+        row = DP_ROWS[insn.op]
+        sets_flags = insn.set_flags or not row.writes_rd
+        result, names, shifter_carry = self._dp_result(
+            insn, sets_flags and row.logical)
+        if sets_flags:
+            self._store_flags(_NZ if row.logical else {
+                **_NZ, ENV_CF: row.carry, ENV_VF: row.overflow}, names)
+            if shifter_carry is not None:
+                build.st_env(shifter_carry, ENV_CF)
+        if not row.writes_rd:
             return
         if insn.rd == PC:
             masked = build.and_(result, 0xFFFFFFFC)
             self._end_indirect(masked)
             return
         build.st_env(result, env_reg(insn.rd))
-
-    def _store_carry_chain(self, op, a, b, carry_in, result) -> None:
-        """C/V for ADC/SBC/RSC (a 64-bit-free formulation)."""
-        build = self.builder
-        if op is Op.ADC:
-            # C = (result < a) || (carry_in && result == a)
-            low = build.setcond(IRCond.LTU, result, a)
-            same = build.setcond(IRCond.EQ, result, a)
-            build.st_env(build.or_(low, build.and_(same, carry_in)), ENV_CF)
-            overflow = build.and_(build.xor(a, result),
-                                  build.not_(build.xor(a, b)))
-        else:
-            if op is Op.RSC:
-                a, b = b, a
-            # a - b - (1-c): no-borrow iff a >= b + (1-c) in 33-bit space:
-            # C = (a > b) || (a == b && carry_in)
-            greater = build.setcond(IRCond.GTU, a, b)
-            equal = build.setcond(IRCond.EQ, a, b)
-            build.st_env(build.or_(greater, build.and_(equal, carry_in)),
-                         ENV_CF)
-            overflow = build.and_(build.xor(a, result), build.xor(a, b))
-        build.st_env(build.and_(build.shr(overflow, 31), 1), ENV_VF)
 
     def _multiply(self, insn: ArmInsn) -> None:
         build = self.builder
@@ -413,7 +367,7 @@ class TcgFrontend:
             product = build.add(product, self._read_reg(insn.rn, insn))
         build.st_env(product, env_reg(insn.rd))
         if insn.set_flags:
-            self._store_nz(product)
+            self._store_flags(_NZ, {"r": product})
 
     def _clz(self, insn: ArmInsn) -> None:
         build = self.builder
@@ -456,8 +410,7 @@ class TcgFrontend:
 
     def _single_transfer(self, insn: ArmInsn) -> None:
         build = self.builder
-        size = {Op.LDR: 4, Op.STR: 4, Op.LDRB: 1, Op.STRB: 1, Op.LDRH: 2,
-                Op.STRH: 2, Op.LDRSB: 1, Op.LDRSH: 2}[insn.op]
+        size = ACCESS_SIZE[insn.op]
         signed = insn.op in (Op.LDRSB, Op.LDRSH)
         address, new_base = self._mem_address(insn)
         writeback = (not insn.pre_indexed) or insn.writeback
@@ -541,18 +494,12 @@ class TcgFrontend:
             # Exception return: compute the target with normal DP rules
             # (no shifter carry: the helper replaces the whole CPSR),
             # then hand CPSR<-SPSR to the helper.
-            operand2, _ = self._shifter(insn.op2, insn, False)
-            if op is Op.MOV:
-                target = operand2 if isinstance(operand2, Temp) \
-                    else build.movi(operand2)
-            elif op is Op.SUB:
-                target = build.sub(self._read_reg(insn.rn, insn), operand2)
-            elif op is Op.ADD:
-                target = build.add(self._read_reg(insn.rn, insn), operand2)
-            else:
+            if op not in (Op.MOV, Op.SUB, Op.ADD):
+                self._shifter(insn.op2, insn, False)
                 build.call(make_undef_helper(insn))
                 self._ended = True
                 return
+            target, _, _ = self._dp_result(insn, False)
             build.call(make_exception_return_helper(insn), args=(target,))
             self._ended = True
             return

@@ -14,11 +14,8 @@ so two snapshots of the same tree must match *exactly*; the comparator
 gates them with equality.  (Older snapshots, ``BENCH_0.json`` among
 them, also carry a ``wallclock`` section of translation samples; it is
 ignored.  Real wall-clock is measured by ``perfbench/run.py``.)
-
-This module also owns the schema of the per-experiment result payloads
-``benchmarks/results/<name>.json`` (written by ``repro bench
---export-results``), so an experiment can never silently persist an
-empty or non-numeric document.
+A snapshot is the only record of a figure's rows and summary, and
+:func:`validate_snapshot` rejects an empty or non-numeric figure.
 """
 
 from __future__ import annotations
@@ -91,27 +88,17 @@ def _is_finite_number(value: Any) -> bool:
         and math.isfinite(value)
 
 
-# ---------------------------------------------------------------------------
-# Per-benchmark result payloads (benchmarks/results/<name>.json).
-# ---------------------------------------------------------------------------
-
 _ROW_SCALARS = (str, int, float, bool)
 
 
-def validate_result_payload(payload: Any) -> List[str]:
-    """Schema-check one ``benchmarks/results/<name>.json`` document.
-
-    Returns human-readable problems (empty = valid): a string ``name``,
-    ``rows`` as a list of flat dicts with scalar values, and a
-    ``summary`` dict of finite numbers with at least one entry — an
-    all-empty payload is exactly the silent failure mode this guards
-    against.
-    """
+def _figure_problems(payload: Any) -> List[str]:
+    """Problems of one snapshot figure: ``rows`` must be a list of flat
+    dicts with scalar values, and ``summary`` a dict of finite numbers;
+    an all-empty figure is exactly the silent failure this guards
+    against."""
     problems: List[str] = []
     if not isinstance(payload, dict):
-        return [f"payload must be an object, got {type(payload).__name__}"]
-    if not isinstance(payload.get("name"), str) or not payload.get("name"):
-        problems.append("missing string 'name'")
+        return [f"must be an object, got {type(payload).__name__}"]
     rows = payload.get("rows")
     if not isinstance(rows, list):
         problems.append("'rows' must be a list")
@@ -228,10 +215,8 @@ def validate_snapshot(snapshot: Any) -> List[str]:
         problems.append("'figures' must be an object")
         figures = {}
     for name, payload in figures.items():
-        for problem in validate_result_payload(
-                {"name": name, **payload} if isinstance(payload, dict)
-                else payload):
-            problems.append(f"figures.{name}: {problem}")
+        problems += [f"figures.{name}: {problem}"
+                     for problem in _figure_problems(payload)]
     tiers = snapshot.get("tiers")
     if not isinstance(tiers, dict) or not tiers:
         problems.append("'tiers' must be a non-empty object")

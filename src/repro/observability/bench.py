@@ -22,8 +22,6 @@ category).
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..harness.experiments import ALL_EXPERIMENTS, CLAIMS, SPEC_ORDER
@@ -31,8 +29,7 @@ from ..harness.report import format_table
 from ..harness.runner import (cached_results, run_cached, set_cache_dir,
                               set_cache_inject)
 from ..workloads import ALL_WORKLOADS
-from .baseline import (SCHEMA, SCHEMA_VERSION, fingerprint,
-                       validate_result_payload)
+from .baseline import SCHEMA, SCHEMA_VERSION, fingerprint
 from .profile import coordination_breakdown
 
 # NOTE: the harness imports the machine, which imports this package's
@@ -53,10 +50,6 @@ QUICK_EXPERIMENTS = ("coordination", "fig8", "fig14", "fig15", "fig16",
 
 FULL_EXPERIMENTS = QUICK_EXPERIMENTS + ("ablation", "fig19", "footnote3")
 
-#: benchmarks/results file stem when it differs from the experiment id.
-RESULT_NAMES = {"fig8": "fig08"}
-
-
 def _sum_stat(runs: List[Any], key: str) -> float:
     return float(sum(run.stats.get(key, 0.0) for run in runs))
 
@@ -67,7 +60,6 @@ def run_suite(mode: str = "full",
               engines: Tuple[str, ...] = TIER_ENGINES,
               inject: Optional[str] = None,
               name: str = "bench",
-              results_dir: Optional[str] = None,
               cache_dir: Optional[str] = None,
               progress: Optional[Callable[[str], None]] = None
               ) -> Dict[str, Any]:
@@ -77,9 +69,6 @@ def run_suite(mode: str = "full",
     *sweep_workloads* override) runs no figure experiments — they are
     hard-wired to the full SPEC analog set — and records only the
     tier/coordination/sync/coverage sections over the given workloads.
-    When *results_dir* is set, each experiment's rendered table and
-    metric payload are also written there (the
-    ``benchmarks/results/<name>.{txt,json}`` companions).
 
     *cache_dir* threads ``--cache-dir`` through the whole sweep: every
     run warm-starts from (and persists to) that directory.  Warm-start
@@ -105,10 +94,6 @@ def run_suite(mode: str = "full",
             result = ALL_EXPERIMENTS[experiment]()
             figures[experiment] = {"rows": list(result.rows),
                                    "summary": dict(result.summary)}
-            if results_dir is not None:
-                _export_result(results_dir,
-                               RESULT_NAMES.get(experiment, experiment),
-                               result)
 
         tiers: Dict[str, Dict[str, float]] = {}
         coordination: Dict[str, Dict[str, float]] = {}
@@ -189,23 +174,6 @@ def run_suite(mode: str = "full",
     finally:
         set_cache_inject(None)
         set_cache_dir(None)
-
-
-def _export_result(results_dir: str, name: str, result: Any) -> None:
-    """Write one experiment's rendered ``<name>.txt`` table and its
-    validated ``<name>.json`` metric payload."""
-    payload = {"name": name, "rows": list(result.rows),
-               "summary": dict(result.summary)}
-    problems = validate_result_payload(payload)
-    if problems:
-        raise ValueError(f"experiment {name!r} produced an invalid "
-                         f"payload: " + "; ".join(problems))
-    os.makedirs(results_dir, exist_ok=True)
-    with open(os.path.join(results_dir, f"{name}.txt"), "w") as handle:
-        handle.write(result.text + "\n")
-    with open(os.path.join(results_dir, f"{name}.json"), "w") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True, default=str)
-        handle.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from repro.harness.experiments import CLAIMS
 from repro.harness.runner import run_workload
 from repro.observability.baseline import (DOWN, NEUTRAL, UP, iter_metrics,
                                           load_snapshot, next_snapshot_path,
-                                          validate_result_payload,
                                           validate_snapshot, write_snapshot)
 from repro.observability.bench import (CLAIM_HELD, CLAIM_SKIPPED,
                                        CLAIM_VIOLATED, QUICK_EXPERIMENTS,
@@ -288,23 +287,27 @@ def test_iter_metrics_directions(clean_snapshot):
 
 
 # ---------------------------------------------------------------------------
-# Result-payload schema.
+# Figure schema.
 # ---------------------------------------------------------------------------
 
-def test_validate_result_payload_rejects_empty_and_nonfinite():
-    assert validate_result_payload(
-        {"name": "x", "rows": [], "summary": {}})
-    assert validate_result_payload(
-        {"name": "x", "rows": [], "summary": {"a": math.inf}})
-    assert validate_result_payload(
-        {"name": "", "rows": [], "summary": {"a": 1.0}})
-    assert validate_result_payload("not a dict")
-    assert validate_result_payload(
-        {"name": "x", "rows": [{"v": [1, 2]}], "summary": {"a": 1.0}})
-    assert validate_result_payload(
-        {"name": "x", "rows": [{"v": 1}], "summary": {}}) == []
-    assert validate_result_payload(
-        {"name": "x", "rows": [], "summary": {"a": 1.0}}) == []
+def test_snapshot_validator_rejects_empty_and_nonfinite_figures():
+    snapshot = load_snapshot(str(BENCH_0))
+    name = sorted(snapshot["figures"])[0]
+
+    def problems(figure):
+        return validate_snapshot({**snapshot,
+                                  "figures": {**snapshot["figures"],
+                                              name: figure}})
+
+    for figure in ({"rows": [], "summary": {}},
+                   {"rows": [], "summary": {"a": math.inf}},
+                   "not a dict",
+                   {"rows": [{"v": [1, 2]}], "summary": {"a": 1.0}}):
+        found = problems(figure)
+        assert found and all(problem.startswith(f"figures.{name}: ")
+                             for problem in found), figure
+    assert problems({"rows": [{"v": 1}], "summary": {}}) == []
+    assert problems({"rows": [], "summary": {"a": 1.0}}) == []
 
 
 # ---------------------------------------------------------------------------

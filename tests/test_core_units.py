@@ -2,6 +2,7 @@
 register cache, rulebooks, optimization config."""
 
 from dataclasses import fields
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +17,9 @@ from repro.core.rulebook import EmptyRulebook, MatureRulebook, StructuralFilter
 from repro.guest.asm import assemble
 from repro.guest.decoder import decode
 from repro.guest.isa import Cond, Op
+from repro.guest.ops import COND_TESTS as GUEST_COND_TESTS
 from repro.host.builder import CodeBuilder
+from repro.host.cpu import COND_TESTS as HOST_COND_TESTS
 from repro.host.isa import X86Cond, X86Op
 
 
@@ -158,6 +161,33 @@ def test_skip_sequences_for_two_branch_conditions():
     assert all(target == "skip" for _, target in sequence)
     sequence = skip_sequence(Cond.LS, CarryKind.DIRECT)
     assert ("exec" in {target for _, target in sequence})
+
+
+def _host_flags(nzcv, kind):
+    """The x86 flags that hold ARM *nzcv* under carry convention *kind*."""
+    n, z, c, v = ((nzcv >> shift) & 1 for shift in (3, 2, 1, 0))
+    cf = c ^ 1 if kind is CarryKind.INVERTED else c
+    return SimpleNamespace(cf=cf, zf=z, sf=n, of=v), (n, z, c, v)
+
+
+@pytest.mark.parametrize("kind", list(CarryKind), ids=lambda kind: kind.name)
+@pytest.mark.parametrize("cond", [cond for cond in Cond if cond != Cond.AL],
+                         ids=lambda cond: cond.name)
+def test_condition_mapping_agrees_with_both_condition_tables(cond, kind):
+    # AL is never skipped, so it has no mapping.
+    for nzcv in range(16):
+        host, flags = _host_flags(nzcv, kind)
+        passes = bool(GUEST_COND_TESTS[cond](*flags))
+        single = map_condition(cond, kind)
+        if single is not None:
+            assert bool(HOST_COND_TESTS[single](host)) == passes, nzcv
+        for host_cond, target in skip_sequence(cond, kind):
+            if HOST_COND_TESTS[host_cond](host):
+                skipped = target == "skip"
+                break
+        else:       # a sequence ending in an "exec" test then skips
+            skipped = target == "exec"
+        assert skipped == (not passes), nzcv
 
 
 def test_negate_is_involution():

@@ -21,11 +21,14 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 CODE_PACKAGES = {"repro.cache", "repro.workloads"}
 
 #: The imports a function makes when it is called, not when its module
-#: loads: ``--check``'s dataflow checker, and the store a run without
-#: ``--cache-dir`` never opens.
+#: loads: ``--check``'s dataflow checker, the store a run without
+#: ``--cache-dir`` never opens, and the paper-figure experiments, which
+#: only the commands that list or run them load.
 CALL_TIME_IMPORTS = {
     ("repro.core.engine", "RuleEngine._vet_tb"),
     ("repro.harness.runner", "make_machine"),
+    ("repro.__main__", "cmd_list"),
+    ("repro.__main__", "_bench_experiment"),
 }
 
 #: Modules that a ``repro run`` (runner, store and workloads) must not
@@ -148,26 +151,43 @@ def test_module_level_import_graph_is_acyclic():
     assert cycles == []
 
 
-def test_a_run_loads_no_bench_checker_or_learning_module():
-    code = ("import sys; import repro.harness.runner, repro.cache, "
-            "repro.workloads; print('\\n'.join(sorted(sys.modules)))")
+def _loaded_by(modules):
+    """The modules a fresh interpreter has loaded after importing
+    *modules*."""
+    code = (f"import sys; import {modules}; "
+            "print('\\n'.join(sorted(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True,
                           timeout=120)
-    loaded = set(done.stdout.split())
+    return set(done.stdout.split())
+
+
+def test_a_run_loads_no_bench_checker_or_learning_module():
+    loaded = _loaded_by("repro.harness.runner, repro.cache, repro.workloads")
     assert "repro.harness.runner" in loaded
     assert sorted(loaded & NOT_LOADED_BY_A_RUN) == []
     assert sorted(name for name in loaded
                   if name.startswith("repro.learning")) == []
 
 
+def test_the_command_line_loads_no_more_than_a_run():
+    # ``python -m repro`` imports it for every command; each command
+    # imports what only it needs when it runs.
+    loaded = _loaded_by("repro.__main__")
+    assert sorted(loaded & NOT_LOADED_BY_A_RUN) == []
+    assert sorted(name for name in loaded
+                  if name.startswith("repro.learning")) == []
+
+
 def test_only_the_named_functions_import_at_call_time():
+    # Each command of ``repro.__main__`` imports its own stack when it
+    # runs; of those imports, only the experiments' are checked here.
     found = set()
     for name in MODULES:
-        if name == "repro.__main__":
-            continue
-        found |= {(name, scope) for scope, _ in _imports(_tree(name))
-                  if scope is not None}
+        found |= {(name, scope) for scope, node in _imports(_tree(name))
+                  if scope is not None and (
+                      name != "repro.__main__" or
+                      "repro.harness.experiments" in _imported(name, node))}
     assert found == CALL_TIME_IMPORTS
 

@@ -274,7 +274,7 @@ def test_learn_end_to_end():
     result = learn()
     assert result.candidates >= 70
     assert result.verified >= 0.9 * result.candidates
-    assert result.proved == result.verified  # normalizer closes everything
+    assert result.proved == result.verified  # normalizer or BDD
     assert len(result.verdicts) == result.candidates  # one per candidate
     assert len(result.rules) >= 30
     assert len(result.rules) < result.verified  # parameterization compresses

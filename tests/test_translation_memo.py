@@ -17,7 +17,7 @@ from repro.analysis.dataflow import check_tb
 from repro.analysis.findings import Severity
 from repro.analysis.justify import J_INTER_TB, justifications_of
 from repro.common.errors import InjectedFault
-from repro.core.analysis import (F_ALL, _LOGICAL_DP, _shifter_touches_carry,
+from repro.core.analysis import (F_ALL, _shifter_touches_carry,
                                  analyze_block, flags_written)
 from repro.core.config import OptLevel
 from repro.core.engine import make_rule_engine
@@ -27,6 +27,7 @@ from repro.guest.encoder import encode
 from repro.guest.isa import (ArmInsn, BRANCH_OPS, COMPARE_OPS, Cond,
                              DATA_PROCESSING_OPS, LOAD_OPS, MEMORY_OPS, Op,
                              Operand2, PC, STORE_OPS, SYSTEM_OPS, ShiftKind)
+from repro.guest.ops import DP_ROWS
 from repro.harness.runner import ENGINE_SPECS, make_machine, run_workload
 from repro.kernel.kernel import USER_ENTRY
 from repro.miniqemu.machine import Machine
@@ -438,7 +439,7 @@ def _reference_flags_written(insn):
     if op in COMPARE_OPS:
         return 3 | carry
     if op in DATA_PROCESSING_OPS and insn.set_flags:
-        return 3 | carry if op in _LOGICAL_DP else F_ALL
+        return 3 | carry if DP_ROWS[op].logical else F_ALL
     if op in (Op.MUL, Op.MLA) and insn.set_flags:
         return 3
     if op is Op.MSR and not insn.spsr and insn.imm & 0x8:
