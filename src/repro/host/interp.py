@@ -22,6 +22,12 @@ per distinct source.  Both forms leave identical counters;
 :meth:`HostInterpreter.execute` states the invariants.  Both run the
 texts of :mod:`repro.host.ops`: the step functions are compiled from
 them, and a body inlines them with the operands resolved.
+
+An interpreter may be given the host region of the guest CPU state
+(``env``), which the translators address as ``[ebp + d]``, as QEMU's
+TCG addresses it from ``TCG_AREG0``.  A compiled TB that does not write
+EBP then reads and writes its env operands at constant offsets into
+that region, and runs compiled only while EBP holds the region's base.
 """
 
 from __future__ import annotations
@@ -30,13 +36,13 @@ import struct
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..common.bitops import u32
 from ..common.errors import HostExecutionError, WatchdogTimeout
 from ..observability.trace import NULL_TRACER
 from .cpu import COND_EXPRS, COND_TESTS, HostCpu
-from .isa import ESP, Imm, Mem, Reg, X86Insn, X86Op
+from .isa import EBP, ESP, Imm, Mem, Reg, X86Insn, X86Op
 from .ops import MASK as _MASK, ROWS, STEPS, fill
 
 # Enum members bound once for the per-instruction code: on Python 3.10
@@ -90,7 +96,7 @@ class _Block:
     """One basic block of a compiled TB."""
 
     __slots__ = ("start", "count", "tags", "insn_tags", "body", "lines",
-                 "kind", "insn", "pred", "next", "taken")
+                 "kind", "insn", "pred", "next", "taken", "resolved")
 
     def __init__(self, start: int, insns: List[X86Insn]):
         self.start = start                 # index of its first insn in tb.code
@@ -111,14 +117,24 @@ class _Block:
         self.pred = None                   # JCC condition predicate
         self.next: Optional[_Block] = None     # None: falls off the TB end
         self.taken: Optional[_Block] = None    # JCC target
+        #: on an entry block: its TB's bodies address env operands in
+        #: the env region, so the TB runs compiled only while EBP holds
+        #: the region's base
+        self.resolved = False
 
 
 class HostInterpreter:
-    """Executes host code blocks against a HostCpu + HostMemory."""
+    """Executes host code blocks against a HostCpu + HostMemory.
 
-    def __init__(self, cpu: HostCpu, memory):
+    *env*, when given, is ``(base, data)`` of the env region mapped in
+    *memory*; ``data`` must stay the one bytearray mapped there."""
+
+    def __init__(self, cpu: HostCpu, memory,
+                 env: Optional[Tuple[int, bytearray]] = None):
         self.cpu = cpu
         self.memory = memory
+        self.env_base, self.env_data = (None, None) if env is None else env
+        self._env_size = None if env is None else len(env[1])
         self.total = 0                      # dynamic host instructions
         self.charged = 0                    # modelled helper/runtime cost
         self.by_tag = defaultdict(int)      # dynamic count per tag
@@ -227,6 +243,12 @@ class HostInterpreter:
           binds this interpreter's ``cpu`` and ``memory``; a TB runs on
           the one interpreter of its machine.
         - TB-like objects without ``exec_count`` are always interpreted.
+        - A TB whose bodies address the env region directly (no
+          instruction of it writes EBP, and the interpreter has a
+          region) runs compiled only when EBP holds the region's base on
+          entry; otherwise it is interpreted, so its env operands fault
+          or land where the interpreter's do.  Nothing inside such a TB
+          can move EBP, so the one compare per TB entry covers it.
 
         Each call starts with ESP at the stack top: the host stack is
         empty between TBs, as after QEMU's ``cpu_loop_exit``, even when
@@ -247,7 +269,8 @@ class HostInterpreter:
         pending_chain = None
         while True:
             entry = self._program_entry(tb)
-            if entry is None:
+            if entry is None or entry.resolved \
+                    and self.cpu.regs[EBP] != self.env_base:
                 step = self._interpret(tb, 0, executed, pending_chain,
                                        limit, prof_tags)
             else:
@@ -410,7 +433,14 @@ class HostInterpreter:
         """Split *code* into basic blocks with generated bodies; returns
         the entry block, or None when a jump target is invalid (such code
         stays interpreted, so it fails exactly as the interpreter makes
-        it)."""
+        it).  The bodies address env operands in the env region when
+        there are any and no instruction writes EBP (a helper writes only
+        EAX); the entry block is then marked ``resolved``."""
+        env_size = self._env_size
+        resolve = any(_in_env(insn.dst, env_size) or
+                      _in_env(insn.src, env_size) for insn in code) \
+            and not any(type(insn.dst) is Reg and insn.dst.number == EBP
+                        for insn in code)
         end = len(code)
         leaders = {0}
         for index, insn in enumerate(code):
@@ -435,34 +465,38 @@ class HostInterpreter:
                 block.kind = _TERMINATORS[last.op]
                 body = body[:-1]
             if body:
-                block.body = partial(self._first_run, block, tuple(body))
+                block.body = partial(self._first_run, block, tuple(body),
+                                     resolve)
             if last.op is _X86_JMP:
                 block.next = blocks.get(last.target_index)
             elif last.op is _X86_JCC:
                 block.taken = blocks.get(last.target_index)
                 block.pred = COND_TESTS[last.cond]
-        return blocks[starts[0]]
+        entry = blocks[starts[0]]
+        entry.resolved = resolve
+        return entry
 
-    def _first_run(self, block: _Block, insns: tuple) -> None:
+    def _first_run(self, block: _Block, insns: tuple, resolve: bool) -> None:
         """A block's body until it first runs: generate it, then run it.
         A block that never runs costs no generation."""
-        block.body, block.lines = self._generate(insns)
+        block.body, block.lines = self._generate(insns, resolve)
         block.body()
 
-    def _generate(self, insns: tuple):
-        """``(function, lines)`` running *insns*; ``lines[n]`` is the
+    def _generate(self, insns: tuple, resolve: bool):
+        """``(function, lines)`` running *insns*, with env operands
+        addressed in the env region when *resolve*; ``lines[n]`` is the
         index of the instruction on source line *n*.
 
         Each distinct instruction tuple is rendered once per interpreter
-        (``self._rendered``: host instructions are shared objects of the
-        run, so equal tuples render equal bodies; the entry keeps the
-        tuple, so its ids stay unique).  Each distinct source is compiled
-        once (``self._codes``).  Every body runs in globals of its own,
-        so each has its own site caches."""
-        key = tuple(map(id, insns))
+        and mode (``self._rendered``: host instructions are shared
+        objects of the run, so equal tuples render equal bodies; the
+        entry keeps the tuple, so its ids stay unique).  Each distinct
+        source is compiled once (``self._codes``).  Every body runs in
+        globals of its own, so each has its own site caches."""
+        key = (resolve, *map(id, insns))
         rendered = self._rendered.get(key)
         if rendered is None:
-            source = _BodySource(insns)
+            source = _BodySource(insns, self._env_size if resolve else None)
             text, lines = source.text()
             code = self._codes.get(text)
             if code is None:
@@ -472,7 +506,8 @@ class HostInterpreter:
                                               insns)
         code, lines, names, _ = rendered
         namespace = {"R": self.cpu.regs, "C": self.cpu, "STEP": self.step,
-                     "SITE": self._site, **_STRUCT, **names}
+                     "SITE": self._site, "ENV": self.env_data, **_STRUCT,
+                     **names}
         exec(code, namespace)
         return namespace["body"], lines
 
@@ -500,10 +535,18 @@ _STRUCT = {"U2": struct.Struct("<H").unpack_from,
 _ALL_FLAGS = frozenset("czso")   # cf, zf, sf, of: cpu attribute <letter>f
 
 
-def _flag_use(insn: X86Insn):
+def _in_env(operand, env_size: Optional[int]) -> bool:
+    """Whether *operand* is an env operand: ``[ebp + d]`` with no index,
+    wholly inside an env region of *env_size* bytes (None: no region)."""
+    return env_size is not None and type(operand) is Mem \
+        and operand.base == EBP and operand.index is None \
+        and 0 <= operand.disp <= env_size - operand.size
+
+
+def _flag_use(insn: X86Insn, env_size: Optional[int]):
     """``(reads, writes, raises)`` of *insn*, or None when it is stepped:
     when its op has no row, or an operand is of a kind its row does not
-    inline."""
+    inline.  An env operand (:func:`_in_env`) cannot raise."""
     row = ROWS.get(insn.op)
     if row is None:
         return None
@@ -516,8 +559,9 @@ def _flag_use(insn: X86Insn):
         reads = [flag for flag in "czso" if f"C.{flag}f" in expr]
     elif "n" in row.holes and not insn.src.value & 31:
         writes = ""                  # a zero count changes nothing
-    raises = row.form in ("push", "pop") or row.src_as != "addr" \
-        and Mem in (type(insn.dst), type(insn.src))
+    raises = row.form in ("push", "pop") or row.src_as != "addr" and any(
+        type(operand) is Mem and not _in_env(operand, env_size)
+        for operand in (insn.dst, insn.src))
     return frozenset(reads), frozenset(writes), raises
 
 
@@ -528,24 +572,27 @@ class _BodySource:
     row's texts, with operands, sizes, shift counts and conditions
     resolved into them.  Immediates, displacements and stepped
     instructions are globals ``K<n>``/``I<n>``, so bodies that differ
-    only in them share one source.  Each memory operand is a *site*: its
-    globals ``B<n>``, ``E<n>``, ``A<n>`` cache ``(base, end - size,
-    data)`` of the region it last hit, refilled through ``SITE`` on a
-    miss.
+    only in them share one source.  Given *env_size*, the size of the
+    env region, an env operand (:func:`_in_env`) is read and written at
+    its displacement ``K<n>`` in the region's bytearray, the global
+    ``ENV``.  Every other memory operand is a *site*: its globals
+    ``B<n>``, ``E<n>``, ``A<n>`` cache ``(base, end - size, data)`` of
+    the region it last hit, refilled through ``SITE`` on a miss.
 
     A flag write is emitted only when the flag is live after it.  Every
     flag is live at the block's end (the watchdog may interpret the next
-    block) and before an instruction that can raise (a memory access or
-    a stepped instruction), so a fault leaves the flags the interpreter
-    leaves.
+    block) and before an instruction that can raise (a site's access, a
+    stack access or a stepped instruction), so a fault leaves the flags
+    the interpreter leaves.  An env access cannot raise.
     """
 
-    def __init__(self, insns: List[X86Insn]):
+    def __init__(self, insns: List[X86Insn], env_size: Optional[int] = None):
         self.names: dict = {}
         self.body: List[str] = []
         self.at: List[int] = []       # instruction index of each body line
         self.sites = 0
-        uses = [_flag_use(insn) for insn in insns]
+        self.env_size = env_size
+        uses = [_flag_use(insn, env_size) for insn in insns]
         live, live_after = _ALL_FLAGS, []
         for use in reversed(uses):
             live_after.append(live)
@@ -580,15 +627,22 @@ class _BodySource:
         self.names[name] = value
         return name
 
-    def site(self, addr: str, size: int) -> int:
-        """Emit the cache check of a new site at *addr*; its number."""
+    def site(self, addr: str, size: int) -> Tuple[str, str]:
+        """Emit the cache check of a new site at *addr*; its place."""
         k = self.sites
         self.sites += 1
         self.names.update({f"B{k}": 0, f"E{k}": -1, f"A{k}": None})
         self.line(f"a{k} = {addr}")
         self.line(f"if not B{k} <= a{k} <= E{k}: "
                   f"B{k}, E{k}, A{k} = SITE(a{k}, {size})")
-        return k
+        return f"A{k}", f"a{k} - B{k}"
+
+    def place(self, mem: Mem) -> Tuple[str, str]:
+        """``(bytearray, offset)`` texts of *mem*: the env region and a
+        constant for an env operand, else a new site (checked here)."""
+        if _in_env(mem, self.env_size):
+            return "ENV", self.name("K", mem.disp)
+        return self.site(self.addr(mem), mem.size)
 
     def addr(self, mem: Mem) -> str:
         terms = [] if mem.base is None else [f"R[{mem.base}]"]
@@ -605,28 +659,28 @@ class _BodySource:
             return f"R[{operand.number}]"
         if type(operand) is Imm:
             return self.name("K", u32(operand.value))
-        return self.load(self.site(self.addr(operand), operand.size),
-                         operand.size)
+        return self.load(self.place(operand), operand.size)
 
     @staticmethod
-    def load(k: int, size: int) -> str:
+    def load(place: Tuple[str, str], size: int) -> str:
+        data, offset = place
         if size == 1:
-            return f"A{k}[a{k} - B{k}]"
-        return f"U{size}(A{k}, a{k} - B{k})[0]"
+            return f"{data}[{offset}]"
+        return f"U{size}({data}, {offset})[0]"
 
-    def store(self, operand, expr: str, k: Optional[int] = None) -> None:
-        """Write the u32 *expr* to a Reg/Mem operand; *k* is the site the
-        operand was already read through."""
+    def store(self, operand, expr: str,
+              place: Optional[Tuple[str, str]] = None) -> None:
+        """Write the u32 *expr* to a Reg/Mem operand; *place* is where
+        the operand was already read."""
         if type(operand) is Reg:
             self.line(f"R[{operand.number}] = {expr}")
             return
-        if k is None:
-            k = self.site(self.addr(operand), operand.size)
+        data, offset = place or self.place(operand)
         if operand.size == 1:
-            self.line(f"A{k}[a{k} - B{k}] = ({expr}) & 255")
+            self.line(f"{data}[{offset}] = ({expr}) & 255")
         else:
             mask = "" if operand.size == 4 else " & 65535"
-            self.line(f"P{operand.size}(A{k}, a{k} - B{k}, ({expr}){mask})")
+            self.line(f"P{operand.size}({data}, {offset}, ({expr}){mask})")
 
     def flags(self, row, writes, holes=None) -> None:
         """Set the flags in *writes* from *row*'s texts."""
@@ -637,9 +691,11 @@ class _BodySource:
             self.line(f"C.{flag}f = {text}")
 
     def target(self, insn: X86Insn):
-        """``(site or None, value)`` of *insn*'s destination."""
-        k = self.sites if type(insn.dst) is Mem else None
-        return k, self.value(insn.dst)
+        """``(place or None, value)`` of *insn*'s destination."""
+        if type(insn.dst) is Mem:
+            place = self.place(insn.dst)
+            return place, self.load(place, insn.dst.size)
+        return None, self.value(insn.dst)
 
     def source(self, insn: X86Insn, row) -> str:
         """*insn*'s source as *row* reads it."""
@@ -659,7 +715,7 @@ class _BodySource:
         if row.result is None:
             self.flags(row, writes)
             return
-        k, x = self.target(insn) if "x" in row.names else (None, None)
+        place, x = self.target(insn) if "x" in row.names else (None, None)
         values = {"x": x,
                   "y": self.source(insn, row) if "y" in row.names else None}
         holes = {}
@@ -684,15 +740,15 @@ class _BodySource:
             self.flags(row, writes, holes)
             expr = "r"
         if row.writes_dst:
-            self.store(insn.dst, expr, k)
+            self.store(insn.dst, expr, place)
 
     def _push(self, insn, row, writes):
         esp = f"R[{ESP}]"
         self.line(f"{esp} = ({esp} - 4) & {_MASK}")
         value = fill(row.result, {"y": self.source(insn, row)
                                   if "y" in row.names else None}, {})
-        k = self.site(esp, 4)
-        self.line(f"P4(A{k}, a{k} - B{k}, {value})")
+        data, offset = self.site(esp, 4)
+        self.line(f"P4({data}, {offset}, {value})")
 
     def _pop(self, insn, row, writes):
         esp = f"R[{ESP}]"

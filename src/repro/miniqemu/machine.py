@@ -121,7 +121,8 @@ class Machine:
         self.host_memory.map_region(RAM_HOST_BASE, self.ram.data, "ram")
         self.host_cpu = HostCpu(stack_top=STACK_BASE + STACK_SIZE)
         self.host_cpu.regs[ENV_REG] = ENV_BASE
-        self.host = HostInterpreter(self.host_cpu, self.host_memory)
+        self.host = HostInterpreter(self.host_cpu, self.host_memory,
+                                    env=(ENV_BASE, self.env.data))
         self.runtime = QemuRuntime(self.cpu, self.env, self.memory, self.tlb,
                                    PageWalker(self.memory), self)
         self.runtime.host = self.host

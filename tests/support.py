@@ -1,8 +1,10 @@
 """Shared test helpers: boot a machine with the mini-kernel and a
-workload, and hand-made candidate rules the rule verifier must refute."""
+workload, one shared rule-learning result, and hand-made candidate
+rules the rule verifier must refute."""
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import os
 
@@ -13,6 +15,7 @@ from repro.host.isa import EBX, ESI, Imm, Reg
 from repro.kernel.kernel import (DEFAULT_TIMER_RELOAD, build_kernel,
                                  build_user_program)
 from repro.learning.extract import CandidateRule
+from repro.learning.learn import LearnResult, learn
 from repro.miniqemu.machine import Machine
 
 
@@ -37,6 +40,14 @@ def run_workload(user_body: str, engine: str = "interp",
     machine = boot_machine(user_body, engine=engine, **kwargs)
     code = machine.run(max_insns)
     return code, machine.uart.text, machine
+
+
+@functools.lru_cache(maxsize=None)
+def learn_once() -> LearnResult:
+    """``learn()``'s result, computed once per test process.  Learning
+    is deterministic and takes about a second; callers share the one
+    result and must not mutate it."""
+    return learn()
 
 
 def cold_code_body(seed: int, index: int) -> str:

@@ -5,14 +5,14 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.learning.learn import learn
 from repro.learning.serialize import (load_rulebook, rulebook_from_dict,
                                       rulebook_to_dict, save_rulebook)
+from tests.support import learn_once
 
 
 @pytest.fixture(scope="module")
 def learned():
-    return learn()
+    return learn_once()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ compiled from the same rows, so the interpreted-vs-compiled
 differential cannot notice a row change that alters the code every hot
 block runs.  A change to any expected text below changes the compiled
 hot path and must be deliberate.
+
+:data:`PINNED` renders with no env region, as a body of a TB that
+writes EBP does; :data:`ENV_PINNED` renders with the machine's env
+region, where ``[ebp + d]`` inside it is a constant offset into ``ENV``.
 """
 
 import pytest
@@ -13,6 +17,7 @@ import pytest
 from repro.host.interp import _BodySource
 from repro.host.isa import (EAX, EBP, EBX, ECX, EDX, ESP, Imm, Mem, Reg,
                             X86Cond, X86Insn, X86Op)
+from repro.miniqemu.env import ENV_SIZE
 
 
 def I(op, dst=None, src=None, cond=None):
@@ -234,3 +239,77 @@ PINNED = {
 def test_generated_body_source_is_pinned(name):
     insns, expected = PINNED[name]
     assert _BodySource(insns).text()[0] == expected
+
+
+#: name -> (block body, its generated source with the env region given).
+ENV_PINNED = {
+    "env-add-src": (
+        [I(X86Op.ADD, Reg(EAX), ENV)],
+        'def body():\n'
+        ' x = R[0]; y = U4(ENV, K0)[0]; t = x + y\n'
+        ' r = (t) & 4294967295\n'
+        ' C.cf = t >> 32\n'
+        ' C.of = (~(x ^ y) & (x ^ r)) >> 31\n'
+        ' C.sf = r >> 31\n'
+        ' C.zf = 0 if r else 1\n'
+        ' R[0] = r\n'),
+    # An env read cannot raise, so the ADD writes only the CF the ADC
+    # reads (compare adc-flagged-mem-src).
+    "env-adc-after-add": (
+        [I(X86Op.ADD, Reg(EAX), Reg(EBX)),
+         I(X86Op.ADC, Reg(ECX), Mem(EBP, 0x44))],
+        'def body():\n'
+        ' x = R[0]; y = R[3]; t = x + y\n'
+        ' r = (t) & 4294967295\n'
+        ' C.cf = t >> 32\n'
+        ' R[0] = r\n'
+        ' x = R[1]; y = U4(ENV, K0)[0]; t = x + y + C.cf\n'
+        ' r = (t) & 4294967295\n'
+        ' C.cf = t >> 32\n'
+        ' C.of = (~(x ^ y) & (x ^ r)) >> 31\n'
+        ' C.sf = r >> 31\n'
+        ' C.zf = 0 if r else 1\n'
+        ' R[1] = r\n'),
+    # The first CMP writes only the ZF its SETCC reads.
+    "env-setcc": (
+        [I(X86Op.CMP, Reg(EAX), Reg(EBX)),
+         I(X86Op.SETCC, Mem(EBP, 0x10, size=1), cond=X86Cond.E),
+         I(X86Op.CMP, Reg(ECX), Imm(0))],
+        'def body():\n'
+        ' x = R[0]; y = R[3]\n'
+        ' r = (x - (y)) & 4294967295\n'
+        ' C.zf = 0 if r else 1\n'
+        ' ENV[K0] = ((1 if C.zf else 0)) & 255\n'
+        ' x = R[1]; y = K1\n'
+        ' r = (x - (y)) & 4294967295\n'
+        ' C.cf = 1 if y > x else 0\n'
+        ' C.of = ((x ^ y) & (x ^ r)) >> 31\n'
+        ' C.sf = r >> 31\n'
+        ' C.zf = 0 if r else 1\n'),
+    # The stack write stays a site.
+    "env-push": (
+        [I(X86Op.PUSH, src=Mem(EBP, 0x48))],
+        'def body():\n'
+        ' global B0, E0, A0\n'
+        ' R[4] = (R[4] - 4) & 4294967295\n'
+        ' a0 = R[4]\n'
+        ' if not B0 <= a0 <= E0: B0, E0, A0 = SITE(a0, 4)\n'
+        ' P4(A0, a0 - B0, U4(ENV, K0)[0])\n'),
+    # A word straddling the region's end stays a site, which faults as
+    # the interpreter does; the last whole word is in the region.
+    "env-past-end-is-a-site": (
+        [I(X86Op.MOV, Reg(EAX), Mem(EBP, ENV_SIZE - 2)),
+         I(X86Op.MOV, Mem(EBP, ENV_SIZE - 4), Reg(EAX))],
+        'def body():\n'
+        ' global B0, E0, A0\n'
+        ' a0 = (R[5] + K0) & 4294967295\n'
+        ' if not B0 <= a0 <= E0: B0, E0, A0 = SITE(a0, 4)\n'
+        ' R[0] = U4(A0, a0 - B0)[0]\n'
+        ' P4(ENV, K4, (R[0]))\n'),
+}
+
+
+@pytest.mark.parametrize("name", ENV_PINNED)
+def test_env_resolved_body_source_is_pinned(name):
+    insns, expected = ENV_PINNED[name]
+    assert _BodySource(insns, ENV_SIZE).text()[0] == expected

@@ -9,19 +9,23 @@ from hypothesis import strategies as st
 
 import repro.host.interp as host_interp
 import repro.host.ops as host_ops
+import repro.miniqemu.machine as repro_machine
 from repro.common.errors import HostExecutionError
 from repro.core.config import OptLevel
 from repro.core.engine import make_rule_engine
+from repro.harness.runner import make_machine
 from repro.host.builder import CodeBuilder
 from repro.host.cpu import HostCpu
 from repro.host.interp import HOT_THRESHOLD, HostInterpreter
-from repro.host.isa import (EAX, EBX, ECX, EDX, ESI, ESP, Imm, Mem, REG_NAMES,
-                            Reg, X86Cond, X86Insn, X86Op, Xmm)
+from repro.host.isa import (EAX, EBP, EBX, ECX, EDX, ESI, ESP, Imm, Mem,
+                            REG_NAMES, Reg, X86Cond, X86Insn, X86Op, Xmm)
 from repro.host.memory import HostMemory
 from repro.host.ops import ROWS
+from repro.miniqemu.env import ENV_BASE
 from repro.miniqemu.tb import TbExitException
 from repro.observability.profile import Profiler
 from repro.robustness.guard import ExecutionWatchdog
+from repro.workloads import ALL_WORKLOADS
 from tests.support import run_workload as run_guest
 
 STACK_TOP = 0x2000
@@ -585,9 +589,14 @@ def test_every_op_but_control_has_one_row():
 # A TB entered HOT_THRESHOLD times runs as compiled threaded code; one
 # entered fewer times is interpreted.  Both must leave identical
 # registers, flags, xmm, memory, counters and errors on every exit path.
+# An env region is mapped beside the flat memory: EBP usually holds its
+# base, [ebp + d] operands reach into it and past its end, and some
+# programs move EBP.
 # ---------------------------------------------------------------------------
 
 MEM_SIZE = 0x4000
+ENV_AT = 0x8000                  # the env region's base, past flat memory
+ENV_SIZE = 0x40
 CONTROL_OPS = (X86Op.JMP, X86Op.JCC, X86Op.CALL_HELPER, X86Op.GOTO_TB,
                X86Op.EXIT_TB)
 SSE_OPS = (X86Op.MOVSS, X86Op.ADDSS, X86Op.SUBSS, X86Op.MULSS)
@@ -613,10 +622,15 @@ _regs = st.integers(0, 7)
 _words = st.one_of(st.integers(0, MEM_SIZE), st.integers(0, 0xFFFFFFFF),
                    st.integers(0x7FFFFF00, 0x800000FF),
                    st.integers(0xFFFFFF00, 0xFFFFFFFF))
-_mems = st.builds(Mem, base=st.one_of(st.none(), _regs),
-                  disp=st.integers(-8, MEM_SIZE), index=st.one_of(
-                      st.none(), _regs), scale=st.sampled_from((1, 2, 4)),
-                  size=st.sampled_from((1, 2, 4)))
+_sizes = st.sampled_from((1, 2, 4))
+_mems = st.one_of(
+    st.builds(Mem, base=st.one_of(st.none(), _regs),
+              disp=st.integers(-8, MEM_SIZE), index=st.one_of(
+                  st.none(), _regs), scale=st.sampled_from((1, 2, 4)),
+              size=_sizes),
+    # [ebp + d], inside the env region, straddling its ends and past them
+    st.builds(Mem, base=st.just(EBP), disp=st.integers(-4, ENV_SIZE + 4),
+              size=_sizes))
 #: Operand strategies by kind; SSE ops take the Xmm and Mem kinds.
 OPERAND_KINDS = {
     "reg": st.builds(Reg, _regs),
@@ -651,6 +665,8 @@ def body_insns(draw, op=None, dst=None, src=None):
 def host_states(draw):
     regs = draw(st.lists(_words, min_size=8, max_size=8))
     regs[ESP] = draw(st.integers(8, MEM_SIZE - 8))
+    if draw(st.integers(0, 3)):
+        regs[EBP] = ENV_AT
     flags = draw(st.lists(st.integers(0, 1), min_size=4, max_size=4))
     xmm = draw(st.lists(st.integers(0, 0xFFFFFFFF), min_size=8, max_size=8))
     return regs, flags, xmm, draw(st.integers(0, 2 ** 32))
@@ -658,14 +674,17 @@ def host_states(draw):
 
 def make_state(state):
     regs, flags, xmm, seed = state
-    data = bytearray(random.Random(seed).randbytes(MEM_SIZE))
+    rng = random.Random(seed)
+    data = bytearray(rng.randbytes(MEM_SIZE))
+    env = bytearray(rng.randbytes(ENV_SIZE))
     memory = HostMemory()
     memory.map_region(0, data, "flat")
+    memory.map_region(ENV_AT, env, "env")
     cpu = HostCpu(stack_top=regs[ESP])
     cpu.regs[:] = regs
     cpu.cf, cpu.zf, cpu.sf, cpu.of = flags
     cpu.xmm[:] = xmm
-    interp = HostInterpreter(cpu, memory)
+    interp = HostInterpreter(cpu, memory, env=(ENV_AT, env))
     interp.profiler = Profiler()
     return interp, data
 
@@ -684,6 +703,7 @@ def observe(interp, data, run):
         "outcome": outcome,
         "regs": list(cpu.regs), "xmm": list(cpu.xmm),
         "flags": (cpu.cf, cpu.zf, cpu.sf, cpu.of), "memory": bytes(data),
+        "env": interp.env_data and bytes(interp.env_data),
         "total": interp.total, "by_tag": list(interp.by_tag.items()),
         "profile": {key: list(tags.items())
                     for key, tags in interp.profiler._tags.items()},
@@ -727,6 +747,10 @@ def test_compiled_op_matches_interpreter(op, data, state):
 def programs(draw):
     """Random straight-line code with jumps anywhere, loops included."""
     code = draw(st.lists(body_insns(), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        op = draw(st.sampled_from((X86Op.MOV, X86Op.ADD, X86Op.POP)))
+        code.insert(draw(st.integers(0, len(code))),
+                    draw(body_insns(op, dst=Reg(EBP))))
     for _ in range(draw(st.integers(0, 3))):
         op = draw(st.sampled_from((X86Op.JCC, X86Op.JMP)))
         code.insert(draw(st.integers(0, len(code))),
@@ -940,9 +964,9 @@ def renders(monkeypatch):
     rendered = []
 
     class Counting(host_interp._BodySource):
-        def __init__(self, insns):
+        def __init__(self, insns, env_size):
             rendered.append(insns)
-            super().__init__(insns)
+            super().__init__(insns, env_size)
 
     monkeypatch.setattr(host_interp, "_BodySource", Counting)
     return rendered
@@ -1078,3 +1102,120 @@ def test_memory_site_follows_its_operand_across_regions(iterations):
         assert "0x00000800" in compiled["outcome"][1]
     else:
         assert compiled["outcome"] == (0, None)
+
+
+def env_state(ebp):
+    regs, flags, xmm, seed = flat_state()
+    regs[EBP] = ebp
+    return regs, flags, xmm, seed
+
+
+def env_code(builder=None):
+    """Load env word 4, add 5, store it to env word 8."""
+    builder = builder or CodeBuilder()
+    builder.mov(Reg(EAX), Mem(base=EBP, disp=4))
+    builder.add(Reg(EAX), Imm(5))
+    builder.mov(Mem(base=EBP, disp=8), Reg(EAX))
+    builder.exit_tb(0)
+    return builder.finish()
+
+
+def word(data, offset):
+    return int.from_bytes(data[offset:offset + 4], "little")
+
+
+def body_names(tb):
+    return tb.compiled.body.__code__.co_names
+
+
+def test_a_hot_tb_entered_off_the_env_base_is_interpreted(renders):
+    """Its bodies address the env region, so with EBP elsewhere the TB
+    runs interpreted and its [ebp + d] operands land in flat memory, as
+    the interpreter's do; at the env base it runs compiled."""
+    code = env_code()
+    for ebp, rendered in ((0x100, 0), (ENV_AT, 1)):
+        interpreted, compiled = run_both_ways(code, env_state(ebp))
+        assert compiled == interpreted
+        assert len(renders) == rendered
+    interp, data = make_state(env_state(0x100))
+    tb = HotTb(code, HOT_THRESHOLD)
+    interp.execute(tb)
+    assert tb.compiled.resolved and tb.compiled.lines == ()
+    assert word(data, 0x108) == (word(data, 0x104) + 5) & 0xFFFFFFFF
+    interp.cpu.regs[EBP] = ENV_AT
+    interp.execute(tb)
+    assert "ENV" in body_names(tb) and "SITE" not in body_names(tb)
+    env = interp.env_data
+    assert word(env, 8) == (word(env, 4) + 5) & 0xFFFFFFFF
+
+
+def test_a_tb_that_writes_ebp_addresses_env_operands_as_sites():
+    builder = CodeBuilder()
+    builder.mov(Reg(EBP), Imm(ENV_AT))
+    code = env_code(builder)
+    interpreted, compiled = run_both_ways(code, env_state(ENV_AT))
+    assert compiled == interpreted and compiled["outcome"] == (0, None)
+    interp, _ = make_state(env_state(ENV_AT))
+    tb = HotTb(code, HOT_THRESHOLD)
+    interp.execute(tb)
+    assert not tb.compiled.resolved
+    assert "SITE" in body_names(tb) and "ENV" not in body_names(tb)
+
+
+def test_a_shared_insn_tuple_renders_once_per_mode(renders):
+    """One body tuple, shared by TBs that do not write EBP and by one
+    that does (in a block that never runs): it renders once addressing
+    the env region and once with sites, and each TB gets its mode."""
+    memo: dict = {}
+    tbs = []
+    for pc, writes_ebp in ((0x10, False), (0x20, True), (0x30, False)):
+        builder = CodeBuilder(shared=memo)
+        builder.mov(Reg(EAX), Mem(base=EBP, disp=4))
+        builder.add(Reg(EAX), Imm(5))
+        builder.exit_tb(0)
+        if writes_ebp:
+            builder.mov(Reg(EBP), Reg(EAX))
+            builder.exit_tb(1)
+        tbs.append(HotTb(builder.finish(), HOT_THRESHOLD, pc=pc))
+    interp, _ = make_state(env_state(ENV_AT))
+    for tb in tbs:
+        interp.cpu.regs[EAX] = 0
+        interp.execute(tb)
+        assert interp.cpu.regs[EAX] == \
+            (word(interp.env_data, 4) + 5) & 0xFFFFFFFF
+    assert len(renders) == 2 and renders[0] == renders[1]
+    assert renders[0][0] is tbs[1].code[0]
+    assert [tb.compiled.resolved for tb in tbs] == [True, False, True]
+    assert "ENV" in body_names(tbs[0]) and "SITE" in body_names(tbs[1])
+    assert tbs[2].compiled.body.__code__ is tbs[0].compiled.body.__code__
+
+
+def run_spec_analog(name):
+    workload = ALL_WORKLOADS[name]
+    machine = make_machine(workload, "rules-full")
+    assert machine.run(workload.max_insns) == 0
+    assert machine.uart.text == workload.expected_output
+    return machine
+
+
+def addresses_env(interp):
+    """Whether a body *interp* generated names ``ENV``."""
+    return any("ENV" in function.co_names
+               for code in interp._codes.values()
+               for function in code.co_consts if hasattr(function, "co_names"))
+
+
+def test_env_operands_are_resolved_on_a_spec_analog(monkeypatch):
+    """A SPEC analog on rules-full runs generated bodies that address the
+    env region, every compiled entry passed the guard (nothing moved
+    EBP off the env base), and the counters are those of the same run
+    with the region withheld, where every env operand is a site."""
+    machine = run_spec_analog("sjeng")
+    assert addresses_env(machine.host)
+    assert machine.host_cpu.regs[EBP] == ENV_BASE
+    monkeypatch.setattr(repro_machine, "HostInterpreter",
+                        lambda cpu, memory, env: HostInterpreter(cpu, memory))
+    reference = run_spec_analog("sjeng")
+    assert reference.host.env_data is None
+    assert reference.host._codes and not addresses_env(reference.host)
+    assert reference.stats() == machine.stats()

@@ -11,7 +11,6 @@ from repro.host.isa import EAX, EBX, ESI, REG_NAMES
 from repro.host.memory import HostMemory
 from repro.learning.corpus import TRAINING_SOURCE
 from repro.learning.extract import extract_all
-from repro.learning.learn import learn
 from repro.learning.rules import LearnedRulebook, merge_rules, parameterize
 from repro.learning.symexec.arm_exec import ArmSymExec
 from repro.learning.symexec.expr import (App, Const, Sym, const, evaluate,
@@ -22,7 +21,8 @@ from repro.learning.toycc.codegen_x86 import compile_x86
 from repro.learning.toycc.parser import ParseError, parse
 from repro.learning.verify import (CLASS_PROVED, CLASS_REFUTED, CLASS_TESTED,
                                    classify_equiv, verify)
-from tests.support import ALTERNATING_WITNESS, alternating_mask_fixture
+from tests.support import (ALTERNATING_WITNESS, alternating_mask_fixture,
+                           learn_once)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +271,7 @@ def test_verification_refutes_rarely_wrong_fragment():
 
 
 def test_learn_end_to_end():
-    result = learn()
+    result = learn_once()
     assert result.candidates >= 70
     assert result.verified >= 0.9 * result.candidates
     assert result.proved == result.verified  # normalizer or BDD
@@ -314,7 +314,7 @@ func long(a, b) {
 def test_learned_rulebook_covers_common_instructions():
     from repro.guest.asm import assemble as asm
     from repro.guest.decoder import decode as dec
-    result = learn()
+    result = learn_once()
     rulebook = result.rulebook
 
     def covered(text):
@@ -343,7 +343,7 @@ def test_learned_rulebook_dynamic_coverage():
     from repro.miniqemu.machine import Machine
     from repro.workloads.spec import SPEC_WORKLOADS
 
-    rulebook = learn().rulebook
+    rulebook = learn_once().rulebook
     for name in ("sjeng", "mcf", "hmmer", "astar"):
         workload = SPEC_WORKLOADS[name]
         machine = Machine(engine="rules", rule_engine_factory=(
